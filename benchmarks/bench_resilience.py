@@ -4,7 +4,8 @@ The policy layer sits on every proxied invocation, so its cost when
 nothing fails is the price every caller pays.  Three tiers are measured
 on the same Android Location binding:
 
-* ``bare``     — ``resilience=False``: the original ``_guard`` path;
+* ``bare``     — ``resilience=False``: ``MProxy._call`` runs the thunk
+  in a binding span with uniform exception mapping, no runtime;
 * ``default``  — the passthrough-safe default policy (counters only);
 * ``chaos``    — the full chaos profile (retry budget, timeout
   accounting, circuit breaker) with zero faults injected.

@@ -8,6 +8,15 @@ from repro.core.proxy.base import MProxy
 from repro.core.proxy.datatypes import CalendarEvent
 
 
+def overlapping(
+    events: List[CalendarEvent], start_ms: float, end_ms: float
+) -> List[CalendarEvent]:
+    """The ``events`` overlapping the half-open window [start, end)."""
+    return [
+        event for event in events if event.start_ms < end_ms and start_ms < event.end_ms
+    ]
+
+
 class CalendarProxy(MProxy):
     """Abstract uniform API; platform bindings subclass this."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.descriptor.model import ProxyDescriptor
-from repro.core.proxies.calendar.api import CalendarProxy
+from repro.core.proxies.calendar.api import CalendarProxy, overlapping
 from repro.core.proxies.calendar.descriptor import S60_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import CalendarEvent
@@ -38,33 +38,29 @@ class S60CalendarProxyImpl(CalendarProxy):
     def _open(self, mode: int):
         return self._platform.pim.open_pim_list(PimStatics.EVENT_LIST, mode)
 
+    def _events(self) -> List[CalendarEvent]:
+        event_list = self._open(PimStatics.READ_ONLY)
+        try:
+            return [_to_uniform(item) for item in event_list.items()]
+        finally:
+            event_list.close()
+
     def list_events(self) -> List[CalendarEvent]:
-        self._record("listEvents")
-        with self._guard("listEvents"):
-            event_list = self._open(PimStatics.READ_ONLY)
-            try:
-                return [_to_uniform(item) for item in event_list.items()]
-            finally:
-                event_list.close()
+        return self._call("listEvents", self._events)
 
     def events_between(self, start_ms: float, end_ms: float) -> List[CalendarEvent]:
-        self._validate_arguments("eventsBetween", startMs=start_ms, endMs=end_ms)
-        self._record("eventsBetween", start_ms=start_ms, end_ms=end_ms)
         # JSR-75 offers no window query; filter client-side (binding note).
-        return [
-            event
-            for event in self.list_events()
-            if event.start_ms < end_ms and start_ms < event.end_ms
-        ]
+        return self._call(
+            "eventsBetween",
+            lambda: overlapping(self._events(), start_ms, end_ms),
+            startMs=start_ms,
+            endMs=end_ms,
+        )
 
     def add_event(self, summary: str, start_ms: float, end_ms: float) -> str:
-        self._validate_arguments(
-            "addEvent", summary=summary, startMs=start_ms, endMs=end_ms
-        )
-        if end_ms < start_ms:
-            raise ProxyInvalidArgumentError("event ends before it starts")
-        self._record("addEvent", summary=summary)
-        with self._guard("addEvent"):
+        def attempt() -> str:
+            if end_ms < start_ms:
+                raise ProxyInvalidArgumentError("event ends before it starts")
             event_list = self._open(PimStatics.READ_WRITE)
             try:
                 item = event_list.create_event()
@@ -79,10 +75,16 @@ class S60CalendarProxyImpl(CalendarProxy):
             finally:
                 event_list.close()
 
+        return self._call(
+            "addEvent",
+            attempt,
+            summary=summary,
+            startMs=start_ms,
+            endMs=end_ms,
+        )
+
     def remove_event(self, event_id: str) -> None:
-        self._validate_arguments("removeEvent", eventId=event_id)
-        self._record("removeEvent", event_id=event_id)
-        with self._guard("removeEvent"):
+        def attempt() -> None:
             event_list = self._open(PimStatics.READ_WRITE)
             try:
                 for item in event_list.items():
@@ -91,6 +93,8 @@ class S60CalendarProxyImpl(CalendarProxy):
                         return
             finally:
                 event_list.close()
+
+        self._call("removeEvent", attempt, eventId=event_id)
 
 
 register_implementation(S60_IMPL, S60CalendarProxyImpl)

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List
 
-from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.calendar.android import AndroidCalendarProxyImpl
 from repro.core.proxies.calendar.api import CalendarProxy
 from repro.core.proxies.calendar.descriptor import WEBVIEW_IMPL
-from repro.core.proxies.factory import register_implementation, standard_registry
+from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.webview_common import (
-    WrapperBackend,
+    JavaWrapper,
+    JsProxy,
+    WrapperFactory,
     decode_or_raise,
     encode_error,
     encode_ok,
@@ -20,7 +20,7 @@ from repro.core.proxy.datatypes import CalendarEvent
 from repro.errors import ProxyError
 from repro.platforms.android.context import Context
 from repro.platforms.webview.platform import WebViewPlatform
-from repro.platforms.webview.webview import JsWindow, WebView
+from repro.platforms.webview.webview import WebView
 
 FACTORY_JS_NAME = "CalendarWrapperFactory"
 WRAPPER_JS_NAME = "CalendarWrapper"
@@ -46,35 +46,17 @@ def _event_from_payload(payload: Dict) -> CalendarEvent:
     )
 
 
-class CalendarWrapperFactory:
+class CalendarWrapperFactory(WrapperFactory):
     """Java side, step 1."""
 
-    def __init__(self, backend: "CalendarWrapperJava") -> None:
-        self._backend = backend
-
     def create_calendar_wrapper_instance(self) -> int:
-        return self._backend.create_instance()
+        return self._wrapper.create_instance()
 
 
-class CalendarWrapperJava:
+class CalendarWrapperJava(JavaWrapper):
     """Java side, step 2: the ``CalendarWrapper`` class behind the bridge."""
 
-    def __init__(self, platform: WebViewPlatform, context: Context) -> None:
-        self._platform = platform
-        self._context = context
-        self._backend = WrapperBackend(platform.notification_table)
-
-    def create_instance(self) -> int:
-        proxy = AndroidCalendarProxyImpl(
-            standard_registry().descriptor("Calendar"), self._platform.android
-        )
-        proxy.set_property("context", self._context)
-        return self._backend.add_instance(proxy)
-
-    # -- bridge entry points ---------------------------------------------------
-
-    def set_property(self, handle: int, key: str, value_json: str) -> str:
-        return self._backend.set_property_json(handle, key, value_json)
+    ANDROID_BINDING = AndroidCalendarProxyImpl
 
     def list_events(self, handle: int) -> str:
         try:
@@ -119,64 +101,53 @@ def install_calendar_wrapper(
     return wrapper
 
 
-class CalendarProxyJs(CalendarProxy):
+class CalendarProxyJs(JsProxy, CalendarProxy):
     """JS side: ``com.ibm.proxies.webview.calendar.CalendarProxyJs``."""
 
-    def __init__(self, descriptor: ProxyDescriptor, platform: WebViewPlatform) -> None:
-        super().__init__(descriptor, "webview")
-        window = platform.active_window
-        if window is None:
-            raise ProxyError(
-                "no page is loaded; construct the JS proxy inside a page script"
-            )
-        self._init_in_window(window)
+    FACTORY_JS_NAME = FACTORY_JS_NAME
+    WRAPPER_JS_NAME = WRAPPER_JS_NAME
+    CREATE_INSTANCE = "create_calendar_wrapper_instance"
 
-    @classmethod
-    def in_page(cls, window: JsWindow) -> "CalendarProxyJs":
-        instance = cls.__new__(cls)
-        CalendarProxy.__init__(
-            instance, standard_registry().descriptor("Calendar"), "webview"
-        )
-        instance._init_in_window(window)
-        return instance
-
-    def _init_in_window(self, window: JsWindow) -> None:
-        self._window = window
-        factory = window.bridge_object(FACTORY_JS_NAME)
-        self._wrapper = window.bridge_object(WRAPPER_JS_NAME)
-        self._swi = factory.create_calendar_wrapper_instance()
-
-    def set_property(self, key: str, value) -> None:
-        super().set_property(key, value)
-        decode_or_raise(self._wrapper.set_property(self._swi, key, json.dumps(value)))
+    @staticmethod
+    def _events(envelope_json: str) -> List[CalendarEvent]:
+        payload = decode_or_raise(envelope_json)
+        return [_event_from_payload(e) for e in payload["events"]]
 
     def list_events(self) -> List[CalendarEvent]:
-        self._record("listEvents")
-        payload = decode_or_raise(self._wrapper.list_events(self._swi))
-        return [_event_from_payload(e) for e in payload["events"]]
+        return self._call(
+            "listEvents", lambda: self._events(self._wrapper.list_events(self._swi))
+        )
 
     def events_between(self, start_ms: float, end_ms: float) -> List[CalendarEvent]:
-        self._validate_arguments("eventsBetween", startMs=start_ms, endMs=end_ms)
-        self._record("eventsBetween", start_ms=start_ms, end_ms=end_ms)
-        payload = decode_or_raise(
-            self._wrapper.events_between(self._swi, float(start_ms), float(end_ms))
+        return self._call(
+            "eventsBetween",
+            lambda: self._events(
+                self._wrapper.events_between(self._swi, float(start_ms), float(end_ms))
+            ),
+            startMs=start_ms,
+            endMs=end_ms,
         )
-        return [_event_from_payload(e) for e in payload["events"]]
 
     def add_event(self, summary: str, start_ms: float, end_ms: float) -> str:
-        self._validate_arguments(
-            "addEvent", summary=summary, startMs=start_ms, endMs=end_ms
-        )
-        self._record("addEvent", summary=summary)
-        payload = decode_or_raise(
-            self._wrapper.add_event(self._swi, summary, float(start_ms), float(end_ms))
+        payload = self._call(
+            "addEvent",
+            lambda: decode_or_raise(
+                self._wrapper.add_event(
+                    self._swi, summary, float(start_ms), float(end_ms)
+                )
+            ),
+            summary=summary,
+            startMs=start_ms,
+            endMs=end_ms,
         )
         return payload["eventId"]
 
     def remove_event(self, event_id: str) -> None:
-        self._validate_arguments("removeEvent", eventId=event_id)
-        self._record("removeEvent", event_id=event_id)
-        decode_or_raise(self._wrapper.remove_event(self._swi, event_id))
+        self._call(
+            "removeEvent",
+            lambda: decode_or_raise(self._wrapper.remove_event(self._swi, event_id)),
+            eventId=event_id,
+        )
 
 
 register_implementation(WEBVIEW_IMPL, CalendarProxyJs)

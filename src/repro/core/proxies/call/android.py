@@ -5,12 +5,12 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.descriptor.model import ProxyDescriptor
+from repro.core.proxies.android_common import AndroidBinding
 from repro.core.proxies.call.api import CallProxy, UniformCallCallback, as_call_listener
 from repro.core.proxies.call.descriptor import ANDROID_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import CallHandle, CallOutcome
 from repro.device.telephony import CallSession, CallState
-from repro.errors import ProxyError
 from repro.platforms.android.context import Context
 from repro.platforms.android.platform import AndroidPlatform
 
@@ -23,34 +23,22 @@ _OUTCOMES = {
 }
 
 
-class AndroidCallProxyImpl(CallProxy):
+class AndroidCallProxyImpl(AndroidBinding, CallProxy):
     """``com.ibm.proxies.android.call.CallProxyImpl``."""
 
     def __init__(self, descriptor: ProxyDescriptor, platform: AndroidPlatform) -> None:
-        super().__init__(descriptor, "android")
-        self._platform = platform
+        super().__init__(descriptor, platform)
         self._sessions: Dict[str, CallSession] = {}
-
-    def _context(self, for_what: str) -> Context:
-        context = self.properties.require("context", for_what)
-        if not isinstance(context, Context):
-            raise ProxyError(
-                f"property 'context' must be an Android Context, got "
-                f"{type(context).__name__}"
-            )
-        return context
 
     def make_a_call(
         self,
         number: str,
         call_listener: Optional[UniformCallCallback] = None,
     ) -> CallHandle:
-        self._validate_arguments("makeACall", number=number)
-        self._record("makeACall", number=number)
         listener = as_call_listener(call_listener)
-        context = self._context("makeACall")
 
         def attempt() -> CallHandle:
+            context = self._context("makeACall")
             phone = context.get_system_service(Context.TELEPHONY_SERVICE)
             handle_holder: Dict[str, CallHandle] = {}
 
@@ -81,20 +69,18 @@ class AndroidCallProxyImpl(CallProxy):
             return handle
 
         # No fallback: a phone call cannot be gracefully degraded.
-        return self._invoke("makeACall", attempt)
+        return self._call("makeACall", attempt, number=number)
 
     def end_call(self, call_handle: CallHandle) -> None:
-        self._record("endCall", call_id=call_handle.call_id)
-        session = self._sessions.get(call_handle.call_id)
-        if session is None:
-            return
-        context = self._context("endCall")
-
         def attempt() -> None:
+            session = self._sessions.get(call_handle.call_id)
+            if session is None:
+                return
+            context = self._context("endCall")
             phone = context.get_system_service(Context.TELEPHONY_SERVICE)
             phone.end_call(session)
 
-        return self._invoke("endCall", attempt)
+        self._call("endCall", attempt)
 
 
 register_implementation(ANDROID_IMPL, AndroidCallProxyImpl)

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.call.android import AndroidCallProxyImpl
 from repro.core.proxies.call.api import CallProxy, UniformCallCallback, as_call_listener
 from repro.core.proxies.call.descriptor import WEBVIEW_IMPL
-from repro.core.proxies.factory import register_implementation, standard_registry
+from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.webview_common import (
+    JavaWrapper,
+    JsProxy,
     NotificationHandler,
     WrapperBackend,
+    WrapperFactory,
     decode_or_raise,
     encode_error,
     encode_ok,
@@ -21,7 +23,7 @@ from repro.core.proxy.datatypes import CallHandle, CallOutcome
 from repro.errors import ProxyError
 from repro.platforms.android.context import Context
 from repro.platforms.webview.platform import WebViewPlatform
-from repro.platforms.webview.webview import JsWindow, WebView
+from repro.platforms.webview.webview import WebView
 
 FACTORY_JS_NAME = "CallWrapperFactory"
 WRAPPER_JS_NAME = "CallWrapper"
@@ -59,37 +61,22 @@ class _TablePostingCallListener(CallStateListener):
         self._post("finished", call)
 
 
-class CallWrapperFactory:
+class CallWrapperFactory(WrapperFactory):
     """Java side, step 1."""
 
-    def __init__(self, backend: "CallWrapperJava") -> None:
-        self._backend = backend
-
     def create_call_wrapper_instance(self) -> int:
-        return self._backend.create_instance()
+        return self._wrapper.create_instance()
 
 
-class CallWrapperJava:
+class CallWrapperJava(JavaWrapper):
     """Java side, step 2: the ``CallWrapper`` class behind the bridge."""
 
+    ANDROID_BINDING = AndroidCallProxyImpl
+
     def __init__(self, platform: WebViewPlatform, context: Context) -> None:
-        self._platform = platform
-        self._context = context
-        self._backend = WrapperBackend(platform.notification_table)
+        super().__init__(platform, context)
         #: call id → the Java-side uniform handle (JS only gets primitives).
         self._handles: Dict[str, CallHandle] = {}
-
-    def create_instance(self) -> int:
-        proxy = AndroidCallProxyImpl(
-            standard_registry().descriptor("Call"), self._platform.android
-        )
-        proxy.set_property("context", self._context)
-        return self._backend.add_instance(proxy)
-
-    # -- bridge entry points ---------------------------------------------------
-
-    def set_property(self, handle: int, key: str, value_json: str) -> str:
-        return self._backend.set_property_json(handle, key, value_json)
 
     def make_a_call(self, handle: int, number: str) -> str:
         try:
@@ -116,9 +103,6 @@ class CallWrapperJava:
             return encode_error(exc)
         return encode_ok()
 
-    def get_notifications(self, notification_id: str) -> str:
-        return self._backend.notifications.drain_json(notification_id)
-
 
 def install_call_wrapper(
     webview: WebView, platform: WebViewPlatform, context: Context
@@ -130,44 +114,23 @@ def install_call_wrapper(
     return wrapper
 
 
-class CallProxyJs(CallProxy):
+class CallProxyJs(JsProxy, CallProxy):
     """JS side: ``com.ibm.proxies.webview.call.CallProxyJs``."""
 
-    def __init__(self, descriptor: ProxyDescriptor, platform: WebViewPlatform) -> None:
-        super().__init__(descriptor, "webview")
-        window = platform.active_window
-        if window is None:
-            raise ProxyError(
-                "no page is loaded; construct the JS proxy inside a page script"
-            )
-        self._init_in_window(window)
-
-    @classmethod
-    def in_page(cls, window: JsWindow) -> "CallProxyJs":
-        instance = cls.__new__(cls)
-        CallProxy.__init__(instance, standard_registry().descriptor("Call"), "webview")
-        instance._init_in_window(window)
-        return instance
-
-    def _init_in_window(self, window: JsWindow) -> None:
-        self._window = window
-        factory = window.bridge_object(FACTORY_JS_NAME)
-        self._wrapper = window.bridge_object(WRAPPER_JS_NAME)
-        self._swi = factory.create_call_wrapper_instance()
-        self._handlers: Dict[str, NotificationHandler] = {}
+    FACTORY_JS_NAME = FACTORY_JS_NAME
+    WRAPPER_JS_NAME = WRAPPER_JS_NAME
+    CREATE_INSTANCE = "create_call_wrapper_instance"
 
     def make_a_call(
         self,
         number: str,
         call_listener: Optional[UniformCallCallback] = None,
     ) -> CallHandle:
-        self._validate_arguments("makeACall", number=number)
-        self._record("makeACall", number=number)
         def attempt() -> Dict:
             self._trace_event("binding.bridge_call", method="makeACall")
             return decode_or_raise(self._wrapper.make_a_call(self._swi, number))
 
-        payload = self._invoke("makeACall", attempt)
+        payload = self._call("makeACall", attempt, number=number)
         call_id = payload["callId"]
         notification_id = payload["notificationId"]
         # The JS domain keeps its own mirror handle; the Java one stays put.
@@ -202,8 +165,7 @@ class CallProxyJs(CallProxy):
         return handle
 
     def end_call(self, call_handle: CallHandle) -> None:
-        self._record("endCall", call_id=call_handle.call_id)
-        self._invoke(
+        self._call(
             "endCall",
             lambda: decode_or_raise(
                 self._wrapper.end_call(self._swi, call_handle.call_id)

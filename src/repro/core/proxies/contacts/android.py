@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.descriptor.model import ProxyDescriptor
+from repro.core.proxies.android_common import AndroidBinding
 from repro.core.proxies.contacts.api import ContactsProxy
 from repro.core.proxies.contacts.descriptor import ANDROID_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import Contact
-from repro.errors import ProxyError
 from repro.platforms.android.contacts import (
     COLUMN_DISPLAY_NAME,
     COLUMN_EMAIL,
@@ -18,25 +17,13 @@ from repro.platforms.android.contacts import (
     CONTACTS_URI,
     ContentValues,
 )
-from repro.platforms.android.context import Context
-from repro.platforms.android.platform import AndroidPlatform
 
 
-class AndroidContactsProxyImpl(ContactsProxy):
+class AndroidContactsProxyImpl(AndroidBinding, ContactsProxy):
     """``com.ibm.proxies.android.contacts.ContactsProxyImpl``."""
 
-    def __init__(self, descriptor: ProxyDescriptor, platform: AndroidPlatform) -> None:
-        super().__init__(descriptor, "android")
-        self._platform = platform
-
     def _resolver(self, for_what: str):
-        context = self.properties.require("context", for_what)
-        if not isinstance(context, Context):
-            raise ProxyError(
-                f"property 'context' must be an Android Context, got "
-                f"{type(context).__name__}"
-            )
-        return context.get_content_resolver()
+        return self._context(for_what).get_content_resolver()
 
     @staticmethod
     def _drain(cursor) -> List[Contact]:
@@ -55,33 +42,36 @@ class AndroidContactsProxyImpl(ContactsProxy):
         return contacts
 
     def list_contacts(self) -> List[Contact]:
-        self._record("listContacts")
-        with self._guard("listContacts"):
-            cursor = self._resolver("listContacts").query(CONTACTS_URI)
-            return self._drain(cursor)
+        return self._call(
+            "listContacts",
+            lambda: self._drain(self._resolver("listContacts").query(CONTACTS_URI)),
+        )
 
     def find_by_name(self, name: str) -> List[Contact]:
-        self._validate_arguments("findByName", name=name)
-        self._record("findByName", name=name)
-        with self._guard("findByName"):
+        def attempt() -> List[Contact]:
             cursor = self._resolver("findByName").query(CONTACTS_URI, selection=name)
             return self._drain(cursor)
 
+        return self._call("findByName", attempt, name=name)
+
     def add_contact(self, name: str, phone_number: str) -> str:
-        self._validate_arguments("addContact", name=name, phoneNumber=phone_number)
-        self._record("addContact", name=name)
-        with self._guard("addContact"):
+        def attempt() -> str:
             values = ContentValues()
             values.put(COLUMN_DISPLAY_NAME, name)
             values.put(COLUMN_NUMBER, phone_number)
             row_uri = self._resolver("addContact").insert(CONTACTS_URI, values)
             return row_uri.rsplit("/", 1)[-1]
 
+        return self._call("addContact", attempt, name=name, phoneNumber=phone_number)
+
     def remove_contact(self, contact_id: str) -> None:
-        self._validate_arguments("removeContact", contactId=contact_id)
-        self._record("removeContact", contact_id=contact_id)
-        with self._guard("removeContact"):
-            self._resolver("removeContact").delete(f"{CONTACTS_URI}/{contact_id}")
+        self._call(
+            "removeContact",
+            lambda: self._resolver("removeContact").delete(
+                f"{CONTACTS_URI}/{contact_id}"
+            ),
+            contactId=contact_id,
+        )
 
 
 register_implementation(ANDROID_IMPL, AndroidContactsProxyImpl)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.contacts.api import ContactsProxy
@@ -41,31 +41,26 @@ class S60ContactsProxyImpl(ContactsProxy):
     def _open(self, mode: int):
         return self._platform.pim.open_pim_list(PimStatics.CONTACT_LIST, mode)
 
+    def _matching(self, name: Optional[str]) -> List[UniformContact]:
+        contact_list = self._open(PimStatics.READ_ONLY)
+        try:
+            items = (
+                contact_list.items()
+                if name is None
+                else contact_list.items_matching(name)
+            )
+            return [_to_uniform(item) for item in items]
+        finally:
+            contact_list.close()
+
     def list_contacts(self) -> List[UniformContact]:
-        self._record("listContacts")
-        with self._guard("listContacts"):
-            contact_list = self._open(PimStatics.READ_ONLY)
-            try:
-                return [_to_uniform(item) for item in contact_list.items()]
-            finally:
-                contact_list.close()
+        return self._call("listContacts", lambda: self._matching(None))
 
     def find_by_name(self, name: str) -> List[UniformContact]:
-        self._validate_arguments("findByName", name=name)
-        self._record("findByName", name=name)
-        with self._guard("findByName"):
-            contact_list = self._open(PimStatics.READ_ONLY)
-            try:
-                return [
-                    _to_uniform(item) for item in contact_list.items_matching(name)
-                ]
-            finally:
-                contact_list.close()
+        return self._call("findByName", lambda: self._matching(name), name=name)
 
     def add_contact(self, name: str, phone_number: str) -> str:
-        self._validate_arguments("addContact", name=name, phoneNumber=phone_number)
-        self._record("addContact", name=name)
-        with self._guard("addContact"):
+        def attempt() -> str:
             contact_list = self._open(PimStatics.READ_WRITE)
             try:
                 item = contact_list.create_contact()
@@ -76,10 +71,10 @@ class S60ContactsProxyImpl(ContactsProxy):
             finally:
                 contact_list.close()
 
+        return self._call("addContact", attempt, name=name, phoneNumber=phone_number)
+
     def remove_contact(self, contact_id: str) -> None:
-        self._validate_arguments("removeContact", contactId=contact_id)
-        self._record("removeContact", contact_id=contact_id)
-        with self._guard("removeContact"):
+        def attempt() -> None:
             contact_list = self._open(PimStatics.READ_WRITE)
             try:
                 for item in contact_list.items():
@@ -89,6 +84,8 @@ class S60ContactsProxyImpl(ContactsProxy):
                 # Unknown ids are a uniform no-op.
             finally:
                 contact_list.close()
+
+        self._call("removeContact", attempt, contactId=contact_id)
 
 
 register_implementation(S60_IMPL, S60ContactsProxyImpl)

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.contacts.android import AndroidContactsProxyImpl
 from repro.core.proxies.contacts.api import ContactsProxy
 from repro.core.proxies.contacts.descriptor import WEBVIEW_IMPL
-from repro.core.proxies.factory import register_implementation, standard_registry
+from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.webview_common import (
-    WrapperBackend,
+    JavaWrapper,
+    JsProxy,
+    WrapperFactory,
     decode_or_raise,
     encode_error,
     encode_ok,
@@ -23,7 +24,7 @@ from repro.core.proxy.datatypes import Contact
 from repro.errors import ProxyError
 from repro.platforms.android.context import Context
 from repro.platforms.webview.platform import WebViewPlatform
-from repro.platforms.webview.webview import JsWindow, WebView
+from repro.platforms.webview.webview import WebView
 
 FACTORY_JS_NAME = "ContactsWrapperFactory"
 WRAPPER_JS_NAME = "ContactsWrapper"
@@ -47,32 +48,17 @@ def _contact_from_payload(payload: Dict) -> Contact:
     )
 
 
-class ContactsWrapperFactory:
+class ContactsWrapperFactory(WrapperFactory):
     """Java side, step 1."""
 
-    def __init__(self, backend: "ContactsWrapperJava") -> None:
-        self._backend = backend
-
     def create_contacts_wrapper_instance(self) -> int:
-        return self._backend.create_instance()
+        return self._wrapper.create_instance()
 
 
-class ContactsWrapperJava:
+class ContactsWrapperJava(JavaWrapper):
     """Java side, step 2: the ``ContactsWrapper`` class behind the bridge."""
 
-    def __init__(self, platform: WebViewPlatform, context: Context) -> None:
-        self._platform = platform
-        self._context = context
-        self._backend = WrapperBackend(platform.notification_table)
-
-    def create_instance(self) -> int:
-        proxy = AndroidContactsProxyImpl(
-            standard_registry().descriptor("Contacts"), self._platform.android
-        )
-        proxy.set_property("context", self._context)
-        return self._backend.add_instance(proxy)
-
-    # -- bridge entry points ---------------------------------------------------
+    ANDROID_BINDING = AndroidContactsProxyImpl
 
     def list_contacts(self, handle: int) -> str:
         try:
@@ -115,56 +101,48 @@ def install_contacts_wrapper(
     return wrapper
 
 
-class ContactsProxyJs(ContactsProxy):
+class ContactsProxyJs(JsProxy, ContactsProxy):
     """JS side: ``com.ibm.proxies.webview.contacts.ContactsProxyJs``."""
 
-    def __init__(self, descriptor: ProxyDescriptor, platform: WebViewPlatform) -> None:
-        super().__init__(descriptor, "webview")
-        window = platform.active_window
-        if window is None:
-            raise ProxyError(
-                "no page is loaded; construct the JS proxy inside a page script"
-            )
-        self._init_in_window(window)
+    FACTORY_JS_NAME = FACTORY_JS_NAME
+    WRAPPER_JS_NAME = WRAPPER_JS_NAME
+    CREATE_INSTANCE = "create_contacts_wrapper_instance"
 
-    @classmethod
-    def in_page(cls, window: JsWindow) -> "ContactsProxyJs":
-        instance = cls.__new__(cls)
-        ContactsProxy.__init__(
-            instance, standard_registry().descriptor("Contacts"), "webview"
-        )
-        instance._init_in_window(window)
-        return instance
-
-    def _init_in_window(self, window: JsWindow) -> None:
-        self._window = window
-        factory = window.bridge_object(FACTORY_JS_NAME)
-        self._wrapper = window.bridge_object(WRAPPER_JS_NAME)
-        self._swi = factory.create_contacts_wrapper_instance()
+    @staticmethod
+    def _contacts(envelope_json: str) -> List[Contact]:
+        payload = decode_or_raise(envelope_json)
+        return [_contact_from_payload(c) for c in payload["contacts"]]
 
     def list_contacts(self) -> List[Contact]:
-        self._record("listContacts")
-        payload = decode_or_raise(self._wrapper.list_contacts(self._swi))
-        return [_contact_from_payload(c) for c in payload["contacts"]]
+        return self._call(
+            "listContacts",
+            lambda: self._contacts(self._wrapper.list_contacts(self._swi)),
+        )
 
     def find_by_name(self, name: str) -> List[Contact]:
-        self._validate_arguments("findByName", name=name)
-        self._record("findByName", name=name)
-        payload = decode_or_raise(self._wrapper.find_by_name(self._swi, name))
-        return [_contact_from_payload(c) for c in payload["contacts"]]
+        return self._call(
+            "findByName",
+            lambda: self._contacts(self._wrapper.find_by_name(self._swi, name)),
+            name=name,
+        )
 
     def add_contact(self, name: str, phone_number: str) -> str:
-        self._validate_arguments("addContact", name=name, phoneNumber=phone_number)
-        self._record("addContact", name=name)
-        payload = decode_or_raise(
-            self._wrapper.add_contact(self._swi, name, phone_number)
+        payload = self._call(
+            "addContact",
+            lambda: decode_or_raise(
+                self._wrapper.add_contact(self._swi, name, phone_number)
+            ),
+            name=name,
+            phoneNumber=phone_number,
         )
         return payload["contactId"]
 
     def remove_contact(self, contact_id: str) -> None:
-        self._validate_arguments("removeContact", contactId=contact_id)
-        self._record("removeContact", contact_id=contact_id)
-        decode_or_raise(self._wrapper.remove_contact(self._swi, contact_id))
+        self._call(
+            "removeContact",
+            lambda: decode_or_raise(self._wrapper.remove_contact(self._swi, contact_id)),
+            contactId=contact_id,
+        )
 
 
 register_implementation(WEBVIEW_IMPL, ContactsProxyJs)

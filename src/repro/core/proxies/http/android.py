@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.descriptor.model import ProxyDescriptor
+from repro.core.proxies.android_common import AndroidBinding
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.http.api import (
     HttpProxy,
@@ -13,35 +13,15 @@ from repro.core.proxies.http.api import (
 from repro.core.proxies.http.descriptor import ANDROID_IMPL
 from repro.core.proxy.datatypes import HttpResult
 from repro.device.network import HttpRequest
-from repro.errors import ProxyError
-from repro.platforms.android.context import Context
 from repro.platforms.android.http import INTERNET, HttpGet, HttpPost
-from repro.platforms.android.platform import AndroidPlatform
 
 
-class AndroidHttpProxyImpl(HttpProxy):
+class AndroidHttpProxyImpl(AndroidBinding, HttpProxy):
     """``com.ibm.proxies.android.http.HttpProxyImpl``."""
 
-    def __init__(self, descriptor: ProxyDescriptor, platform: AndroidPlatform) -> None:
-        super().__init__(descriptor, "android")
-        self._platform = platform
-
-    def _context(self, for_what: str) -> Context:
-        context = self.properties.require("context", for_what)
-        if not isinstance(context, Context):
-            raise ProxyError(
-                f"property 'context' must be an Android Context, got "
-                f"{type(context).__name__}"
-            )
-        return context
-
     def get(self, url: str) -> HttpResult:
-        self._validate_arguments("get", url=url)
-        self._record("get", url=url)
-        context = self._context("get")
-
         def attempt() -> HttpResult:
-            client = self._platform.http_client(context)
+            client = self._platform.http_client(self._context("get"))
             request = HttpGet(url)
             request.add_header("User-Agent", self.get_property("userAgent"))
             self._trace_event("binding.http_request", method="GET", url=url)
@@ -52,15 +32,11 @@ class AndroidHttpProxyImpl(HttpProxy):
                 headers=response.get_all_headers(),
             )
 
-        return self._invoke("get", attempt, fallback=degraded_response)
+        return self._call("get", attempt, fallback=degraded_response, url=url)
 
     def post(self, url: str, body: str) -> HttpResult:
-        self._validate_arguments("post", url=url, body=body)
-        self._record("post", url=url, length=len(body))
-        context = self._context("post")
-
         def attempt() -> HttpResult:
-            client = self._platform.http_client(context)
+            client = self._platform.http_client(self._context("post"))
             request = HttpPost(url)
             request.add_header("User-Agent", self.get_property("userAgent"))
             request.add_header("Content-Type", self.get_property("contentType"))
@@ -73,16 +49,17 @@ class AndroidHttpProxyImpl(HttpProxy):
                 headers=response.get_all_headers(),
             )
 
-        return self._invoke("post", attempt, fallback=degraded_response)
+        return self._call(
+            "post", attempt, fallback=degraded_response, url=url, body=body
+        )
 
     def get_async(self, url: str, response_listener: UniformHttpCallback) -> None:
         """Non-blocking fetch: the worker-thread idiom the blocking Apache
         client forces, modelled on the simulated network's async path."""
-        self._validate_arguments("getAsync", url=url)
-        self._record("getAsync", url=url)
         listener = as_response_listener(response_listener)
-        context = self._context("getAsync")
-        with self._guard("getAsync"):
+
+        def attempt() -> None:
+            context = self._context("getAsync")
             context.enforce_permission(INTERNET, "getAsync")
             request = HttpGet(url)  # validates the URL eagerly
             request.add_header("User-Agent", self.get_property("userAgent"))
@@ -99,6 +76,8 @@ class AndroidHttpProxyImpl(HttpProxy):
                 ),
                 on_error=lambda exc: listener.on_error(str(exc)),
             )
+
+        self._call("getAsync", attempt, url=url)
 
 
 register_implementation(ANDROID_IMPL, AndroidHttpProxyImpl)

@@ -29,9 +29,6 @@ class S60HttpProxyImpl(HttpProxy):
         self._platform = platform
 
     def get(self, url: str) -> HttpResult:
-        self._validate_arguments("get", url=url)
-        self._record("get", url=url)
-
         def attempt() -> HttpResult:
             connection = self._platform.connector.open(url)
             try:
@@ -46,12 +43,9 @@ class S60HttpProxyImpl(HttpProxy):
                 connection.close()
             return HttpResult(status=status, body=body)
 
-        return self._invoke("get", attempt, fallback=degraded_response)
+        return self._call("get", attempt, fallback=degraded_response, url=url)
 
     def post(self, url: str, body: str) -> HttpResult:
-        self._validate_arguments("post", url=url, body=body)
-        self._record("post", url=url, length=len(body))
-
         def attempt() -> HttpResult:
             connection = self._platform.connector.open(url)
             try:
@@ -70,18 +64,19 @@ class S60HttpProxyImpl(HttpProxy):
                 connection.close()
             return HttpResult(status=status, body=response_body)
 
-        return self._invoke("post", attempt, fallback=degraded_response)
+        return self._call(
+            "post", attempt, fallback=degraded_response, url=url, body=body
+        )
 
     def get_async(self, url: str, response_listener: UniformHttpCallback) -> None:
         """Non-blocking fetch: models the worker thread a MIDlet spawns
         around the blocking GCF connection."""
-        self._validate_arguments("getAsync", url=url)
-        self._record("getAsync", url=url)
         listener = as_response_listener(response_listener)
-        parsed = urlparse(url)
-        if parsed.scheme != "http" or not parsed.netloc:
-            raise ProxyInvalidArgumentError(f"malformed http url {url!r}")
-        with self._guard("getAsync"):
+
+        def attempt() -> None:
+            parsed = urlparse(url)
+            if parsed.scheme != "http" or not parsed.netloc:
+                raise ProxyInvalidArgumentError(f"malformed http url {url!r}")
             suite = self._platform.connector._suite_name
             if suite is not None and not self._platform.suite_has_permission(
                 suite, PERMISSION_HTTP
@@ -103,6 +98,8 @@ class S60HttpProxyImpl(HttpProxy):
                 ),
                 on_error=lambda exc: listener.on_error(str(exc)),
             )
+
+        self._call("getAsync", attempt, url=url)
 
 
 register_implementation(S60_IMPL, S60HttpProxyImpl)

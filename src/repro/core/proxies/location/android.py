@@ -15,13 +15,13 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.core.descriptor.model import ProxyDescriptor
+from repro.core.proxies.android_common import AndroidBinding
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.location.api import NO_EXPIRATION, LocationProxy
 from repro.core.proxies.location.descriptor import ANDROID_IMPL
 from repro.core.proxy.callbacks import ProximityListener
 from repro.core.proxy.datatypes import Location
 from repro.core.resilience import LAST_RESULT
-from repro.errors import ProxyError
 from repro.platforms.android.context import Context
 from repro.platforms.android.intents import Intent, IntentFilter, IntentReceiver, PendingIntent
 from repro.platforms.android.location import (
@@ -78,26 +78,14 @@ class _ProxyIntentReceiver(IntentReceiver):
         )
 
 
-class AndroidLocationProxyImpl(LocationProxy):
+class AndroidLocationProxyImpl(AndroidBinding, LocationProxy):
     """``com.ibm.proxies.android.location.LocationProxyImpl``."""
 
     def __init__(self, descriptor: ProxyDescriptor, platform: AndroidPlatform) -> None:
-        super().__init__(descriptor, "android")
-        self._platform = platform
+        super().__init__(descriptor, platform)
         self._alert_counter = 0
         #: listener id → (intent-or-pending, receiver) for deregistration.
         self._registrations: Dict[int, Tuple[object, _ProxyIntentReceiver]] = {}
-
-    # -- helpers -------------------------------------------------------------
-
-    def _context(self, for_what: str) -> Context:
-        context = self.properties.require("context", for_what)
-        if not isinstance(context, Context):
-            raise ProxyError(
-                f"property 'context' must be an Android Context, got "
-                f"{type(context).__name__}"
-            )
-        return context
 
     def _location_manager(self, context: Context) -> LocationManager:
         return context.get_system_service(Context.LOCATION_SERVICE)
@@ -113,23 +101,8 @@ class AndroidLocationProxyImpl(LocationProxy):
         timer: float,
         proximity_listener: ProximityListener,
     ) -> None:
-        self._validate_arguments(
-            "addProximityAlert",
-            latitude=latitude,
-            longitude=longitude,
-            altitude=altitude,
-            radius=radius,
-            timer=timer,
-        )
-        self._record(
-            "addProximityAlert",
-            latitude=latitude,
-            longitude=longitude,
-            radius=radius,
-            timer=timer,
-        )
-        context = self._context("addProximityAlert")
-        with self._guard("addProximityAlert"):
+        def attempt() -> None:
+            context = self._context("addProximityAlert")
             manager = self._location_manager(context)
             self._alert_counter += 1
             action = f"{_ACTION_PREFIX}_{self._alert_counter}"
@@ -152,37 +125,52 @@ class AndroidLocationProxyImpl(LocationProxy):
                 action=action,
                 target=type(target).__name__,
             )
-            manager.add_proximity_alert(
-                latitude, longitude, radius, expiration_ms, target
-            )
+            try:
+                manager.add_proximity_alert(
+                    latitude, longitude, radius, expiration_ms, target
+                )
+            except Exception:
+                # A refused registration (no ACCESS_FINE_LOCATION, say)
+                # must not leave its receiver behind.
+                context.unregister_receiver(receiver)
+                raise
             self._registrations[id(proximity_listener)] = (target, receiver)
 
+        self._call(
+            "addProximityAlert",
+            attempt,
+            latitude=latitude,
+            longitude=longitude,
+            altitude=altitude,
+            radius=radius,
+            timer=timer,
+        )
+
     def remove_proximity_alert(self, proximity_listener: ProximityListener) -> None:
-        self._record("removeProximityAlert")
         registration = self._registrations.pop(id(proximity_listener), None)
-        if registration is None:
-            return
-        target, receiver = registration
-        context = self._context("removeProximityAlert")
-        with self._guard("removeProximityAlert"):
-            manager = self._location_manager(context)
-            manager.remove_proximity_alert(target)
+
+        def attempt() -> None:
+            if registration is None:
+                return
+            target, receiver = registration
+            context = self._context("removeProximityAlert")
+            self._location_manager(context).remove_proximity_alert(target)
             context.unregister_receiver(receiver)
             if isinstance(target, PendingIntent):
                 target.cancel()
 
-    def get_location(self) -> Location:
-        self._record("getLocation")
-        context = self._context("getLocation")
-        provider = self.get_property("provider")
+        self._call("removeProximityAlert", attempt)
 
+    def get_location(self) -> Location:
         def attempt() -> Location:
+            context = self._context("getLocation")
+            provider = self.get_property("provider")
             manager = self._location_manager(context)
             return _to_uniform(manager.get_current_location(provider))
 
         # Resilience: when the receiver is dark, serve the last-known
         # location rather than failing the caller (graceful degradation).
-        return self._invoke("getLocation", attempt, fallback=LAST_RESULT)
+        return self._call("getLocation", attempt, fallback=LAST_RESULT)
 
 
 register_implementation(ANDROID_IMPL, AndroidLocationProxyImpl)

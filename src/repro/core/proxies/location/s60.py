@@ -145,22 +145,7 @@ class S60LocationProxyImpl(LocationProxy):
         timer: float,
         proximity_listener: ProximityListener,
     ) -> None:
-        self._validate_arguments(
-            "addProximityAlert",
-            latitude=latitude,
-            longitude=longitude,
-            altitude=altitude,
-            radius=radius,
-            timer=timer,
-        )
-        self._record(
-            "addProximityAlert",
-            latitude=latitude,
-            longitude=longitude,
-            radius=radius,
-            timer=timer,
-        )
-        with self._guard("addProximityAlert"):
+        def attempt() -> None:
             provider = self._acquire_provider("addProximityAlert")
             now = self._platform.clock.now_ms
             deadline = None if timer == NO_EXPIRATION else now + timer * 1000.0
@@ -181,21 +166,31 @@ class S60LocationProxyImpl(LocationProxy):
                 deadline_ms=deadline,
             )
 
+        self._call(
+            "addProximityAlert",
+            attempt,
+            latitude=latitude,
+            longitude=longitude,
+            altitude=altitude,
+            radius=radius,
+            timer=timer,
+        )
+
     def remove_proximity_alert(self, proximity_listener: ProximityListener) -> None:
-        self._record("removeProximityAlert")
-        machine = self._machines.pop(id(proximity_listener), None)
-        if machine is not None:
-            self._teardown(machine)
+        def attempt() -> None:
+            machine = self._machines.pop(id(proximity_listener), None)
+            if machine is not None:
+                self._teardown(machine)
+
+        self._call("removeProximityAlert", attempt)
 
     def get_location(self) -> Location:
-        self._record("getLocation")
-
         def attempt() -> Location:
             provider = self._acquire_provider("getLocation")
             self._trace_event("binding.provider_acquired")
             return _to_uniform(provider.get_location(-1))
 
-        return self._invoke("getLocation", attempt, fallback=LAST_RESULT)
+        return self._call("getLocation", attempt, fallback=LAST_RESULT)
 
     # -- synthesis machinery ----------------------------------------------------
 

@@ -23,17 +23,18 @@ WebView platform extension) to inject the Java side, then construct
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, Tuple, Union
 
-from repro.core.descriptor.model import ProxyDescriptor
-from repro.core.proxies.factory import register_implementation, standard_registry
+from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.location.android import AndroidLocationProxyImpl
 from repro.core.proxies.location.api import LocationProxy
 from repro.core.proxies.location.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.webview_common import (
+    JavaWrapper,
+    JsProxy,
     NotificationHandler,
     WrapperBackend,
+    WrapperFactory,
     decode_or_raise,
     encode_error,
     encode_ok,
@@ -44,7 +45,7 @@ from repro.core.resilience import LAST_RESULT
 from repro.errors import ProxyError
 from repro.platforms.android.context import Context
 from repro.platforms.webview.platform import WebViewPlatform
-from repro.platforms.webview.webview import WebView, JsWindow
+from repro.platforms.webview.webview import WebView
 
 #: JS global names the plugin injects the Java side under.
 FACTORY_JS_NAME = "LocationWrapperFactory"
@@ -103,45 +104,23 @@ class _TablePostingListener(ProximityListener):
         )
 
 
-class LocationWrapperFactory:
+class LocationWrapperFactory(WrapperFactory):
     """Java side, step 1: mints wrapper instances for the JS domain."""
-
-    def __init__(self, backend: "LocationWrapperJava") -> None:
-        self._backend = backend
 
     def create_location_wrapper_instance(self) -> int:
         """Bridge entry: returns the new instance handle (``swi``)."""
-        return self._backend.create_instance()
+        return self._wrapper.create_instance()
 
 
-class LocationWrapperJava:
-    """Java side, step 2: the wrapper class behind the bridge.
+class LocationWrapperJava(JavaWrapper):
+    """Java side, step 2: the ``LocationWrapper`` class behind the bridge."""
 
-    Every public method is a bridge entry point: primitive arguments in,
-    JSON envelope strings out.
-    """
+    ANDROID_BINDING = AndroidLocationProxyImpl
 
     def __init__(self, platform: WebViewPlatform, context: Context) -> None:
-        self._platform = platform
-        self._context = context
-        self._backend = WrapperBackend(platform.notification_table)
+        super().__init__(platform, context)
         #: notification id → (instance handle, internal listener).
         self._alerts: Dict[str, Tuple[int, ProximityListener]] = {}
-
-    def create_instance(self) -> int:
-        proxy = AndroidLocationProxyImpl(
-            standard_registry().descriptor("Location"), self._platform.android
-        )
-        proxy.set_property("context", self._context)
-        return self._backend.add_instance(proxy)
-
-    def instance_count(self) -> int:
-        return self._backend.instance_count()
-
-    # -- bridge entry points ---------------------------------------------------
-
-    def set_property(self, handle: int, key: str, value_json: str) -> str:
-        return self._backend.set_property_json(handle, key, value_json)
 
     def add_proximity_alert(
         self,
@@ -186,9 +165,6 @@ class LocationWrapperJava:
             return encode_error(exc)
         return encode_ok(_location_payload(location))
 
-    def get_notifications(self, notification_id: str) -> str:
-        return self._backend.notifications.drain_json(notification_id)
-
 
 def install_location_wrapper(
     webview: WebView, platform: WebViewPlatform, context: Context
@@ -205,7 +181,7 @@ UniformCallback = Union[
 ]
 
 
-class LocationProxyJs(LocationProxy):
+class LocationProxyJs(JsProxy, LocationProxy):
     """JS side: ``com.ibm.proxies.webview.location.LocationProxyJs``.
 
     Constructed in page code (``LocationProxyJs.in_page(window)``) or via
@@ -215,48 +191,9 @@ class LocationProxyJs(LocationProxy):
     object.
     """
 
-    def __init__(self, descriptor: ProxyDescriptor, platform: WebViewPlatform) -> None:
-        super().__init__(descriptor, "webview")
-        window = platform.active_window
-        if window is None:
-            raise ProxyError(
-                "no page is loaded; construct the JS proxy inside a page "
-                "script (or load a page first)"
-            )
-        self._init_in_window(window)
-
-    @classmethod
-    def in_page(cls, window: JsWindow) -> "LocationProxyJs":
-        """Construct directly from page code, paper-style."""
-        instance = cls.__new__(cls)
-        LocationProxy.__init__(
-            instance, standard_registry().descriptor("Location"), "webview"
-        )
-        instance._init_in_window(window)
-        return instance
-
-    def _init_in_window(self, window: JsWindow) -> None:
-        self._window = window
-        # In-page construction bypasses the proxy factory, so pick up the
-        # device hub here — otherwise WebView invocations leave no
-        # dispatch spans and vanish from the overhead profile.
-        if self.observability is None:
-            obs = getattr(window.platform.device, "obs", None)
-            if obs is not None:
-                self.attach_observability(obs)
-        factory = window.bridge_object(FACTORY_JS_NAME)
-        self._wrapper = window.bridge_object(WRAPPER_JS_NAME)
-        self._swi = factory.create_location_wrapper_instance()
-        self._handlers: Dict[int, Tuple[str, NotificationHandler]] = {}
-
-    # -- property forwarding -------------------------------------------------------
-
-    def set_property(self, key: str, value) -> None:
-        super().set_property(key, value)  # local validation first
-        if key != "pollInterval":  # JS-side-only knob stays local
-            decode_or_raise(
-                self._wrapper.set_property(self._swi, key, json.dumps(value))
-            )
+    FACTORY_JS_NAME = FACTORY_JS_NAME
+    WRAPPER_JS_NAME = WRAPPER_JS_NAME
+    CREATE_INSTANCE = "create_location_wrapper_instance"
 
     # -- uniform API -----------------------------------------------------------------
 
@@ -269,24 +206,10 @@ class LocationProxyJs(LocationProxy):
         timer: float,
         proximity_listener: UniformCallback,
     ) -> None:
-        self._validate_arguments(
-            "addProximityAlert",
-            latitude=latitude,
-            longitude=longitude,
-            altitude=altitude,
-            radius=radius,
-            timer=timer,
-        )
-        self._record(
-            "addProximityAlert",
-            latitude=latitude,
-            longitude=longitude,
-            radius=radius,
-            timer=timer,
-        )
         listener = self._as_listener(proximity_listener)
-        with self._guard("addProximityAlert"):
-            payload = decode_or_raise(
+        payload = self._call(
+            "addProximityAlert",
+            lambda: decode_or_raise(
                 self._wrapper.add_proximity_alert(
                     self._swi,
                     float(latitude),
@@ -295,7 +218,13 @@ class LocationProxyJs(LocationProxy):
                     float(radius),
                     float(timer),
                 )
-            )
+            ),
+            latitude=latitude,
+            longitude=longitude,
+            altitude=altitude,
+            radius=radius,
+            timer=timer,
+        )
         notification_id = payload["notificationId"]
 
         def dispatch(notification: Dict) -> None:
@@ -319,25 +248,25 @@ class LocationProxyJs(LocationProxy):
         self._handlers[id(proximity_listener)] = (notification_id, handler)
 
     def remove_proximity_alert(self, proximity_listener: UniformCallback) -> None:
-        self._record("removeProximityAlert")
         entry = self._handlers.pop(id(proximity_listener), None)
-        if entry is None:
-            return
-        notification_id, handler = entry
-        handler.stop_polling()
-        with self._guard("removeProximityAlert"):
+
+        def attempt() -> None:
+            if entry is None:
+                return
+            notification_id, handler = entry
+            handler.stop_polling()
             decode_or_raise(
                 self._wrapper.remove_proximity_alert(self._swi, notification_id)
             )
 
-    def get_location(self) -> Location:
-        self._record("getLocation")
+        self._call("removeProximityAlert", attempt)
 
+    def get_location(self) -> Location:
         def attempt() -> Location:
             payload = decode_or_raise(self._wrapper.get_location(self._swi))
             return _location_from_payload(payload)
 
-        return self._invoke("getLocation", attempt, fallback=LAST_RESULT)
+        return self._call("getLocation", attempt, fallback=LAST_RESULT)
 
     @staticmethod
     def _as_listener(callback: UniformCallback) -> ProximityListener:

@@ -7,9 +7,10 @@ receiver, and translates result codes into uniform listener calls.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.descriptor.model import ProxyDescriptor
+from repro.core.proxies.android_common import AndroidBinding
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.sms.api import SmsProxy, UniformSmsCallback, as_status_listener
 from repro.core.proxies.sms.descriptor import ANDROID_IMPL
@@ -58,22 +59,12 @@ class _StatusReceiver(IntentReceiver):
             self._listener.on_failed(message_id, f"result code {code}")
 
 
-class AndroidSmsProxyImpl(SmsProxy):
+class AndroidSmsProxyImpl(AndroidBinding, SmsProxy):
     """``com.ibm.proxies.android.sms.SmsProxyImpl``."""
 
     def __init__(self, descriptor: ProxyDescriptor, platform: AndroidPlatform) -> None:
-        super().__init__(descriptor, "android")
-        self._platform = platform
+        super().__init__(descriptor, platform)
         self._send_counter = 0
-
-    def _context(self, for_what: str) -> Context:
-        context = self.properties.require("context", for_what)
-        if not isinstance(context, Context):
-            raise ProxyError(
-                f"property 'context' must be an Android Context, got "
-                f"{type(context).__name__}"
-            )
-        return context
 
     def send_text_message(
         self,
@@ -81,18 +72,22 @@ class AndroidSmsProxyImpl(SmsProxy):
         text: str,
         status_listener: Optional[UniformSmsCallback] = None,
     ) -> str:
-        self._validate_arguments("sendTextMessage", destination=destination, text=text)
-        self._record("sendTextMessage", destination=destination, length=len(text))
         listener = as_status_listener(status_listener)
-        context = self._context("sendTextMessage")
-        with self._guard("sendTextMessage"):
+        # The status receivers are registered once per logical call, by
+        # its first attempt, and shared by every retry.
+        receivers: List[_StatusReceiver] = []
+        sent_intent = delivery_intent = None
+
+        def attempt() -> str:
+            nonlocal sent_intent, delivery_intent
+            context = self._context("sendTextMessage")
             manager = self._platform.sms_manager(context)
-            sent_intent = delivery_intent = None
-            if listener is not None:
+            if listener is not None and not receivers:
                 self._send_counter += 1
                 sent_action = f"{_SENT_ACTION_PREFIX}_{self._send_counter}"
                 sent_receiver = _StatusReceiver(listener, "sent")
                 context.register_receiver(sent_receiver, IntentFilter(sent_action))
+                receivers.append(sent_receiver)
                 sent_intent = PendingIntent.get_broadcast(
                     context, 0, Intent(sent_action)
                 )
@@ -105,6 +100,7 @@ class AndroidSmsProxyImpl(SmsProxy):
                     context.register_receiver(
                         delivered_receiver, IntentFilter(delivered_action)
                     )
+                    receivers.append(delivered_receiver)
                     delivery_intent = PendingIntent.get_broadcast(
                         context, 0, Intent(delivered_action)
                     )
@@ -112,8 +108,6 @@ class AndroidSmsProxyImpl(SmsProxy):
                     "binding.status_receivers_registered",
                     delivery_reports=delivery_intent is not None,
                 )
-
-        def attempt() -> str:
             return manager.send_text_message(
                 destination,
                 self.get_property("serviceCenter"),
@@ -127,7 +121,19 @@ class AndroidSmsProxyImpl(SmsProxy):
         # the degraded return is the queue entry's id.
         queue = getattr(self, "redelivery_queue", None)
         fallback = queue.fallback_for(destination, text) if queue else None
-        return self._invoke("sendTextMessage", attempt, fallback=fallback)
+        try:
+            return self._call(
+                "sendTextMessage",
+                attempt,
+                fallback=fallback,
+                destination=destination,
+                text=text,
+            )
+        except ProxyError:
+            # No broadcast will ever reach a failed send's receivers.
+            for receiver in receivers:
+                self.get_property("context").unregister_receiver(receiver)
+            raise
 
 
 register_implementation(ANDROID_IMPL, AndroidSmsProxyImpl)

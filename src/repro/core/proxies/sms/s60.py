@@ -34,8 +34,6 @@ class S60SmsProxyImpl(SmsProxy):
         text: str,
         status_listener: Optional[UniformSmsCallback] = None,
     ) -> str:
-        self._validate_arguments("sendTextMessage", destination=destination, text=text)
-        self._record("sendTextMessage", destination=destination, length=len(text))
         listener = as_status_listener(status_listener)
         message_id = self._ids.next("s60sms")
 
@@ -52,7 +50,13 @@ class S60SmsProxyImpl(SmsProxy):
 
         queue = getattr(self, "redelivery_queue", None)
         fallback = queue.fallback_for(destination, text) if queue else None
-        result = self._invoke("sendTextMessage", attempt, fallback=fallback)
+        result = self._call(
+            "sendTextMessage",
+            attempt,
+            fallback=fallback,
+            destination=destination,
+            text=text,
+        )
         if listener is not None and result == message_id:
             # The blocking send returned: the network accepted the message.
             listener.on_sent(message_id)

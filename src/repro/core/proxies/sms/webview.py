@@ -9,17 +9,18 @@ JS callback function.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional
 
-from repro.core.descriptor.model import ProxyDescriptor
-from repro.core.proxies.factory import register_implementation, standard_registry
+from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.sms.android import AndroidSmsProxyImpl
 from repro.core.proxies.sms.api import SmsProxy, UniformSmsCallback, as_status_listener
 from repro.core.proxies.sms.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.webview_common import (
+    JavaWrapper,
+    JsProxy,
     NotificationHandler,
     WrapperBackend,
+    WrapperFactory,
     decode_or_raise,
     encode_error,
     encode_ok,
@@ -28,7 +29,7 @@ from repro.core.proxy.callbacks import SmsStatusListener
 from repro.errors import ProxyError
 from repro.platforms.android.context import Context
 from repro.platforms.webview.platform import WebViewPlatform
-from repro.platforms.webview.webview import JsWindow, WebView
+from repro.platforms.webview.webview import WebView
 
 FACTORY_JS_NAME = "SmsWrapperFactory"
 WRAPPER_JS_NAME = "SmsWrapper"
@@ -62,38 +63,17 @@ class _TablePostingStatusListener(SmsStatusListener):
         self._post("failed", message_id, reason)
 
 
-class SmsWrapperFactory:
+class SmsWrapperFactory(WrapperFactory):
     """Java side, step 1 (figure: ``createSmsWrapperInstance``)."""
 
-    def __init__(self, backend: "SmsWrapperJava") -> None:
-        self._backend = backend
-
     def create_sms_wrapper_instance(self) -> int:
-        return self._backend.create_instance()
+        return self._wrapper.create_instance()
 
 
-class SmsWrapperJava:
+class SmsWrapperJava(JavaWrapper):
     """Java side, step 2: the ``SmsWrapper`` class behind the bridge."""
 
-    def __init__(self, platform: WebViewPlatform, context: Context) -> None:
-        self._platform = platform
-        self._context = context
-        self._backend = WrapperBackend(platform.notification_table)
-
-    def create_instance(self) -> int:
-        proxy = AndroidSmsProxyImpl(
-            standard_registry().descriptor("Sms"), self._platform.android
-        )
-        proxy.set_property("context", self._context)
-        return self._backend.add_instance(proxy)
-
-    def instance_count(self) -> int:
-        return self._backend.instance_count()
-
-    # -- bridge entry points ---------------------------------------------------
-
-    def set_property(self, handle: int, key: str, value_json: str) -> str:
-        return self._backend.set_property_json(handle, key, value_json)
+    ANDROID_BINDING = AndroidSmsProxyImpl
 
     def send_text_message(self, handle: int, destination: str, text: str) -> str:
         try:
@@ -109,9 +89,6 @@ class SmsWrapperJava:
             {"messageId": message_id, "notificationId": notification_id}
         )
 
-    def get_notifications(self, notification_id: str) -> str:
-        return self._backend.notifications.drain_json(notification_id)
-
 
 def install_sms_wrapper(
     webview: WebView, platform: WebViewPlatform, context: Context
@@ -123,44 +100,12 @@ def install_sms_wrapper(
     return wrapper
 
 
-class SmsProxyJs(SmsProxy):
+class SmsProxyJs(JsProxy, SmsProxy):
     """JS side: ``com.ibm.proxies.webview.sms.SmsProxyJs``."""
 
-    def __init__(self, descriptor: ProxyDescriptor, platform: WebViewPlatform) -> None:
-        super().__init__(descriptor, "webview")
-        window = platform.active_window
-        if window is None:
-            raise ProxyError(
-                "no page is loaded; construct the JS proxy inside a page script"
-            )
-        self._init_in_window(window)
-
-    @classmethod
-    def in_page(cls, window: JsWindow) -> "SmsProxyJs":
-        instance = cls.__new__(cls)
-        SmsProxy.__init__(instance, standard_registry().descriptor("Sms"), "webview")
-        instance._init_in_window(window)
-        return instance
-
-    def _init_in_window(self, window: JsWindow) -> None:
-        self._window = window
-        # In-page construction bypasses the proxy factory; attach the
-        # device hub so bridge-crossing invocations still trace.
-        if self.observability is None:
-            obs = getattr(window.platform.device, "obs", None)
-            if obs is not None:
-                self.attach_observability(obs)
-        factory = window.bridge_object(FACTORY_JS_NAME)
-        self._wrapper = window.bridge_object(WRAPPER_JS_NAME)
-        self._swi = factory.create_sms_wrapper_instance()
-        self._handlers: Dict[str, NotificationHandler] = {}
-
-    def set_property(self, key: str, value) -> None:
-        super().set_property(key, value)
-        if key != "pollInterval":
-            decode_or_raise(
-                self._wrapper.set_property(self._swi, key, json.dumps(value))
-            )
+    FACTORY_JS_NAME = FACTORY_JS_NAME
+    WRAPPER_JS_NAME = WRAPPER_JS_NAME
+    CREATE_INSTANCE = "create_sms_wrapper_instance"
 
     def send_text_message(
         self,
@@ -168,9 +113,6 @@ class SmsProxyJs(SmsProxy):
         text: str,
         status_listener: Optional[UniformSmsCallback] = None,
     ) -> str:
-        self._validate_arguments("sendTextMessage", destination=destination, text=text)
-        self._record("sendTextMessage", destination=destination, length=len(text))
-
         def attempt() -> Dict:
             return decode_or_raise(
                 self._wrapper.send_text_message(self._swi, destination, text)
@@ -178,7 +120,13 @@ class SmsProxyJs(SmsProxy):
 
         queue = getattr(self, "redelivery_queue", None)
         fallback = queue.fallback_for(destination, text) if queue else None
-        payload = self._invoke("sendTextMessage", attempt, fallback=fallback)
+        payload = self._call(
+            "sendTextMessage",
+            attempt,
+            fallback=fallback,
+            destination=destination,
+            text=text,
+        )
         if not isinstance(payload, dict):
             return payload  # degraded: the redelivery queue entry's id
         message_id = payload["messageId"]

@@ -1,26 +1,33 @@
 """Shared plumbing for WebView (JavaScript) proxy bindings.
 
-The paper's Figure 6 pattern, factored once for all four proxies:
+The paper's Figure 6 pattern, factored once for all six proxies:
 
-* a **Java wrapper backend** holding proxy instances keyed by integer
-  handles (the ``swi`` handle in the figure) — bridge calls carry the
-  handle because object references cannot cross;
+* a **Java wrapper** (:class:`JavaWrapper`, minted through a
+  :class:`WrapperFactory`) holding Android proxy instances keyed by
+  integer handles (the ``swi`` handle in the figure) — bridge calls
+  carry the handle because object references cannot cross;
 * JSON envelopes for results and errors (exceptions cannot cross the
   bridge either, so uniform errors travel as ``{"error": code}``);
 * a JS-side **notification handler** (the figure's ``notifHandler``) that
-  polls the Java notification table and dispatches to local JS callbacks.
+  polls the Java notification table and dispatches to local JS callbacks;
+* :class:`JsProxy`, the JS-side proxy base: construction (by the factory
+  or in page code), wrapper-instance minting and ``setProperty``
+  forwarding.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Type
 
+from repro.core.descriptor.model import ProxyDescriptor
+from repro.core.proxies.factory import standard_registry
 from repro.core.proxy.base import MProxy
 from repro.core.proxy.exceptions import code_to_error_class
 from repro.errors import ProxyError
 from repro.platforms.webview.exceptions import JsBridgeError
 from repro.platforms.webview.notifications import NotificationTable
+from repro.platforms.webview.platform import WebViewPlatform
 from repro.platforms.webview.webview import JsWindow
 
 #: Default JS polling period for notification delivery (milliseconds).
@@ -82,21 +89,116 @@ class WrapperBackend:
         except KeyError:
             raise ProxyError(f"unknown wrapper instance handle {handle}") from None
 
-    def instance_count(self) -> int:
-        return len(self._instances)
 
-    def set_property_json(self, handle: int, key: str, value_json: str) -> str:
+class JavaWrapper:
+    """Java side, step 2: the wrapper class behind the bridge.
+
+    Every public method is a bridge entry point: primitive arguments in,
+    JSON envelope strings out.  Each instance handle holds one
+    ``ANDROID_BINDING`` proxy bound to the wrapper's Android context.
+    """
+
+    #: The Java M-Proxy binding each wrapper instance holds.
+    ANDROID_BINDING: Type[MProxy]
+
+    def __init__(self, platform: WebViewPlatform, context: Any) -> None:
+        self._platform = platform
+        self._context = context
+        self._backend = WrapperBackend(platform.notification_table)
+
+    def create_instance(self) -> int:
+        binding = self.ANDROID_BINDING
+        proxy = binding(
+            standard_registry().descriptor(binding.interface), self._platform.android
+        )
+        proxy.set_property("context", self._context)
+        return self._backend.add_instance(proxy)
+
+    def set_property(self, handle: int, key: str, value_json: str) -> str:
         """Bridge entry: ``setProperty`` with a JSON-encoded value."""
         try:
-            self.instance(handle).set_property(key, json.loads(value_json))
+            self._backend.instance(handle).set_property(key, json.loads(value_json))
         except ProxyError as exc:
             return encode_error(exc)
         return encode_ok()
+
+    def get_notifications(self, notification_id: str) -> str:
+        return self._backend.notifications.drain_json(notification_id)
+
+
+class WrapperFactory:
+    """Java side, step 1: mints wrapper instances for the JS domain.
+
+    Subclasses add the figure's named bridge entry
+    (``create_<interface>_wrapper_instance``) returning
+    ``self._wrapper.create_instance()``.
+    """
+
+    def __init__(self, wrapper: JavaWrapper) -> None:
+        self._wrapper = wrapper
 
 
 # ---------------------------------------------------------------------------
 # JS side
 # ---------------------------------------------------------------------------
+
+class JsProxy(MProxy):
+    """Base of the JS-side proxies (listed before the uniform API class).
+
+    Built by ``create_proxy(interface, webview_platform)`` once a page is
+    loaded, or from page code with :meth:`in_page`.  Either way it mints
+    its Java wrapper instance (the figure's ``swi`` handle) and attaches
+    the device's observability hub, so in-page invocations trace too.
+    Subclasses name their injected Java objects and the factory method.
+    """
+
+    #: JS globals the plugin injects the wrapper factory and wrapper under.
+    FACTORY_JS_NAME = ""
+    WRAPPER_JS_NAME = ""
+    #: The wrapper factory's instance-minting bridge method.
+    CREATE_INSTANCE = ""
+
+    def __init__(self, descriptor: ProxyDescriptor, platform: WebViewPlatform) -> None:
+        super().__init__(descriptor, "webview")
+        window = platform.active_window
+        if window is None:
+            raise ProxyError(
+                "no page is loaded; construct the JS proxy inside a page "
+                "script (or load a page first)"
+            )
+        self._init_in_window(window)
+
+    @classmethod
+    def in_page(cls, window: JsWindow) -> "JsProxy":
+        """Construct directly from page code, paper-style."""
+        instance = cls.__new__(cls)
+        super(JsProxy, instance).__init__(
+            standard_registry().descriptor(cls.interface), "webview"
+        )
+        instance._init_in_window(window)
+        return instance
+
+    def _init_in_window(self, window: JsWindow) -> None:
+        self._window = window
+        # In-page construction bypasses the proxy factory, so pick up the
+        # device hub here; otherwise in-page invocations leave no spans.
+        if self.observability is None:
+            obs = getattr(window.platform.device, "obs", None)
+            if obs is not None:
+                self.attach_observability(obs)
+        factory = window.bridge_object(self.FACTORY_JS_NAME)
+        self._wrapper = window.bridge_object(self.WRAPPER_JS_NAME)
+        self._swi = getattr(factory, self.CREATE_INSTANCE)()
+        #: Live notification handlers, keyed as each binding needs.
+        self._handlers: Dict[Any, Any] = {}
+
+    def set_property(self, key: str, value: Any) -> None:
+        super().set_property(key, value)  # local validation first
+        if key != "pollInterval":  # JS-side-only knob stays local
+            decode_or_raise(
+                self._wrapper.set_property(self._swi, key, json.dumps(value))
+            )
+
 
 class NotificationHandler:
     """The figure's ``notifHandler``: polls one notification id.

@@ -4,17 +4,17 @@ A concrete proxy binding (e.g. the Android Location proxy) subclasses
 :class:`MProxy` and gets, uniformly:
 
 * ``set_property`` validated against its binding plane;
-* semantic-plane argument validation (``_validate_arguments``);
-* uniform exception mapping (``_guard`` context manager);
-* resilience-guarded invocation (``_invoke``) when a
-  :class:`~repro.core.resilience.ResilienceRuntime` is attached;
-* an invocation log for the evaluation harness.
+* one invocation path, :meth:`MProxy._call`, that every public
+  operation takes: semantic-plane argument validation, a
+  ``dispatch:<op>`` span when tracing, and the platform thunk run under
+  the attached :class:`~repro.core.resilience.ResilienceRuntime` (or,
+  on a bare proxy, with uniform exception mapping).
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.core.descriptor.model import BindingPlane, ProxyDescriptor
 from repro.core.proxy.exceptions import map_platform_exception
@@ -24,6 +24,9 @@ from repro.errors import ProxyError, ProxyInvalidArgumentError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.resilience.policy import ResilienceRuntime
     from repro.obs import Observability
+
+#: Stand-in for a span when tracing is off (``nullcontext`` is reusable).
+_UNTRACED = contextlib.nullcontext()
 
 
 class MProxy:
@@ -50,7 +53,6 @@ class MProxy:
         self.descriptor = descriptor
         self.binding: BindingPlane = descriptor.binding_for(platform)
         self.properties = PropertySet(self.binding.properties)
-        self._invocations: List[Tuple[str, Dict[str, Any]]] = []
         self._resilience: Optional["ResilienceRuntime"] = None
         self._obs: Optional["Observability"] = None
         self._property_listeners: List[Callable[[str, Any], None]] = []
@@ -91,29 +93,6 @@ class MProxy:
             except ValueError as exc:
                 raise ProxyInvalidArgumentError(str(exc)) from exc
 
-    @contextlib.contextmanager
-    def _guard(self, operation: str) -> Iterator[None]:
-        """Map any escaping platform exception to the uniform hierarchy.
-
-        With tracing enabled the guarded block is recorded as a
-        ``binding:<operation>`` span — the binding-plane layer of the
-        invocation's span tree.
-        """
-        obs = self._obs
-        if obs is not None and obs.tracer.enabled:
-            span_cm = obs.tracer.span(
-                f"binding:{operation}", platform=self.binding.platform
-            )
-        else:
-            span_cm = contextlib.nullcontext()
-        try:
-            with span_cm:
-                yield
-        except ProxyError:
-            raise  # already uniform
-        except Exception as exc:
-            raise map_platform_exception(self.binding, exc, operation) from exc
-
     # -- resilience ------------------------------------------------------------
 
     def attach_resilience(self, runtime: "ResilienceRuntime") -> None:
@@ -149,48 +128,60 @@ class MProxy:
         if obs is not None and obs.tracer.enabled:
             obs.tracer.event(name, **attributes)
 
-    def _invoke(
+    # -- the invocation path ---------------------------------------------------
+
+    def _call(
         self,
         operation: str,
         thunk: Callable[[], Any],
         *,
         fallback: Any = None,
+        **arguments: Any,
     ) -> Any:
-        """Run one platform call under the proxy's resilience policy.
+        """Run one public operation; every binding goes through here.
 
-        Without an attached runtime this degrades to exactly the old
-        ``_guard`` semantics: run the thunk, map escaping platform
-        exceptions to the uniform hierarchy.  With a runtime, the call
-        additionally gets timeout accounting, bounded retry with backoff
-        on the virtual clock, circuit breaking, and (when enabled by the
-        policy) the ``fallback`` — either the
-        :data:`~repro.core.resilience.LAST_RESULT` sentinel or a
-        zero-argument callable.
+        1. ``arguments`` are validated against the semantic plane, so
+           invalid arguments fail before any property precondition the
+           thunk checks (a missing ``context``, say);
+        2. with tracing on, the call is one ``dispatch:<operation>`` span
+           carrying the ``interface`` and ``platform`` attributes;
+        3. ``thunk`` runs under the attached resilience runtime (timeout
+           accounting, bounded retry, circuit breaking and, when the
+           policy enables it, ``fallback`` — the
+           :data:`~repro.core.resilience.LAST_RESULT` sentinel or a
+           callable).  A bare proxy runs it once inside a
+           ``binding:<operation>`` span and maps escaping platform
+           exceptions to the uniform hierarchy.
+
+        A runtime may run ``thunk`` more than once, so it must be safe to
+        re-run after a failure.
         """
+        if arguments:
+            self._validate_arguments(operation, **arguments)
         obs = self._obs
-        if obs is not None and obs.tracer.enabled:
-            with obs.tracer.span(
+        traced = obs is not None and obs.tracer.enabled
+        platform = self.binding.platform
+        with (
+            obs.tracer.span(
                 f"dispatch:{operation}",
                 interface=self.descriptor.interface,
-                platform=self.binding.platform,
-            ):
-                return self._invoke_guarded(operation, thunk, fallback)
-        return self._invoke_guarded(operation, thunk, fallback)
-
-    def _invoke_guarded(
-        self, operation: str, thunk: Callable[[], Any], fallback: Any
-    ) -> Any:
-        if self._resilience is None:
-            with self._guard(operation):
-                return thunk()
-        return self._resilience.execute(
-            self.binding, operation, thunk, fallback=fallback
-        )
-
-    def _record(self, method_name: str, **arguments: Any) -> None:
-        self._invocations.append((method_name, arguments))
-
-    @property
-    def invocation_log(self) -> List[Tuple[str, Dict[str, Any]]]:
-        """Every proxied call made through this instance (evaluation aid)."""
-        return list(self._invocations)
+                platform=platform,
+            )
+            if traced
+            else _UNTRACED
+        ):
+            if self._resilience is not None:
+                return self._resilience.execute(
+                    self.binding, operation, thunk, fallback=fallback
+                )
+            try:
+                with (
+                    obs.tracer.span(f"binding:{operation}", platform=platform)
+                    if traced
+                    else _UNTRACED
+                ):
+                    return thunk()
+            except ProxyError:
+                raise  # already uniform
+            except Exception as exc:
+                raise map_platform_exception(self.binding, exc, operation) from exc

@@ -2,7 +2,7 @@
 
 The paper's Call proxy retry coordinator showed one interface-specific
 enrichment; this package generalizes the idea into middleware-wide
-machinery every binding gets through ``MProxy._invoke``:
+machinery every binding gets through ``MProxy._call``:
 
 * :class:`~repro.core.resilience.backoff.BackoffSchedule` — exponential
   backoff with deterministic jitter, all in virtual milliseconds;

@@ -1,6 +1,6 @@
 """Graceful-degradation helpers: what to do when retries are exhausted.
 
-Fallbacks are per-call-site hooks the bindings pass to ``MProxy._invoke``:
+Fallbacks are per-call-site hooks the bindings pass to ``MProxy._call``:
 
 * :data:`LAST_RESULT` — serve the operation's last successful result
   (e.g. last-known location while GPS is dark);
@@ -116,7 +116,7 @@ class SmsRedeliveryQueue:
             self.in_flight = False
 
     def fallback_for(self, destination: str, text: str):
-        """A ``_invoke``-compatible fallback that queues this message."""
+        """A ``_call``-compatible fallback that queues this message."""
 
         def fallback(error: ProxyError):
             if not error.transient or self.in_flight:

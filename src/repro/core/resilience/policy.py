@@ -2,8 +2,8 @@
 
 A :class:`ResiliencePolicy` is immutable configuration; a
 :class:`ResilienceRuntime` is the stateful engine one proxy instance
-carries (attached by the factory).  ``MProxy._invoke`` routes every
-guarded operation through :meth:`ResilienceRuntime.execute`, which
+carries (attached by the factory).  ``MProxy._call`` routes every
+public operation through :meth:`ResilienceRuntime.execute`, which
 layers — in order — circuit breaking, invocation, uniform exception
 mapping, elapsed-virtual-time timeout, classified retry with backoff,
 and graceful-degradation fallbacks.
@@ -55,7 +55,7 @@ class ResiliencePolicy:
 
     The default policy is *passthrough-safe*: one attempt, no timeout,
     no breaker, fallbacks disabled — byte-for-byte the behaviour of a
-    bare ``_guard``, plus counters.  Chaos profiles opt into the heavier
+    bare proxy's ``_call``, plus counters.  Chaos profiles opt into the heavier
     machinery via :func:`chaos_policy`.
     """
 

@@ -141,12 +141,12 @@ class CausalReport:
             children.setdefault(
                 (record.get("trace_id"), parent_id), []
             ).append(record)
-            report._fold_record(record)
+            report._fold(record)
         report._check_acyclic()
         report._fold_sagas(records, children)
         return report
 
-    def _fold_record(self, record: Dict[str, Any]) -> None:
+    def _fold(self, record: Dict[str, Any]) -> None:
         name = record.get("name") or ""
         attributes = record.get("attributes") or {}
         ref = _ref(record)

@@ -241,9 +241,9 @@ class OverheadProfile:
     ) -> Optional[Dict[str, Any]]:
         """The invocation anchor: the topmost ``dispatch:*`` span (BFS).
 
-        Guard-only paths (callback registration such as
-        ``addProximityAlert``) open no dispatch span; their topmost
-        ``binding:*`` span anchors the invocation instead.
+        Every public operation opens a dispatch span, so the topmost
+        ``binding:*`` span anchors only trees whose dispatch span is
+        missing from the export (partial or filtered exports).
         """
         fallback: Optional[Dict[str, Any]] = None
         frontier = [record]

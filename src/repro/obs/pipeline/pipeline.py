@@ -26,11 +26,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.pipeline.config import PipelineConfig, op_class
 from repro.obs.pipeline.records import (
     SpanLike,
+    record_from_span,
     span_attributes,
     span_duration_ms,
     span_name,
     span_parent_id,
-    span_record,
     span_status,
     span_trace_id,
 )
@@ -211,7 +211,7 @@ class TelemetryPipeline:
                     self.metrics.counter("obs.tail_kept", rule=rule).inc()
             before = self.retention.dropped
             self.retention.extend(
-                span_record(span, source=source) for span in spans
+                record_from_span(span, source=source) for span in spans
             )
             evicted = self.retention.dropped - before
             if evicted:

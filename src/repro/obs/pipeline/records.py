@@ -60,7 +60,9 @@ def iter_events(span: SpanLike) -> Iterator[Tuple[str, Dict[str, Any]]]:
             yield event.name, event.attributes
 
 
-def span_record(span: SpanLike, *, source: Optional[str] = None) -> Dict[str, Any]:
+def record_from_span(
+    span: SpanLike, *, source: Optional[str] = None
+) -> Dict[str, Any]:
     """The retained dict form (deterministic: virtual time only), with
     the pipeline's ``source`` tag when one was attached."""
     record = dict(span) if isinstance(span, dict) else span.to_dict()

@@ -119,7 +119,7 @@ def instrumentation_points(descriptor) -> List[Dict[str, Any]]:
 
     Derived from the descriptor's semantic plane — the same structured
     data that drives the runtime — so the documentation can never drift
-    from the dispatch instrumentation in ``MProxy._invoke``.
+    from the dispatch instrumentation in ``MProxy._call``.
     """
     points: List[Dict[str, Any]] = []
     for method in descriptor.semantic.methods:

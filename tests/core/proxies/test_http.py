@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.apps.workforce import scenario
 from repro.core.proxies import create_proxy
 from repro.core.proxies.http.webview import HttpProxyJs, install_http_wrapper
 from repro.device.network import HttpResponse
+from repro.obs import Observability
 from repro.errors import (
     ProxyInvalidArgumentError,
     ProxyPermissionError,
@@ -112,6 +114,18 @@ class TestWebViewBinding:
         webview_scenario.device.network.fail_next("gone")
         with pytest.raises(ProxyPlatformError):
             proxy.get("http://api.test/ping")
+
+    def test_in_page_proxy_traces_on_a_traced_device(self):
+        sc = scenario.build_webview(
+            observability=Observability(capture_real_time=False)
+        )
+        _add_routes(sc.device)
+        webview = sc.platform.new_webview()
+        install_http_wrapper(webview, sc.platform, sc.new_context())
+        proxy = HttpProxyJs.in_page(webview.load_page(lambda w: None))
+        proxy.get("http://api.test/ping")
+        names = [span.name for span in sc.device.obs.tracer.spans]
+        assert names.count("dispatch:get") == 1
 
     def test_content_type_property_forwarded(self, webview_scenario, page):
         seen = {}

@@ -6,6 +6,7 @@ from repro.apps.workforce import scenario
 from repro.core.proxies import create_proxy
 from repro.core.proxy.callbacks import ProximityListener
 from repro.core.proxy.datatypes import Location
+from repro.core.resilience import chaos_policy
 from repro.errors import (
     ProxyInvalidArgumentError,
     ProxyPermissionError,
@@ -121,6 +122,21 @@ class TestProximityAlerts:
         sc.platform.run_for(200_000.0)
         assert len(near.events) == 3
         assert far.events == []
+
+    @pytest.mark.parametrize("profile", ["default", "chaos"])
+    def test_refused_registration_leaks_no_receiver(self, sc, profile):
+        resilience = chaos_policy("Location") if profile == "chaos" else None
+        sc.platform.install("noperm", set())
+        proxy = create_proxy("Location", sc.platform, resilience=resilience)
+        proxy.set_property("context", sc.platform.new_context("noperm"))
+        registry = sc.platform.broadcast_registry
+        before = registry.registered_count()
+        for _ in range(3):
+            with pytest.raises(ProxyPermissionError):
+                proxy.add_proximity_alert(
+                    SITE.latitude, SITE.longitude, 0.0, SITE.radius_m, -1, Recorder()
+                )
+        assert registry.registered_count() == before
 
 
 class TestSdkAbsorption:

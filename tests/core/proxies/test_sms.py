@@ -6,6 +6,7 @@ from repro.apps.workforce import scenario
 from repro.core.proxies import create_proxy
 from repro.core.proxies.sms.webview import SmsProxyJs, install_sms_wrapper
 from repro.core.proxy.callbacks import SmsStatusListener
+from repro.core.resilience import chaos_policy
 from repro.errors import (
     ProxyInvalidArgumentError,
     ProxyPermissionError,
@@ -179,3 +180,15 @@ class TestReceiverLifecycle:
         android_scenario.platform.run_for(3_000.0)
         # the delivery broadcast will never come; both receivers torn down
         assert registry.registered_count() == 0
+
+    @pytest.mark.parametrize("profile", ["default", "chaos"])
+    def test_failed_send_leaks_no_receivers(self, android_scenario, profile):
+        resilience = chaos_policy("Sms") if profile == "chaos" else None
+        android_scenario.platform.install("noperm", set())
+        proxy = create_proxy("Sms", android_scenario.platform, resilience=resilience)
+        proxy.set_property("context", android_scenario.platform.new_context("noperm"))
+        registry = android_scenario.platform.broadcast_registry
+        before = registry.registered_count()
+        with pytest.raises(ProxyPermissionError):
+            proxy.send_text_message("+2", "hi", Recorder())
+        assert registry.registered_count() == before

@@ -65,25 +65,44 @@ class TestValidationAndGuard:
     def test_guard_maps_platform_exceptions(self):
         from repro.platforms.s60.exceptions import LocationException
 
+        def down():
+            raise LocationException("down")
+
         descriptor = standard_registry().descriptor("Location")
         proxy = LocationShapedProxy(descriptor, "s60")
         with pytest.raises(ProxyPlatformError):
-            with proxy._guard("getLocation"):
-                raise LocationException("down")
+            proxy._call("getLocation", down)
 
     def test_guard_passes_uniform_errors_through(self):
+        def uniform():
+            raise ProxyInvalidArgumentError("already uniform")
+
         descriptor = standard_registry().descriptor("Location")
         proxy = LocationShapedProxy(descriptor, "s60")
-        with pytest.raises(ProxyInvalidArgumentError):
-            with proxy._guard("x"):
-                raise ProxyInvalidArgumentError("already uniform")
+        with pytest.raises(ProxyInvalidArgumentError, match="already uniform"):
+            proxy._call("x", uniform)
 
-    def test_invocation_log(self):
+    def test_call_validates_before_running_the_thunk(self):
+        ran = []
         descriptor = standard_registry().descriptor("Location")
         proxy = LocationShapedProxy(descriptor, "android")
-        proxy._record("getLocation")
-        proxy._record("addProximityAlert", radius=5.0)
-        assert proxy.invocation_log == [
-            ("getLocation", {}),
-            ("addProximityAlert", {"radius": 5.0}),
-        ]
+        with pytest.raises(ProxyInvalidArgumentError):
+            proxy._call("addProximityAlert", lambda: ran.append(1), latitude=200.0)
+        assert ran == []
+        assert proxy._call("addProximityAlert", lambda: "ok", latitude=20.0) == "ok"
+
+    def test_call_maps_platform_exceptions_under_a_runtime(self):
+        from repro.core.resilience import ResiliencePolicy, ResilienceRuntime
+        from repro.platforms.s60.exceptions import LocationException
+        from repro.util.clock import Scheduler
+
+        def down():
+            raise LocationException("down")
+
+        descriptor = standard_registry().descriptor("Location")
+        proxy = LocationShapedProxy(descriptor, "s60")
+        runtime = ResilienceRuntime(ResiliencePolicy(), Scheduler())
+        proxy.attach_resilience(runtime)
+        with pytest.raises(ProxyPlatformError):
+            proxy._call("getLocation", down)
+        assert runtime.stats.failures == 1

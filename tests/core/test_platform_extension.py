@@ -71,15 +71,18 @@ class BrewHttpProxyImpl(HttpProxy):
         self._platform = platform
 
     def get(self, url: str) -> HttpResult:
-        self._validate_arguments("get", url=url)
-        with self._guard("get"):
-            status, body = self._platform.brew_fetch("GET", url)
+        status, body = self._call(
+            "get", lambda: self._platform.brew_fetch("GET", url), url=url
+        )
         return HttpResult(status=status, body=body)
 
     def post(self, url: str, body: str) -> HttpResult:
-        self._validate_arguments("post", url=url, body=body)
-        with self._guard("post"):
-            status, response_body = self._platform.brew_fetch("POST", url, body)
+        status, response_body = self._call(
+            "post",
+            lambda: self._platform.brew_fetch("POST", url, body),
+            url=url,
+            body=body,
+        )
         return HttpResult(status=status, body=response_body)
 
 
