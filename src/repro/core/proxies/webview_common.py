@@ -256,5 +256,7 @@ class NotificationHandler:
             # so the queued notifications survive for the next interval.
             self.dropped_polls += 1
             return
+        if batch_json == "[]":  # most polls find nothing: skip the decoder
+            return
         for notification in json.loads(batch_json):
             self._dispatch(notification)

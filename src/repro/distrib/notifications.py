@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.platforms.webview.notifications import Notification
+from repro.platforms.webview.notifications import Notification, batch_json
 from repro.util.identifiers import IdGenerator
 
 from repro.distrib.replication import ReplicatedTable
@@ -143,13 +143,7 @@ class ReplicatedNotificationTable:
 
     def drain_json(self, notification_id: str) -> str:
         """Bridge-legal drain: the queued notifications as a JSON string."""
-        drained = self.drain(notification_id)
-        return json.dumps(
-            [
-                {"kind": n.kind, "payload": n.payload, "posted_at_ms": n.posted_at_ms}
-                for n in drained
-            ]
-        )
+        return batch_json(self.drain(notification_id))
 
     def close(self, notification_id: str) -> None:
         """Forget an id once its JS consumer is done polling."""

@@ -162,6 +162,10 @@ class MetricsRegistry:
         self.max_series_per_metric = max_series_per_metric
         #: name -> count of distinct (non-overflow) label sets.
         self._series_counts: Dict[str, int] = {}
+        #: (kind, name, label items as passed) -> instrument, for requests
+        #: that resolved to an existing in-limit series with all-``str``
+        #: label values, so repeat lookups skip sorting and stringifying.
+        self._memo: Dict[Tuple[str, str, tuple], Any] = {}
 
     def set_cardinality_limit(self, max_series_per_metric: Optional[int]) -> None:
         """(Re)configure the guard; existing series are never evicted."""
@@ -171,7 +175,23 @@ class MetricsRegistry:
 
     # -- instrument access ---------------------------------------------------
 
-    def _get(self, kind: str, name: str, labels: Dict[str, Any], **extra: Any):
+    def _get(self, kind: str, name: str, labels: Dict[str, Any]):
+        memo_key = (kind, name, tuple(labels.items()))
+        try:
+            instrument = self._memo.get(memo_key)
+        except TypeError:  # an unhashable label value
+            return self._resolve(kind, name, labels)
+        if instrument is None:
+            instrument = self._resolve(kind, name, labels)
+            # Only plain-str values: equal ints, bools and floats can
+            # stringify differently (1, True, 1.0) and would alias.
+            if instrument.labels != OVERFLOW_LABELS and all(
+                type(value) is str for value in labels.values()
+            ):
+                self._memo[memo_key] = instrument
+        return instrument
+
+    def _resolve(self, kind: str, name: str, labels: Dict[str, Any], **extra: Any):
         declared = self._kinds.setdefault(name, kind)
         if declared != kind:
             raise ConfigurationError(
@@ -219,7 +239,7 @@ class MetricsRegistry:
     ) -> Histogram:
         if buckets is None:
             return self._get("histogram", name, labels)
-        return self._get("histogram", name, labels, bounds=tuple(buckets))
+        return self._resolve("histogram", name, labels, bounds=tuple(buckets))
 
     # -- reading -------------------------------------------------------------
 

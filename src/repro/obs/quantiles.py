@@ -67,49 +67,68 @@ class P2Quantile:
                 self._desired = [0.0, 2.0 * q, 4.0 * q, 2.0 + 2.0 * q, 4.0]
             return
 
+        # The hot path of every histogram: the cell search, the position
+        # and desired-position updates are unrolled and the parabolic and
+        # linear predictions inlined.  Every float operation is the one
+        # the textbook loop form performs, in the same order, so the
+        # markers stay bit-identical to it.
         h, n, ns = self._heights, self._positions, self._desired
         # Locate the cell the new observation falls into, stretching the
-        # extreme markers when it lands outside them.
+        # extreme markers when it lands outside them; every marker above
+        # the cell moves up one position.
         if value < h[0]:
             h[0] = value
-            cell = 0
+            n[1] += 1
+            n[2] += 1
+            n[3] += 1
         elif value >= h[4]:
             h[4] = value
-            cell = 3
+        elif value >= h[3]:
+            pass
+        elif value >= h[2]:
+            n[3] += 1
+        elif value >= h[1]:
+            n[2] += 1
+            n[3] += 1
         else:
-            cell = 0
-            for i in range(3, 0, -1):
-                if value >= h[i]:
-                    cell = i
-                    break
-        for i in range(cell + 1, 5):
-            n[i] += 1
-        for i in range(5):
-            ns[i] += self._dn[i]
+            n[1] += 1
+            n[2] += 1
+            n[3] += 1
+        n[4] += 1
+        # Desired positions; marker 0's stays 0.0 (its increment is 0.0).
+        dn = self._dn
+        ns[1] += dn[1]
+        ns[2] += dn[2]
+        ns[3] += dn[3]
+        ns[4] += dn[4]
         # Nudge the three interior markers toward their desired positions.
         for i in (1, 2, 3):
             drift = ns[i] - n[i]
-            if (drift >= 1.0 and n[i + 1] - n[i] > 1) or (
-                drift <= -1.0 and n[i - 1] - n[i] < -1
-            ):
-                step = 1 if drift > 0 else -1
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step * (h[i + step] - h[i]) / (n[i + step] - n[i])
+            if drift >= 1.0:
+                if n[i + 1] - n[i] <= 1:
+                    continue
+                step = 1
+            elif drift <= -1.0:
+                if n[i - 1] - n[i] >= -1:
+                    continue
+                step = -1
+            else:
+                continue
+            h_lo, h_i, h_hi = h[i - 1], h[i], h[i + 1]
+            n_lo, n_i, n_hi = n[i - 1], n[i], n[i + 1]
+            # Piecewise-parabolic prediction ...
+            candidate = h_i + step / (n_hi - n_lo) * (
+                (n_i - n_lo + step) * (h_hi - h_i) / (n_hi - n_i)
+                + (n_hi - n_i - step) * (h_i - h_lo) / (n_i - n_lo)
+            )
+            if h_lo < candidate < h_hi:
+                h[i] = candidate
+            # ... falling back to linear toward the neighbour in ``step``.
+            elif step == 1:
+                h[i] = h_i + step * (h_hi - h_i) / (n_hi - n_i)
+            else:
+                h[i] = h_i + step * (h_lo - h_i) / (n_lo - n_i)
+            n[i] = n_i + step
 
     # -- reading -------------------------------------------------------------
 

@@ -25,15 +25,16 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
 
+#: Attribute value types exported as-is; anything else is ``repr``'d.
+_SCALARS = (str, int, float, bool, type(None))
+
+
 def _clean_attributes(attributes: Dict[str, Any]) -> Dict[str, Any]:
     """Attributes must be JSON-representable scalars (exporters rely on it)."""
-    cleaned: Dict[str, Any] = {}
-    for key, value in attributes.items():
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            cleaned[key] = value
-        else:
-            cleaned[key] = repr(value)
-    return cleaned
+    return {
+        key: value if isinstance(value, _SCALARS) else repr(value)
+        for key, value in attributes.items()
+    }
 
 
 @dataclass
@@ -72,7 +73,7 @@ class Span:
     # -- recording -----------------------------------------------------------
 
     def set_attribute(self, key: str, value: Any) -> None:
-        self.attributes.update(_clean_attributes({key: value}))
+        self.attributes[key] = value if isinstance(value, _SCALARS) else repr(value)
 
     def add_event(self, name: str, t_virtual_ms: float, **attributes: Any) -> SpanEvent:
         event = SpanEvent(name, t_virtual_ms, _clean_attributes(attributes))

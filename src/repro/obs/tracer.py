@@ -24,7 +24,7 @@ import itertools
 import time
 from typing import Any, Iterator, List, Optional
 
-from repro.obs.span import Span
+from repro.obs.span import Span, _clean_attributes
 from repro.util.clock import SimulatedClock
 
 
@@ -80,6 +80,29 @@ class NoopTracer:
 NOOP_TRACER = NoopTracer()
 
 
+class _SpanScope:
+    """What ``with tracer.span(...)`` enters: opens the span on entry and
+    ends it on exit, marking it ``error`` when an exception escapes (the
+    exception is re-raised)."""
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span")
+
+    def __init__(self, tracer: "Tracer", name: str, attributes: dict) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        self._span = self._tracer.start_span(self._name, **self._attributes)
+        return self._span
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        if exc is not None:
+            self._span.mark_error(exc)
+        self._tracer.end_span(self._span)
+        return False
+
+
 class Tracer:
     """Records hierarchical spans against a virtual clock.
 
@@ -127,14 +150,6 @@ class Tracer:
         """Adopt the device's virtual clock (done by ``MobileDevice``)."""
         self._clock = clock
 
-    # -- clock reads ---------------------------------------------------------
-
-    def _virtual_now(self) -> float:
-        return self._clock.now_ms if self._clock is not None else 0.0
-
-    def _real_now(self) -> float:
-        return _real_now_ms() if self._capture_real_time else 0.0
-
     # -- span lifecycle ------------------------------------------------------
 
     @property
@@ -145,19 +160,20 @@ class Tracer:
     def start_span(self, name: str, **attributes: Any) -> Span:
         """Open a span as a child of the current span (manual lifecycle;
         prefer the :meth:`span` context manager)."""
-        parent = self.current_span
+        stack = self._stack
+        clock = self._clock
+        parent = stack[-1] if stack else None
         span = Span(
-            name=name,
-            trace_id=parent.trace_id if parent is not None else next(self._trace_ids),
-            span_id=next(self._span_ids),
-            parent_id=parent.span_id if parent is not None else None,
-            start_virtual_ms=self._virtual_now(),
-            start_real_ms=self._real_now(),
+            name,
+            parent.trace_id if parent is not None else next(self._trace_ids),
+            next(self._span_ids),
+            parent.span_id if parent is not None else None,
+            clock.now_ms if clock is not None else 0.0,
+            _real_now_ms() if self._capture_real_time else 0.0,
+            attributes=_clean_attributes(attributes) if attributes else {},
         )
-        for key, value in attributes.items():
-            span.set_attribute(key, value)
         self._spans.append(span)
-        self._stack.append(span)
+        stack.append(span)
         self._spans_cache = None
         if parent is not None:
             self._children.setdefault(parent.span_id, []).append(span)
@@ -176,10 +192,12 @@ class Tracer:
 
     def end_span(self, span: Span) -> None:
         """Close ``span`` (and anything left open beneath it)."""
-        while self._stack:
-            top = self._stack.pop()
-            top.end_virtual_ms = self._virtual_now()
-            top.end_real_ms = self._real_now()
+        stack = self._stack
+        while stack:
+            top = stack.pop()
+            clock = self._clock
+            top.end_virtual_ms = clock.now_ms if clock is not None else 0.0
+            top.end_real_ms = _real_now_ms() if self._capture_real_time else 0.0
             self._finished_cache = None
             if self._sinks:
                 for sink in self._sinks:
@@ -198,21 +216,13 @@ class Tracer:
                 return
         raise ValueError(f"span {span.name!r} is not open on this tracer")
 
-    @contextlib.contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
+    def span(self, name: str, **attributes: Any) -> "_SpanScope":
         """Open a child span for the duration of the ``with`` block.
 
         An escaping exception marks the span's status as ``error`` (with
         the exception text) and is re-raised untouched.
         """
-        span = self.start_span(name, **attributes)
-        try:
-            yield span
-        except BaseException as exc:
-            span.mark_error(exc)
-            raise
-        finally:
-            self.end_span(span)
+        return _SpanScope(self, name, attributes)
 
     def event(self, name: str, **attributes: Any) -> None:
         """Attach a virtual-time-stamped event to the current span.
@@ -221,9 +231,12 @@ class Tracer:
         fire unconditionally and rely on this to stay quiet when no
         invocation is in flight.
         """
-        span = self.current_span
-        if span is not None:
-            span.add_event(name, self._virtual_now(), **attributes)
+        stack = self._stack
+        if stack:
+            clock = self._clock
+            stack[-1].add_event(
+                name, clock.now_ms if clock is not None else 0.0, **attributes
+            )
 
     # -- reading -------------------------------------------------------------
 

@@ -46,14 +46,13 @@ class _BridgeMethod:
         self._platform = platform
         self._java_object = java_object
         self._method_name = method_name
+        self._span_name = f"bridge:{method_name}"
 
     def __call__(self, *args: Any) -> Any:
         tracer = self._platform.device.obs.tracer
         if not tracer.enabled:
             return self._cross(args)
-        with tracer.span(
-            f"bridge:{self._method_name}", direction="js->java"
-        ):
+        with tracer.span(self._span_name, direction="js->java"):
             return self._cross(args)
 
     def _cross(self, args: tuple) -> Any:
@@ -85,7 +84,9 @@ class JsBridgeObject:
 
     Attribute access yields bridge-method stubs; there is no property
     access across the bridge (matching ``addJavascriptInterface``, which
-    exposes methods only).
+    exposes methods only).  A stub is kept as an instance attribute after
+    its first lookup, so later lookups are plain attribute reads; every
+    call still goes through the full crossing.
     """
 
     def __init__(self, platform: "WebViewPlatform", java_object: Any, js_name: str) -> None:
@@ -102,7 +103,9 @@ class JsBridgeObject:
                 f"{self._js_name}.{name} is not a bridged method "
                 "(only public Java methods are exposed)"
             )
-        return _BridgeMethod(self._platform, self._java_object, name)
+        stub = _BridgeMethod(self._platform, self._java_object, name)
+        setattr(self, name, stub)
+        return stub
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"JsBridgeObject({self._js_name!r})"

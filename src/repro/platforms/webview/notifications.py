@@ -32,6 +32,18 @@ class Notification:
     posted_at_ms: float
 
 
+def batch_json(drained: List[Notification]) -> str:
+    """One drain as the JSON string that crosses the bridge."""
+    if not drained:  # most polls find nothing: skip the encoder
+        return "[]"
+    return json.dumps(
+        [
+            {"kind": n.kind, "payload": n.payload, "posted_at_ms": n.posted_at_ms}
+            for n in drained
+        ]
+    )
+
+
 class NotificationTable:
     """Maps notification id → queued notifications.
 
@@ -80,19 +92,16 @@ class NotificationTable:
 
     def drain(self, notification_id: str) -> List[Notification]:
         """Remove and return all queued notifications for an id (FIFO)."""
-        queue = self._queues.get(notification_id, [])
-        drained, queue[:] = list(queue), []
+        queue = self._queues.get(notification_id)
+        if not queue:
+            return []
+        drained = list(queue)
+        queue.clear()
         return drained
 
     def drain_json(self, notification_id: str) -> str:
         """Bridge-legal drain: the queued notifications as a JSON string."""
-        drained = self.drain(notification_id)
-        return json.dumps(
-            [
-                {"kind": n.kind, "payload": n.payload, "posted_at_ms": n.posted_at_ms}
-                for n in drained
-            ]
-        )
+        return batch_json(self.drain(notification_id))
 
     def close(self, notification_id: str) -> None:
         """Forget an id once its JS consumer is done polling."""

@@ -3,7 +3,7 @@
 from repro.util.clock import SimulatedClock, Scheduler, ScheduledTask
 from repro.util.events import EventBus, Subscription
 from repro.util.geo import GeoPoint, haversine_m, destination_point, bearing_deg
-from repro.util.latency import LatencyModel, LatencySample
+from repro.util.latency import LatencyModel
 from repro.util.identifiers import IdGenerator
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "destination_point",
     "bearing_deg",
     "LatencyModel",
-    "LatencySample",
     "IdGenerator",
 ]

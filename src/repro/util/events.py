@@ -25,6 +25,17 @@ class Subscription:
     handler: Handler = field(repr=False)
     token: int = 0
     active: bool = True
+    #: Whether the pattern has glob syntax; a literal one matches by
+    #: equality, which is what :func:`fnmatch.fnmatchcase` does for it.
+    glob: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.glob = any(char in self.topic_pattern for char in "*?[")
+
+    def matches(self, topic: str) -> bool:
+        if self.glob:
+            return fnmatch.fnmatchcase(topic, self.topic_pattern)
+        return topic == self.topic_pattern
 
     def unsubscribe(self) -> None:
         """Stop receiving events.  Idempotent."""
@@ -38,7 +49,8 @@ class EventBus:
 
     Topics are dotted strings such as ``"gps.fix"`` or ``"radio.sms.sent"``.
     Patterns use :mod:`fnmatch` globbing, so ``"radio.*"`` receives every
-    radio event.
+    radio event; a pattern without ``*``, ``?`` or ``[`` is compared by
+    plain equality.
     """
 
     def __init__(self) -> None:
@@ -63,7 +75,7 @@ class EventBus:
         """
         delivered = 0
         for sub in list(self._subs):
-            if sub.active and fnmatch.fnmatchcase(topic, sub.topic_pattern):
+            if sub.active and sub.matches(topic):
                 sub.handler(topic, payload)
                 delivered += 1
         self._delivery_log.append(topic)
@@ -71,11 +83,7 @@ class EventBus:
 
     def subscriber_count(self, topic: str) -> int:
         """Number of active subscribers that would receive ``topic``."""
-        return sum(
-            1
-            for sub in self._subs
-            if sub.active and fnmatch.fnmatchcase(topic, sub.topic_pattern)
-        )
+        return sum(1 for sub in self._subs if sub.active and sub.matches(topic))
 
     @property
     def published_topics(self) -> List[str]:

@@ -14,17 +14,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 
-@dataclass(frozen=True)
-class LatencySample:
-    """One drawn latency, kept for audit in tests and benchmarks."""
-
-    operation: str
-    latency_ms: float
-
-
 @dataclass
 class LatencyModel:
     """A Gaussian latency distribution per named operation.
+
+    Models keep no per-draw state beyond their RNG: the module-level
+    defaults (e.g. ``DEFAULT_ANDROID_LATENCY``) are shared by every world
+    in a process, so anything they recorded per draw would grow forever.
 
     Parameters
     ----------
@@ -54,26 +50,17 @@ class LatencyModel:
             if mean < 0:
                 raise ValueError(f"mean for {op!r} must be >= 0, got {mean}")
         self._rng = random.Random(self.seed)
-        self._history: list = []
 
     def mean_for(self, operation: str) -> float:
         """Mean latency configured for ``operation``."""
         return self.mean_ms.get(operation, self.default_ms)
 
     def draw(self, operation: str) -> float:
-        """Draw a latency (>= 0) for ``operation`` and record it."""
+        """Draw a latency (>= 0) for ``operation``."""
         mean = self.mean_for(operation)
         if self.jitter_fraction == 0.0 or mean == 0.0:
-            latency = mean
-        else:
-            latency = max(0.0, self._rng.gauss(mean, mean * self.jitter_fraction))
-        self._history.append(LatencySample(operation, latency))
-        return latency
-
-    @property
-    def history(self) -> list:
-        """All samples drawn so far, in order."""
-        return list(self._history)
+            return mean
+        return max(0.0, self._rng.gauss(mean, mean * self.jitter_fraction))
 
     def merged_with(self, overrides: Dict[str, float]) -> "LatencyModel":
         """A copy of this model with some operation means replaced."""

@@ -152,3 +152,60 @@ class TestRegistry:
         # +Inf is encoded as a string precisely so this round-trips.
         assert json.loads(json.dumps(snapshot)) == snapshot
         assert registry.snapshot() == snapshot
+
+
+class TestInstrumentMemo:
+    """Repeat requests are memoized; the guard and kind checks still hold."""
+
+    def test_repeat_requests_share_one_instrument(self, registry):
+        first = registry.histogram("substrate.latency_ms", operation="a.b")
+        assert registry.histogram("substrate.latency_ms", operation="a.b") is first
+        assert registry.histogram("substrate.latency_ms", operation="a.c") is not first
+
+    def test_kind_clash_still_raises_for_a_memoized_name(self, registry):
+        registry.counter("calls", site="x").inc()
+        registry.counter("calls", site="x").inc()  # served from the memo
+        for clash in (registry.gauge, registry.histogram):
+            with pytest.raises(ConfigurationError, match="already registered"):
+                clash("calls", site="x")
+        assert registry.counter("calls", site="x").value == 2
+
+    def test_every_over_limit_request_counts_an_overflow(self):
+        registry = MetricsRegistry(max_series_per_metric=2)
+        a = registry.counter("hits", tenant="a")
+        b = registry.counter("hits", tenant="b")
+        for _ in range(3):
+            assert registry.counter("hits", tenant="a") is a
+            assert registry.counter("hits", tenant="b") is b
+        assert registry.total("obs.cardinality_overflow") == 0
+        overflow = registry.counter("hits", tenant="c")
+        for tenant in ("c", "c", "d", "c"):
+            assert registry.counter("hits", tenant=tenant) is overflow
+        assert overflow.labels == {"other": "true"}
+        assert registry.total("obs.cardinality_overflow") == 5
+        assert registry.counter("hits", tenant="a") is a  # still in limit
+        assert registry.total("obs.cardinality_overflow") == 5
+
+    def test_equal_values_of_other_types_stay_distinct_series(self, registry):
+        as_int = registry.counter("shards", index=1)
+        as_bool = registry.counter("shards", index=True)
+        as_float = registry.counter("shards", index=1.0)
+        assert registry.counter("shards", index=1) is as_int
+        assert registry.counter("shards", index=True) is as_bool
+        assert len({id(as_int), id(as_bool), id(as_float)}) == 3
+        assert registry.counter("shards", index="1") is as_int
+
+    def test_unhashable_label_values_still_resolve(self, registry):
+        first = registry.counter("calls", tags=["a", "b"])
+        assert registry.counter("calls", tags=["a", "b"]) is first
+        assert first.labels == {"tags": "['a', 'b']"}
+
+    def test_label_order_does_not_split_series(self, registry):
+        first = registry.counter("calls", site="x", op="y")
+        assert registry.counter("calls", op="y", site="x") is first
+
+    def test_explicit_buckets_take_the_resolving_path(self, registry):
+        histogram = registry.histogram("wait_ms", buckets=(1.0, 2.0), shard="0")
+        assert histogram.bounds == (1.0, 2.0)
+        assert registry.histogram("wait_ms", shard="0") is histogram
+        assert registry.histogram("wait_ms", buckets=(5.0,), shard="0") is histogram

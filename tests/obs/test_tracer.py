@@ -89,6 +89,84 @@ class TestSpanLifecycle:
         assert span.start_virtual_ms == 42.0
 
 
+class TestSpanScope:
+    """``with tracer.span(...)``: the scope object's contract."""
+
+    @pytest.mark.parametrize("error", [ValueError("boom"), KeyboardInterrupt("boom")])
+    def test_escaping_exception_marks_error_and_reraises(self, tracer, error):
+        with pytest.raises(type(error)) as excinfo:
+            with tracer.span("outer") as outer:
+                with tracer.span("inner") as inner:
+                    raise error
+        assert excinfo.value is error
+        for span in (outer, inner):
+            assert span.status == "error"
+            assert span.error == f"{type(error).__name__}: boom"
+            assert span.finished
+        assert tracer.current_span is None
+
+    def test_clean_exit_stays_ok(self, tracer):
+        with tracer.span("op") as span:
+            pass
+        assert (span.status, span.error, span.finished) == ("ok", None, True)
+
+    def test_span_opens_on_entry(self, tracer, clock):
+        scope = tracer.span("late")
+        assert tracer.spans == []
+        clock.advance(5.0)
+        with scope as span:
+            assert tracer.current_span is span
+        assert span.start_virtual_ms == 5.0
+
+    def test_exit_closes_spans_abandoned_beneath_it(self, tracer, clock):
+        ended = []
+        tracer.add_sink(lambda span: ended.append(span.name))
+        with tracer.span("outer") as outer:
+            leaked = tracer.start_span("leaked")
+            clock.advance(2.0)
+        assert ended == ["leaked", "outer"]
+        assert leaked.end_virtual_ms == outer.end_virtual_ms == 2.0
+        assert tracer.current_span is None
+
+
+class TestAttributes:
+    def test_scalars_kept_and_others_repred_at_start(self, tracer):
+        span = tracer.start_span(
+            "op", text="a", count=2, ratio=0.5, flag=True, none=None,
+            items=[1, 2], mapping={"k": 1},
+        )
+        tracer.end_span(span)
+        assert span.attributes == {
+            "text": "a", "count": 2, "ratio": 0.5, "flag": True, "none": None,
+            "items": "[1, 2]", "mapping": "{'k': 1}",
+        }
+        assert list(span.attributes) == [
+            "text", "count", "ratio", "flag", "none", "items", "mapping",
+        ]
+
+    def test_scope_attributes_are_cleaned_too(self, tracer):
+        with tracer.span("op", where=("x", 1)) as span:
+            pass
+        assert span.attributes == {"where": "('x', 1)"}
+
+    def test_set_attribute_reprs_non_scalars_and_overwrites(self, tracer):
+        with tracer.span("op", key="first") as span:
+            span.set_attribute("key", {"second": 2})
+            span.set_attribute("latency_ms", 1.25)
+            span.set_attribute("tags", {"a"})
+        assert span.attributes == {
+            "key": "{'second': 2}", "latency_ms": 1.25, "tags": "{'a'}",
+        }
+
+    def test_spans_without_attributes_do_not_share_a_dict(self, tracer):
+        with tracer.span("a") as a:
+            pass
+        with tracer.span("b") as b:
+            pass
+        a.set_attribute("only", "a")
+        assert b.attributes == {}
+
+
 class TestEvents:
     def test_event_attaches_to_innermost_span(self, tracer, clock):
         with tracer.span("outer"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.device.device import MobileDevice
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.platforms.webview.bridge import JsBridgeObject
 from repro.platforms.webview.exceptions import BridgeMarshalError, JsBridgeError
 from repro.platforms.webview.platform import WebViewPlatform
@@ -115,3 +116,55 @@ class TestMarshalling:
             2 * platform.native_latency.mean_for("webview.bridge.add")
         )
         assert platform.native_call_counts()["webview.bridge.add"] == 2
+
+
+class TestCachedStubs:
+    """A stub is built on first lookup and reused; each call still crosses."""
+
+    def test_second_lookup_returns_the_same_stub(self, webview):
+        webview.add_javascript_interface(JavaSide(), "Java")
+        stub = webview.load_page(lambda w: None).bridge_object("Java")
+        assert stub.add is stub.add
+
+    def test_cached_stub_still_checks_marshalling(self, webview):
+        java = JavaSide()
+        webview.add_javascript_interface(java, "Java")
+        stub = webview.load_page(lambda w: None).bridge_object("Java")
+        assert stub.greet("js") == "hello js"  # caches the stub
+        with pytest.raises(BridgeMarshalError, match="cannot cross"):
+            stub.greet(["not", "primitive"])
+        with pytest.raises(BridgeMarshalError, match="cannot cross"):
+            stub.greet(lambda: None)
+        assert stub.return_object is stub.return_object
+        with pytest.raises(BridgeMarshalError, match="out of"):
+            stub.return_object()
+
+    def test_cached_stub_still_raises_under_an_injected_bridge_fault(
+        self, commute_trajectory
+    ):
+        plan = FaultPlan(
+            seed=0,
+            rules=(FaultRule("webview.bridge", "bridge_fault", 1.0, start_ms=50.0),),
+        )
+        device = MobileDevice(
+            "+915550042", trajectory=commute_trajectory, fault_plan=plan
+        )
+        platform = WebViewPlatform(device)
+        webview = platform.new_webview()
+        java = JavaSide()
+        webview.add_javascript_interface(java, "Java")
+        stub = webview.load_page(lambda w: None).bridge_object("Java")
+        assert stub.add(1, 2) == 3  # before the fault window: cached now
+        platform.clock.advance(100.0)
+        with pytest.raises(JsBridgeError) as excinfo:
+            stub.add(3, 4)
+        assert excinfo.value.java_class == "BridgeFault"
+        assert java.calls == [("add", 1, 2)]  # the lost crossing never ran
+        assert platform.native_call_counts()["webview.bridge.add"] == 2
+
+    def test_non_methods_are_never_cached(self, webview):
+        webview.add_javascript_interface(JavaSide(), "Java")
+        stub = webview.load_page(lambda w: None).bridge_object("Java")
+        for _ in range(2):
+            with pytest.raises(BridgeMarshalError, match="not a bridged method"):
+                stub.not_a_method

@@ -1,6 +1,28 @@
 """Tests for the event bus and typed signals."""
 
+import fnmatch
+
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.util.events import EventBus, TypedSignal
+
+#: Topics the matching tests publish, against every pattern below.
+TOPICS = (
+    "gps.fix", "gps.fit", "gps.fixed", "rps.fix", "xps.fix", "radio.sms",
+    "radio.sms.sent", "radio", "radio.", "gps.fi?", "[gr]ps.fix", "gps.fix[",
+)
+
+
+def _delivered(patterns, topic):
+    """Indices of the subscriptions ``publish(topic)`` reaches."""
+    bus = EventBus()
+    hits = []
+    for index, pattern in enumerate(patterns):
+        bus.subscribe(pattern, lambda t, p, index=index: hits.append(index))
+    assert bus.publish(topic) == len(hits)
+    assert bus.subscriber_count(topic) == len(hits)
+    return hits
 
 
 class TestEventBus:
@@ -63,6 +85,31 @@ class TestEventBus:
         assert received == ["outer"]
         bus.publish("t")
         assert received.count("inner") == 1
+
+    def test_literal_and_glob_patterns_deliver_as_fnmatchcase(self):
+        patterns = (
+            "radio.*", "gps.fi?", "[gr]ps.fix", "gps.fix", "radio.sms.sent",
+            "gps.fix[", "[!g]ps.fix", "*", "radio",
+        )
+        for topic in TOPICS:
+            expected = [
+                index
+                for index, pattern in enumerate(patterns)
+                if fnmatch.fnmatchcase(topic, pattern)
+            ]
+            assert _delivered(patterns, topic) == expected, topic
+
+    @given(
+        patterns=st.lists(st.text(alphabet="ab.*?[]!", max_size=6), max_size=4),
+        topic=st.text(alphabet="ab.*?[]!", max_size=6),
+    )
+    def test_matching_agrees_with_fnmatchcase(self, patterns, topic):
+        expected = [
+            index
+            for index, pattern in enumerate(patterns)
+            if fnmatch.fnmatchcase(topic, pattern)
+        ]
+        assert _delivered(patterns, topic) == expected
 
     def test_published_topics_log(self, bus):
         bus.publish("a")

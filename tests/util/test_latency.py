@@ -15,13 +15,6 @@ class TestLatencyModel:
         model = LatencyModel(default_ms=3.0)
         assert model.draw("anything") == 3.0
 
-    def test_history_records_samples(self):
-        model = LatencyModel(mean_ms={"a": 1.0, "b": 2.0})
-        model.draw("a")
-        model.draw("b")
-        assert [s.operation for s in model.history] == ["a", "b"]
-        assert [s.latency_ms for s in model.history] == [1.0, 2.0]
-
     def test_jitter_varies_but_stays_positive(self):
         model = LatencyModel(mean_ms={"op": 100.0}, jitter_fraction=0.5, seed=1)
         draws = [model.draw("op") for _ in range(200)]
