@@ -10,16 +10,16 @@ import pytest
 from repro.core.descriptor.registry import ProxyRegistry
 from repro.core.descriptor.schema import validate_descriptor_xml
 from repro.core.descriptor.xml_io import descriptor_from_xml, descriptor_to_xml
-from repro.core.proxies.location.descriptor import build_location_descriptor
+from repro.core.proxies.factory import SHIPPED_DESCRIPTOR_FILES, descriptors_dir
 
 
 @pytest.fixture(scope="module")
 def location_xml():
-    return descriptor_to_xml(build_location_descriptor())
+    return (descriptors_dir() / "location.xml").read_text()
 
 
-def test_serialize(benchmark):
-    descriptor = build_location_descriptor()
+def test_serialize(benchmark, location_xml):
+    descriptor = descriptor_from_xml(location_xml)
     benchmark(lambda: descriptor_to_xml(descriptor))
 
 
@@ -33,20 +33,10 @@ def test_schema_validate(benchmark, location_xml):
 
 
 def test_full_registry_load(benchmark):
-    """Parse + validate + register all four shipped proxies from XML."""
-    from repro.core.proxies.location.descriptor import build_location_descriptor
-    from repro.core.proxies.sms.descriptor import build_sms_descriptor
-    from repro.core.proxies.call.descriptor import build_call_descriptor
-    from repro.core.proxies.http.descriptor import build_http_descriptor
-
+    """Parse + validate + register all six shipped proxies from XML."""
     documents = [
-        descriptor_to_xml(build())
-        for build in (
-            build_location_descriptor,
-            build_sms_descriptor,
-            build_call_descriptor,
-            build_http_descriptor,
-        )
+        (descriptors_dir() / file_name).read_text()
+        for file_name in SHIPPED_DESCRIPTOR_FILES
     ]
 
     def load():
@@ -56,4 +46,4 @@ def test_full_registry_load(benchmark):
         return registry
 
     registry = benchmark(load)
-    assert len(registry) == 4
+    assert len(registry) == 6

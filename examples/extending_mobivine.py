@@ -23,9 +23,8 @@ from repro.core.descriptor.model import (
 from repro.core.descriptor.registry import ProxyRegistry
 from repro.core.plugin.drawer import ProxyDrawer
 from repro.core.proxies import create_proxy
-from repro.core.proxies.factory import register_implementation
+from repro.core.proxies.factory import descriptors_dir, register_implementation
 from repro.core.proxies.http.api import HttpProxy
-from repro.core.proxies.http.descriptor import build_http_descriptor
 from repro.core.proxy.datatypes import HttpResult
 from repro.device.device import MobileDevice
 from repro.device.network import HttpRequest, HttpResponse
@@ -107,7 +106,7 @@ def demo_new_platform():
     print(f"  platforms after : {known_platforms()}")
 
     registry = ProxyRegistry()
-    registry.register(build_http_descriptor())  # existing planes, reused
+    registry.register_xml((descriptors_dir() / "http.xml").read_text())  # existing planes
     registry.add_binding(
         "Http",
         BindingPlane(

@@ -1,13 +1,10 @@
-"""Static code metrics over Python sources, plus runtime resilience
-aggregation.
+"""Static code metrics over Python sources.
 
-The static half quantifies the paper's *complexity* argument: the
-with-proxy application is smaller (LoC), touches a narrower platform API
-surface, and concentrates its business logic rather than scattering it
-across callback plumbing.  The runtime half (:func:`resilience_report`,
-:func:`fault_report`, :func:`chaos_summary`) aggregates the counters the
-fault-injection plane and the per-proxy resilience runtimes accumulate
-during a chaos run.
+They quantify the paper's *complexity* argument: the with-proxy
+application is smaller (LoC), touches a narrower platform API surface,
+and concentrates its business logic rather than scattering it across
+callback plumbing.  The runtime aggregation of a chaos run's counters
+lives in :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
@@ -217,58 +214,13 @@ def measure(obj_or_source, platform: str) -> CodeMetrics:
     )
 
 
-# ---------------------------------------------------------------------------
-# Runtime resilience / fault-plane aggregation
-# ---------------------------------------------------------------------------
-# Since the observability plane landed, the runtime aggregation helpers
-# are rebuilt on top of the per-device MetricsRegistry and live in
-# repro.obs.report; they are re-exported here with unchanged public
-# signatures so existing chaos tests and drivers keep importing from
-# analysis.metrics.
-
-from repro.obs.report import (  # noqa: E402  (re-export, signature-stable)
-    breaker_report,
-    chaos_summary,
-    fault_report,
-    resilience_report,
-)
-
-# The trace-analytics surface (per-layer overhead profiles, the SLO
-# engine and the perf-regression gate) lives in repro.obs.analyze; the
-# analysis package re-exports it so notebooks and drivers can keep a
-# single import root for every measurement tool.
-from repro.obs.analyze import (  # noqa: E402  (re-export)
-    OverheadProfile,
-    ProfileDiff,
-    SloEngine,
-    SloSpec,
-    collapsed_stacks,
-    diff_profiles,
-    load_profile,
-    render_profile_text,
-    top_spans_text,
-)
-
 __all__ = [
     "CodeMetrics",
     "PLATFORM_MARKERS",
     "CALLBACK_ENTRY_POINTS",
-    "OverheadProfile",
-    "ProfileDiff",
-    "SloEngine",
-    "SloSpec",
-    "breaker_report",
-    "chaos_summary",
-    "collapsed_stacks",
     "count_loc",
     "cyclomatic_complexity",
-    "diff_profiles",
-    "fault_report",
-    "load_profile",
     "measure",
     "platform_api_surface",
-    "render_profile_text",
-    "resilience_report",
     "source_of",
-    "top_spans_text",
 ]

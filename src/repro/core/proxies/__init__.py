@@ -1,13 +1,15 @@
-"""Concrete M-Proxies: Location, SMS, Call, HTTP.
+"""Concrete M-Proxies: Location, SMS, Call, HTTP, Contacts, Calendar.
 
-Each proxy subpackage ships:
+Each proxy's three-plane descriptor is an XML document in
+``descriptors/`` (``location.xml``, ``sms.xml``, ...), the only copy of
+it; :func:`standard_registry` loads and schema-validates them.  Each
+proxy subpackage ships:
 
-* ``descriptor`` — a builder for the proxy's three-plane descriptor;
 * ``api`` — the uniform interface applications program against;
 * one binding module per platform (``android``, ``s60``, ``webview``),
-  registered in the implementation-class table so the factory can
-  instantiate them from the binding plane's ``implementation_class``
-  string.
+  registered in the implementation-class table under the Java-style
+  name its descriptor's ``<class>`` element gives, so the factory can
+  instantiate it from the binding plane's ``implementation_class``.
 
 ``create_proxy`` is the application-facing entry point:
 

@@ -2,6 +2,5 @@
 ("calendaring and contact list information")."""
 
 from repro.core.proxies.calendar.api import CalendarProxy
-from repro.core.proxies.calendar.descriptor import build_calendar_descriptor
 
-__all__ = ["CalendarProxy", "build_calendar_descriptor"]
+__all__ = ["CalendarProxy"]

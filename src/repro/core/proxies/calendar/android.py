@@ -6,7 +6,6 @@ from typing import List
 
 from repro.core.proxies.android_common import AndroidBinding
 from repro.core.proxies.calendar.api import CalendarProxy, overlapping
-from repro.core.proxies.calendar.descriptor import ANDROID_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import CalendarEvent
 from repro.errors import ProxyInvalidArgumentError
@@ -89,4 +88,6 @@ class AndroidCalendarProxyImpl(AndroidBinding, CalendarProxy):
         )
 
 
-register_implementation(ANDROID_IMPL, AndroidCalendarProxyImpl)
+register_implementation(
+    "com.ibm.proxies.android.calendar.CalendarProxyImpl", AndroidCalendarProxyImpl
+)

@@ -6,7 +6,6 @@ from typing import List
 
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.calendar.api import CalendarProxy, overlapping
-from repro.core.proxies.calendar.descriptor import S60_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import CalendarEvent
 from repro.errors import ProxyInvalidArgumentError
@@ -97,4 +96,4 @@ class S60CalendarProxyImpl(CalendarProxy):
         self._call("removeEvent", attempt, eventId=event_id)
 
 
-register_implementation(S60_IMPL, S60CalendarProxyImpl)
+register_implementation("com.ibm.S60.calendar.CalendarProxy", S60CalendarProxyImpl)

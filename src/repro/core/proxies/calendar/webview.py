@@ -6,7 +6,6 @@ from typing import Dict, List
 
 from repro.core.proxies.calendar.android import AndroidCalendarProxyImpl
 from repro.core.proxies.calendar.api import CalendarProxy
-from repro.core.proxies.calendar.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.webview_common import (
     JavaWrapper,
@@ -150,4 +149,6 @@ class CalendarProxyJs(JsProxy, CalendarProxy):
         )
 
 
-register_implementation(WEBVIEW_IMPL, CalendarProxyJs)
+register_implementation(
+    "com.ibm.proxies.webview.calendar.CalendarProxyJs", CalendarProxyJs
+)

@@ -7,6 +7,5 @@ raises :class:`~repro.errors.ProxyUnavailableError`.
 """
 
 from repro.core.proxies.call.api import CallProxy
-from repro.core.proxies.call.descriptor import build_call_descriptor
 
-__all__ = ["CallProxy", "build_call_descriptor"]
+__all__ = ["CallProxy"]

@@ -7,7 +7,6 @@ from typing import Dict, Optional
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.android_common import AndroidBinding
 from repro.core.proxies.call.api import CallProxy, UniformCallCallback, as_call_listener
-from repro.core.proxies.call.descriptor import ANDROID_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import CallHandle, CallOutcome
 from repro.device.telephony import CallSession, CallState
@@ -83,4 +82,6 @@ class AndroidCallProxyImpl(AndroidBinding, CallProxy):
         self._call("endCall", attempt)
 
 
-register_implementation(ANDROID_IMPL, AndroidCallProxyImpl)
+register_implementation(
+    "com.ibm.proxies.android.call.CallProxyImpl", AndroidCallProxyImpl
+)

@@ -6,7 +6,6 @@ from typing import Dict, Optional
 
 from repro.core.proxies.call.android import AndroidCallProxyImpl
 from repro.core.proxies.call.api import CallProxy, UniformCallCallback, as_call_listener
-from repro.core.proxies.call.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.webview_common import (
     JavaWrapper,
@@ -178,4 +177,4 @@ class CallProxyJs(JsProxy, CallProxy):
             handler.stop_polling()
 
 
-register_implementation(WEBVIEW_IMPL, CallProxyJs)
+register_implementation("com.ibm.proxies.webview.call.CallProxyJs", CallProxyJs)

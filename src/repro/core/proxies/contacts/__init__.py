@@ -8,6 +8,5 @@ bridge all flatten onto one uniform API.
 """
 
 from repro.core.proxies.contacts.api import ContactsProxy
-from repro.core.proxies.contacts.descriptor import build_contacts_descriptor
 
-__all__ = ["ContactsProxy", "build_contacts_descriptor"]
+__all__ = ["ContactsProxy"]

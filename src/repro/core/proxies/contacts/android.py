@@ -6,7 +6,6 @@ from typing import List
 
 from repro.core.proxies.android_common import AndroidBinding
 from repro.core.proxies.contacts.api import ContactsProxy
-from repro.core.proxies.contacts.descriptor import ANDROID_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import Contact
 from repro.platforms.android.contacts import (
@@ -74,4 +73,6 @@ class AndroidContactsProxyImpl(AndroidBinding, ContactsProxy):
         )
 
 
-register_implementation(ANDROID_IMPL, AndroidContactsProxyImpl)
+register_implementation(
+    "com.ibm.proxies.android.contacts.ContactsProxyImpl", AndroidContactsProxyImpl
+)

@@ -6,7 +6,6 @@ from typing import List, Optional
 
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.contacts.api import ContactsProxy
-from repro.core.proxies.contacts.descriptor import S60_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxy.datatypes import Contact as UniformContact
 from repro.platforms.s60.pim import Contact, ContactItem, PimStatics
@@ -88,4 +87,4 @@ class S60ContactsProxyImpl(ContactsProxy):
         self._call("removeContact", attempt, contactId=contact_id)
 
 
-register_implementation(S60_IMPL, S60ContactsProxyImpl)
+register_implementation("com.ibm.S60.contacts.ContactsProxy", S60ContactsProxyImpl)

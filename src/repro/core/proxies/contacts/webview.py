@@ -10,7 +10,6 @@ from typing import Dict, List
 
 from repro.core.proxies.contacts.android import AndroidContactsProxyImpl
 from repro.core.proxies.contacts.api import ContactsProxy
-from repro.core.proxies.contacts.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.webview_common import (
     JavaWrapper,
@@ -145,4 +144,6 @@ class ContactsProxyJs(JsProxy, ContactsProxy):
         )
 
 
-register_implementation(WEBVIEW_IMPL, ContactsProxyJs)
+register_implementation(
+    "com.ibm.proxies.webview.contacts.ContactsProxyJs", ContactsProxyJs
+)

@@ -63,9 +63,9 @@ def standard_registry() -> ProxyRegistry:
     """The registry holding the shipped proxies (built once).
 
     Descriptors load from the packaged XML documents in
-    ``repro/core/proxies/descriptors/`` — the descriptors really are data,
-    schema-validated on load.  A test asserts the files stay in sync with
-    the Python builders that generate them.
+    ``repro/core/proxies/descriptors/``, the only source of each
+    descriptor: the descriptors really are data, schema-validated on
+    load.
     """
     global _STANDARD_REGISTRY
     if _STANDARD_REGISTRY is None:

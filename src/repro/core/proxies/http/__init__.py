@@ -1,6 +1,5 @@
 """The HTTP M-Proxy: uniform request/response over three native stacks."""
 
 from repro.core.proxies.http.api import HttpProxy
-from repro.core.proxies.http.descriptor import build_http_descriptor
 
-__all__ = ["HttpProxy", "build_http_descriptor"]
+__all__ = ["HttpProxy"]

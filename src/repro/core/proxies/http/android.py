@@ -10,7 +10,6 @@ from repro.core.proxies.http.api import (
     as_response_listener,
     degraded_response,
 )
-from repro.core.proxies.http.descriptor import ANDROID_IMPL
 from repro.core.proxy.datatypes import HttpResult
 from repro.device.network import HttpRequest
 from repro.platforms.android.http import INTERNET, HttpGet, HttpPost
@@ -80,4 +79,6 @@ class AndroidHttpProxyImpl(AndroidBinding, HttpProxy):
         self._call("getAsync", attempt, url=url)
 
 
-register_implementation(ANDROID_IMPL, AndroidHttpProxyImpl)
+register_implementation(
+    "com.ibm.proxies.android.http.HttpProxyImpl", AndroidHttpProxyImpl
+)

@@ -12,7 +12,6 @@ from repro.core.proxies.http.api import (
     as_response_listener,
     degraded_response,
 )
-from repro.core.proxies.http.descriptor import S60_IMPL
 from repro.core.proxy.datatypes import HttpResult
 from repro.device.network import HttpRequest
 from repro.errors import ProxyInvalidArgumentError
@@ -102,4 +101,4 @@ class S60HttpProxyImpl(HttpProxy):
         self._call("getAsync", attempt, url=url)
 
 
-register_implementation(S60_IMPL, S60HttpProxyImpl)
+register_implementation("com.ibm.S60.http.HttpProxy", S60HttpProxyImpl)

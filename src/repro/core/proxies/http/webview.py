@@ -19,7 +19,6 @@ from repro.core.proxies.http.api import (
     as_response_listener,
     degraded_response,
 )
-from repro.core.proxies.http.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.webview_common import (
     JavaWrapper,
     JsProxy,
@@ -165,4 +164,4 @@ class HttpProxyJs(JsProxy, HttpProxy):
         handler.start_polling()
 
 
-register_implementation(WEBVIEW_IMPL, HttpProxyJs)
+register_implementation("com.ibm.proxies.webview.http.HttpProxyJs", HttpProxyJs)

@@ -18,7 +18,6 @@ from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.android_common import AndroidBinding
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.location.api import NO_EXPIRATION, LocationProxy
-from repro.core.proxies.location.descriptor import ANDROID_IMPL
 from repro.core.proxy.callbacks import ProximityListener
 from repro.core.proxy.datatypes import Location
 from repro.core.resilience import LAST_RESULT
@@ -173,4 +172,6 @@ class AndroidLocationProxyImpl(AndroidBinding, LocationProxy):
         return self._call("getLocation", attempt, fallback=LAST_RESULT)
 
 
-register_implementation(ANDROID_IMPL, AndroidLocationProxyImpl)
+register_implementation(
+    "com.ibm.proxies.android.location.LocationProxyImpl", AndroidLocationProxyImpl
+)

@@ -25,7 +25,6 @@ from typing import Dict, Optional
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.location.api import NO_EXPIRATION, LocationProxy
-from repro.core.proxies.location.descriptor import S60_IMPL
 from repro.core.proxy.callbacks import ProximityListener
 from repro.core.proxy.datatypes import Location
 from repro.core.resilience import LAST_RESULT
@@ -264,4 +263,4 @@ class S60LocationProxyImpl(LocationProxy):
         self._machines.pop(id(machine.listener), None)
 
 
-register_implementation(S60_IMPL, S60LocationProxyImpl)
+register_implementation("com.ibm.S60.location.LocationProxy", S60LocationProxyImpl)

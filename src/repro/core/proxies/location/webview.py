@@ -28,7 +28,6 @@ from typing import Callable, Dict, Tuple, Union
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.location.android import AndroidLocationProxyImpl
 from repro.core.proxies.location.api import LocationProxy
-from repro.core.proxies.location.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.webview_common import (
     JavaWrapper,
     JsProxy,
@@ -275,4 +274,6 @@ class LocationProxyJs(JsProxy, LocationProxy):
         return FunctionProximityListener(callback)
 
 
-register_implementation(WEBVIEW_IMPL, LocationProxyJs)
+register_implementation(
+    "com.ibm.proxies.webview.location.LocationProxyJs", LocationProxyJs
+)

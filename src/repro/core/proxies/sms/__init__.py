@@ -1,6 +1,5 @@
 """The SMS M-Proxy: uniform text messaging with status callbacks."""
 
 from repro.core.proxies.sms.api import SmsProxy
-from repro.core.proxies.sms.descriptor import build_sms_descriptor
 
-__all__ = ["SmsProxy", "build_sms_descriptor"]
+__all__ = ["SmsProxy"]

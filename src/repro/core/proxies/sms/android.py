@@ -13,8 +13,8 @@ from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.android_common import AndroidBinding
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.sms.api import SmsProxy, UniformSmsCallback, as_status_listener
-from repro.core.proxies.sms.descriptor import ANDROID_IMPL
 from repro.core.proxy.callbacks import SmsStatusListener
+from repro.core.resilience import UNHANDLED
 from repro.errors import ProxyError
 from repro.platforms.android.context import Context
 from repro.platforms.android.intents import Intent, IntentFilter, IntentReceiver, PendingIntent
@@ -116,11 +116,26 @@ class AndroidSmsProxyImpl(AndroidBinding, SmsProxy):
                 delivery_intent=delivery_intent,
             )
 
+        def release_receivers() -> None:
+            for receiver in receivers:
+                self.get_property("context").unregister_receiver(receiver)
+
         # Resilience: a transiently-refused submission can be parked on
         # the redelivery queue (attached by the factory when configured);
         # the degraded return is the queue entry's id.
         queue = getattr(self, "redelivery_queue", None)
-        fallback = queue.fallback_for(destination, text) if queue else None
+        fallback = None
+        if queue is not None:
+            enqueue = queue.fallback_for(destination, text)
+
+            def fallback(error: ProxyError):
+                queue_id = enqueue(error)
+                if queue_id is not UNHANDLED:
+                    # The queue re-sends without a listener, so no
+                    # broadcast will reach this call's receivers.
+                    release_receivers()
+                return queue_id
+
         try:
             return self._call(
                 "sendTextMessage",
@@ -131,9 +146,8 @@ class AndroidSmsProxyImpl(AndroidBinding, SmsProxy):
             )
         except ProxyError:
             # No broadcast will ever reach a failed send's receivers.
-            for receiver in receivers:
-                self.get_property("context").unregister_receiver(receiver)
+            release_receivers()
             raise
 
 
-register_implementation(ANDROID_IMPL, AndroidSmsProxyImpl)
+register_implementation("com.ibm.proxies.android.sms.SmsProxyImpl", AndroidSmsProxyImpl)

@@ -15,7 +15,6 @@ from typing import Optional
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.sms.api import SmsProxy, UniformSmsCallback, as_status_listener
-from repro.core.proxies.sms.descriptor import S60_IMPL
 from repro.platforms.s60.platform import S60Platform
 from repro.util.identifiers import IdGenerator
 
@@ -63,4 +62,4 @@ class S60SmsProxyImpl(SmsProxy):
         return result
 
 
-register_implementation(S60_IMPL, S60SmsProxyImpl)
+register_implementation("com.ibm.S60.sms.SmsProxy", S60SmsProxyImpl)

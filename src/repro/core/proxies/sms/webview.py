@@ -14,7 +14,6 @@ from typing import Dict, Optional
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.sms.android import AndroidSmsProxyImpl
 from repro.core.proxies.sms.api import SmsProxy, UniformSmsCallback, as_status_listener
-from repro.core.proxies.sms.descriptor import WEBVIEW_IMPL
 from repro.core.proxies.webview_common import (
     JavaWrapper,
     JsProxy,
@@ -161,4 +160,4 @@ class SmsProxyJs(JsProxy, SmsProxy):
             handler.stop_polling()
 
 
-register_implementation(WEBVIEW_IMPL, SmsProxyJs)
+register_implementation("com.ibm.proxies.webview.sms.SmsProxyJs", SmsProxyJs)

@@ -109,7 +109,7 @@ STAT_FIELDS = (
 
 
 class ResilienceStats:
-    """Counters one runtime accumulates (exposed via analysis.metrics).
+    """Counters one runtime accumulates (reported via repro.obs.report).
 
     Since the observability plane landed these are a *view* over
     ``resilience.<field>{runtime=<label>}`` series in a

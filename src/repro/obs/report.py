@@ -4,8 +4,7 @@ The aggregation helpers the chaos suite consumes
 (:func:`resilience_report`, :func:`fault_report`, :func:`breaker_report`,
 :func:`chaos_summary`) live here, rebuilt on top of the
 :class:`~repro.obs.metrics.MetricsRegistry` series the resilience
-runtimes and the fault injector populate.  ``repro.analysis.metrics``
-re-exports them with unchanged public signatures.
+runtimes and the fault injector populate.
 
 Every helper is guarded for empty/zero-sample runs: no proxies, no
 runtimes, no injector and no faults all yield well-formed zeroed

@@ -10,7 +10,6 @@ uniform errors that escaped to the app surface.
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.analysis.metrics import chaos_summary
 from repro.apps.workforce import scenario
 from repro.apps.workforce.proxied import (
     WorkforceLogic,
@@ -22,6 +21,7 @@ from repro.core.plugin.packaging import WebViewPlatformExtension
 from repro.core.resilience import chaos_policy
 from repro.errors import ProxyError
 from repro.faults import FaultPlan
+from repro.obs.report import chaos_summary
 
 #: Long enough for the full away -> site -> away -> site commute.
 RUN_MS = 200_000.0

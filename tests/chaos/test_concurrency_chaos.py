@@ -15,7 +15,6 @@ checks the two planes compose:
 
 import pytest
 
-from repro.analysis.metrics import chaos_summary
 from repro.apps.workforce import scenario
 from repro.apps.workforce.common import PATH_REPORT_LOCATION, SERVER_HOST, encode
 from repro.apps.workforce.proxied import launch_on_android
@@ -23,6 +22,7 @@ from repro.core.resilience import BreakerState, chaos_policy
 from repro.errors import ProxyError, ProxyOverloadError
 from repro.faults import FaultPlan
 from repro.obs import Observability
+from repro.obs.report import chaos_summary
 from repro.runtime import ConcurrencyRuntime
 
 from tests.chaos.drivers import WARMUP_MS, transient_plan

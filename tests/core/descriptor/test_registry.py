@@ -4,25 +4,32 @@ import pytest
 
 from repro.core.descriptor.model import BindingPlane
 from repro.core.descriptor.registry import ProxyRegistry
-from repro.core.descriptor.xml_io import descriptor_to_xml
+from repro.core.descriptor.xml_io import descriptor_from_xml
 from repro.core.proxies import standard_registry
-from repro.core.proxies.call.descriptor import build_call_descriptor
-from repro.core.proxies.location.descriptor import build_location_descriptor
+from repro.core.proxies.factory import descriptors_dir
 from repro.errors import DescriptorError, RegistryError
+
+
+def _shipped_xml(interface):
+    return (descriptors_dir() / f"{interface}.xml").read_text()
+
+
+def _shipped(interface):
+    return descriptor_from_xml(_shipped_xml(interface))
 
 
 class TestRegistration:
     def test_register_and_lookup(self):
         registry = ProxyRegistry()
-        registry.register(build_location_descriptor())
+        registry.register(_shipped("location"))
         assert "Location" in registry
         assert registry.descriptor("Location").interface == "Location"
 
     def test_duplicate_rejected(self):
         registry = ProxyRegistry()
-        registry.register(build_location_descriptor())
+        registry.register(_shipped("location"))
         with pytest.raises(RegistryError):
-            registry.register(build_location_descriptor())
+            registry.register(_shipped("location"))
 
     def test_register_xml_validates_schema(self):
         registry = ProxyRegistry()
@@ -33,7 +40,7 @@ class TestRegistration:
 
     def test_register_xml_happy_path(self):
         registry = ProxyRegistry()
-        registry.register_xml(descriptor_to_xml(build_location_descriptor()))
+        registry.register_xml(_shipped_xml("location"))
         assert len(registry) == 1
 
     def test_unknown_interface(self):
@@ -45,20 +52,20 @@ class TestRegistration:
 class TestBindingLookup:
     def test_binding_for_platform(self):
         registry = ProxyRegistry()
-        registry.register(build_location_descriptor())
+        registry.register(_shipped("location"))
         binding = registry.binding("Location", "s60")
         assert binding.implementation_class == "com.ibm.S60.location.LocationProxy"
 
     def test_missing_binding_names_alternatives(self):
         registry = ProxyRegistry()
-        registry.register(build_call_descriptor())
+        registry.register(_shipped("call"))
         with pytest.raises(RegistryError, match="android"):
             registry.binding("Call", "s60")
 
     def test_interfaces_for_platform(self):
         registry = ProxyRegistry()
-        registry.register(build_location_descriptor())
-        registry.register(build_call_descriptor())
+        registry.register(_shipped("location"))
+        registry.register(_shipped("call"))
         assert registry.interfaces_for_platform("s60") == ["Location"]
         assert registry.interfaces_for_platform("android") == ["Call", "Location"]
 
@@ -68,7 +75,7 @@ class TestExtension:
         """The paper's extension story: semantic/syntactic planes are
         reused, a new platform adds just its binding artifacts."""
         registry = ProxyRegistry()
-        descriptor = build_call_descriptor()
+        descriptor = _shipped("call")
         registry.register(descriptor)
         # Pretend a vendor ships an S60 binding later (the platform gained
         # a call API): only a BindingPlane is published.

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.core.descriptor.schema import validate_descriptor_xml
-from repro.core.descriptor.xml_io import descriptor_to_xml
-from repro.core.proxies.location.descriptor import build_location_descriptor
+from repro.core.proxies.factory import descriptors_dir
 from repro.errors import DescriptorError
 
 
 def _valid_xml():
-    return descriptor_to_xml(build_location_descriptor())
+    return (descriptors_dir() / "location.xml").read_text()
 
 
 class TestValidDocuments:

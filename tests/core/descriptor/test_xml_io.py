@@ -17,29 +17,14 @@ from repro.core.descriptor.model import (
     TypeBinding,
 )
 from repro.core.descriptor.xml_io import descriptor_from_xml, descriptor_to_xml
-from repro.core.proxies.location.descriptor import build_location_descriptor
-from repro.core.proxies.sms.descriptor import build_sms_descriptor
-from repro.core.proxies.call.descriptor import build_call_descriptor
-from repro.core.proxies.http.descriptor import build_http_descriptor
-from repro.core.proxies.contacts.descriptor import build_contacts_descriptor
-from repro.core.proxies.calendar.descriptor import build_calendar_descriptor
+from repro.core.proxies.factory import SHIPPED_DESCRIPTOR_FILES, descriptors_dir
 from repro.errors import DescriptorError
 
 
-ALL_BUILDERS = [
-    build_location_descriptor,
-    build_sms_descriptor,
-    build_call_descriptor,
-    build_http_descriptor,
-    build_contacts_descriptor,
-    build_calendar_descriptor,
-]
-
-
-@pytest.mark.parametrize("build", ALL_BUILDERS)
-def test_shipped_descriptors_round_trip(build):
+@pytest.mark.parametrize("file_name", SHIPPED_DESCRIPTOR_FILES)
+def test_shipped_descriptors_round_trip(file_name):
     """Every shipped descriptor survives XML serialize → parse intact."""
-    original = build()
+    original = descriptor_from_xml((descriptors_dir() / file_name).read_text())
     xml_text = descriptor_to_xml(original)
     parsed = descriptor_from_xml(xml_text)
     assert parsed.interface == original.interface
@@ -49,7 +34,8 @@ def test_shipped_descriptors_round_trip(build):
 
 
 def test_round_trip_is_fixed_point():
-    xml_once = descriptor_to_xml(build_location_descriptor())
+    location = descriptor_from_xml((descriptors_dir() / "location.xml").read_text())
+    xml_once = descriptor_to_xml(location)
     xml_twice = descriptor_to_xml(descriptor_from_xml(xml_once))
     assert xml_once == xml_twice
 

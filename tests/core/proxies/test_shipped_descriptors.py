@@ -1,4 +1,9 @@
-"""The packaged descriptor XML documents are the artifacts of record."""
+"""The packaged descriptor XML documents are the only copy of each descriptor.
+
+``standard_registry()`` loads them; nothing regenerates them.  Each file
+must therefore be schema-valid and in the serializer's canonical form,
+so a hand edit keeps the exact layout ``descriptor_to_xml`` writes.
+"""
 
 import pytest
 
@@ -9,21 +14,6 @@ from repro.core.proxies.factory import (
     descriptors_dir,
     standard_registry,
 )
-
-BUILDERS = {
-    "location.xml": "repro.core.proxies.location.descriptor.build_location_descriptor",
-    "sms.xml": "repro.core.proxies.sms.descriptor.build_sms_descriptor",
-    "call.xml": "repro.core.proxies.call.descriptor.build_call_descriptor",
-    "http.xml": "repro.core.proxies.http.descriptor.build_http_descriptor",
-    "contacts.xml": "repro.core.proxies.contacts.descriptor.build_contacts_descriptor",
-    "calendar.xml": "repro.core.proxies.calendar.descriptor.build_calendar_descriptor",
-}
-
-
-def _builder(path):
-    module_path, __, name = BUILDERS[path].rpartition(".")
-    module = __import__(module_path, fromlist=[name])
-    return getattr(module, name)
 
 
 class TestShippedFiles:
@@ -37,22 +27,10 @@ class TestShippedFiles:
         assert validate_descriptor_xml(text) == []
 
     @pytest.mark.parametrize("file_name", SHIPPED_DESCRIPTOR_FILES)
-    def test_file_matches_builder(self, file_name):
-        """The XML on disk is exactly what the builder generates.
-
-        Regenerate after editing a builder:
-        ``descriptor_to_xml(build_*())`` → the file.
-        """
-        on_disk = (descriptors_dir() / file_name).read_text()
-        assert on_disk == descriptor_to_xml(_builder(file_name)())
-
-    @pytest.mark.parametrize("file_name", SHIPPED_DESCRIPTOR_FILES)
-    def test_file_parses_to_builder_equivalent(self, file_name):
-        parsed = descriptor_from_xml((descriptors_dir() / file_name).read_text())
-        built = _builder(file_name)()
-        assert parsed.semantic == built.semantic
-        assert parsed.syntactic == built.syntactic
-        assert parsed.bindings == built.bindings
+    def test_file_is_canonical(self, file_name):
+        """Parsing the file and serializing it back gives the same bytes."""
+        text = (descriptors_dir() / file_name).read_text()
+        assert descriptor_to_xml(descriptor_from_xml(text)) == text
 
     def test_registry_loads_from_files(self):
         registry = standard_registry()

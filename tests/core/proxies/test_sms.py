@@ -12,6 +12,7 @@ from repro.errors import (
     ProxyPermissionError,
     ProxyPropertyError,
 )
+from repro.faults import FaultPlan, FaultRule
 
 
 class Recorder(SmsStatusListener):
@@ -191,4 +192,24 @@ class TestReceiverLifecycle:
         before = registry.registered_count()
         with pytest.raises(ProxyPermissionError):
             proxy.send_text_message("+2", "hi", Recorder())
+        assert registry.registered_count() == before
+
+    def test_redelivery_fallback_leaks_no_receivers(self):
+        """A send served by the redelivery queue releases its receivers.
+
+        The queue re-sends without a listener, so no broadcast ever
+        reaches the receivers the first call registered.
+        """
+        unreachable = FaultRule("sms.submit", "carrier_unreachable", 1.0)
+        sc = scenario.build_android(fault_plan=FaultPlan(seed=1, rules=(unreachable,)))
+        proxy = create_proxy("Sms", sc.platform, resilience=chaos_policy("Sms"))
+        proxy.set_property("context", sc.new_context())
+        registry = sc.platform.broadcast_registry
+        before = registry.registered_count()
+        assert proxy.send_text_message("+2", "hi", Recorder()) == "queued-sms-1"
+        assert registry.registered_count() == before
+        sc.platform.run_for(60_000.0)
+        assert [entry.queue_id for entry in proxy.redelivery_queue.abandoned] == [
+            "queued-sms-3"
+        ]
         assert registry.registered_count() == before

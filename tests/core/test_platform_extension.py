@@ -22,13 +22,14 @@ from repro.core.descriptor.model import (
     platform_language,
 )
 from repro.core.descriptor.registry import ProxyRegistry
+from repro.core.descriptor.xml_io import descriptor_from_xml
 from repro.core.plugin.drawer import ProxyDrawer
 from repro.core.proxies.factory import (
     create_proxy,
+    descriptors_dir,
     register_implementation,
 )
 from repro.core.proxies.http.api import HttpProxy
-from repro.core.proxies.http.descriptor import build_http_descriptor
 from repro.core.proxy.datatypes import HttpResult
 from repro.device.device import MobileDevice
 from repro.device.network import HttpRequest, HttpResponse, NetworkError
@@ -36,6 +37,11 @@ from repro.errors import DescriptorError
 from repro.platforms.base import PlatformBase
 
 BREW_IMPL = "com.vendor.brew.http.HttpProxyImpl"
+
+
+def _http_xml():
+    """The shipped Http descriptor, whose planes the new platform reuses."""
+    return (descriptors_dir() / "http.xml").read_text()
 
 
 class BrewIOError(Exception):
@@ -132,7 +138,7 @@ class TestVocabulary:
 class TestBindingOnlyExtension:
     def test_add_binding_reuses_existing_planes(self):
         registry = ProxyRegistry()
-        registry.register(build_http_descriptor())
+        registry.register_xml(_http_xml())
         registry.add_binding("Http", _brew_binding())
         descriptor = registry.descriptor("Http")
         # semantic + syntactic untouched, one binding added
@@ -141,7 +147,7 @@ class TestBindingOnlyExtension:
 
     def test_drawer_immediately_shows_the_proxy(self):
         registry = ProxyRegistry()
-        registry.register(build_http_descriptor())
+        registry.register_xml(_http_xml())
         registry.add_binding("Http", _brew_binding())
         drawer = ProxyDrawer(registry, "brew")
         assert drawer.categories() == ["Http"]
@@ -150,13 +156,13 @@ class TestBindingOnlyExtension:
         from repro.core.descriptor.schema import validate_descriptor_xml
         from repro.core.descriptor.xml_io import descriptor_to_xml
 
-        descriptor = build_http_descriptor()
+        descriptor = descriptor_from_xml(_http_xml())
         descriptor.add_binding(_brew_binding())
         assert validate_descriptor_xml(descriptor_to_xml(descriptor)) == []
 
     def test_uniform_proxy_works_on_the_new_platform(self):
         registry = ProxyRegistry()
-        registry.register(build_http_descriptor())
+        registry.register_xml(_http_xml())
         registry.add_binding("Http", _brew_binding())
         device = MobileDevice("+1")
         platform = BrewPlatform(device)
@@ -170,7 +176,7 @@ class TestBindingOnlyExtension:
         from repro.errors import ProxyPlatformError
 
         registry = ProxyRegistry()
-        registry.register(build_http_descriptor())
+        registry.register_xml(_http_xml())
         registry.add_binding("Http", _brew_binding())
         device = MobileDevice("+1")
         platform = BrewPlatform(device)

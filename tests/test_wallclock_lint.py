@@ -26,59 +26,6 @@ ALLOWLIST = frozenset(
     }
 )
 
-#: New concurrency-observability modules must stay in lint scope and off
-#: the allowlist: they are pure virtual-time analysis/capture code, so a
-#: wall-clock read in any of them is always a bug.
-CONCURRENCY_OBS_MODULES = (
-    "obs/timeline.py",
-    "obs/timeseries.py",
-    "obs/flight.py",
-    "obs/analyze/critical_path.py",
-    "obs/analyze/causal.py",
-)
-
-#: The distributed tier is pure virtual-time simulation — replication
-#: delay, gossip intervals and cache staleness all ride the scheduler —
-#: so a wall-clock read in any of its modules is always a bug.
-DISTRIB_MODULES = (
-    "distrib/replication.py",
-    "distrib/cache.py",
-    "distrib/idempotency.py",
-    "distrib/saga.py",
-    "distrib/notifications.py",
-    "distrib/runtime.py",
-    "distrib/causal.py",
-)
-
-#: The telemetry pipeline is deterministic by construction — seeded-hash
-#: head sampling, virtual-duration tail rules, virtual-timestamp rollups
-#: — and its exports must be byte-identical across identically-seeded
-#: runs, so a wall-clock read in any of its modules is always a bug.
-PIPELINE_MODULES = (
-    "obs/pipeline/__init__.py",
-    "obs/pipeline/config.py",
-    "obs/pipeline/records.py",
-    "obs/pipeline/sampler.py",
-    "obs/pipeline/rollup.py",
-    "obs/pipeline/retention.py",
-    "obs/pipeline/pipeline.py",
-    "obs/pipeline/health.py",
-)
-
-#: The scenario record/replay layer exists to make runs byte-identical
-#: across platforms and time: a wall-clock read in any of its modules
-#: would leak into committed recordings, so none is ever legitimate.
-SCENARIO_MODULES = (
-    "scenario/model.py",
-    "scenario/divergence.py",
-    "scenario/driver.py",
-    "scenario/recorder.py",
-    "scenario/recording.py",
-    "scenario/replay.py",
-    "scenario/diff.py",
-    "scenario/library.py",
-)
-
 FORBIDDEN = (
     (re.compile(r"\btime\.(time|monotonic|perf_counter|process_time)\("), "wall-clock read"),
     (re.compile(r"\btime\.sleep\("), "wall-clock sleep"),
@@ -125,53 +72,6 @@ class TestWallClockLint:
         contain at least one pragma-tagged measurement line."""
         for relative in ALLOWLIST:
             assert PRAGMA in (SRC / relative).read_text(), relative
-
-    def test_concurrency_obs_modules_are_in_scope(self):
-        """The timeline/timeseries/flight/critical-path modules must be
-        scanned (present under ``src/repro``) and must never join the
-        allowlist — they have no legitimate wall-clock site."""
-        scanned = {str(path.relative_to(SRC)) for path in _sources()}
-        for relative in CONCURRENCY_OBS_MODULES:
-            assert relative in scanned, f"obs module left lint scope: {relative}"
-            assert relative not in ALLOWLIST, (
-                f"obs module must not be allowlisted: {relative}"
-            )
-            assert PRAGMA not in (SRC / relative).read_text(), relative
-
-    def test_distrib_modules_are_in_scope(self):
-        """The distributed tier's modules must be scanned and must never
-        join the allowlist — they have no legitimate wall-clock site."""
-        scanned = {str(path.relative_to(SRC)) for path in _sources()}
-        for relative in DISTRIB_MODULES:
-            assert relative in scanned, f"distrib module left lint scope: {relative}"
-            assert relative not in ALLOWLIST, (
-                f"distrib module must not be allowlisted: {relative}"
-            )
-            assert PRAGMA not in (SRC / relative).read_text(), relative
-
-    def test_pipeline_modules_are_in_scope(self):
-        """The sampling/rollup/health pipeline must be scanned and must
-        never join the allowlist — a wall-clock read there would break
-        the same-seed byte-identical export guarantee."""
-        scanned = {str(path.relative_to(SRC)) for path in _sources()}
-        for relative in PIPELINE_MODULES:
-            assert relative in scanned, f"pipeline module left lint scope: {relative}"
-            assert relative not in ALLOWLIST, (
-                f"pipeline module must not be allowlisted: {relative}"
-            )
-            assert PRAGMA not in (SRC / relative).read_text(), relative
-
-    def test_scenario_modules_are_in_scope(self):
-        """The record/replay layer must be scanned and must never join
-        the allowlist — a wall-clock read there would leak into the
-        committed byte-stable recordings."""
-        scanned = {str(path.relative_to(SRC)) for path in _sources()}
-        for relative in SCENARIO_MODULES:
-            assert relative in scanned, f"scenario module left lint scope: {relative}"
-            assert relative not in ALLOWLIST, (
-                f"scenario module must not be allowlisted: {relative}"
-            )
-            assert PRAGMA not in (SRC / relative).read_text(), relative
 
     def test_no_wall_clock_anywhere(self):
         violations = []
