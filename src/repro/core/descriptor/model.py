@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.descriptor.typesys import DimensionRegistry, STANDARD_DIMENSIONS
 from repro.errors import DescriptorError
@@ -78,6 +79,18 @@ class ParameterSpec:
             return
         dimensions.get(self.dimension).validate(value)
 
+    def compiled_check(self) -> Callable[[Any], None]:
+        """:meth:`validate_value` against the standard dimensions, compiled
+        once (see :meth:`~repro.core.descriptor.typesys.Dimension.compile_check`):
+        raises the same ``ValueError`` for the same values.  A dimension
+        the registry does not know keeps :meth:`validate_value` itself,
+        which raises :class:`DescriptorError` when called."""
+        if self.dimension not in STANDARD_DIMENSIONS:
+            return self.validate_value
+        return STANDARD_DIMENSIONS.get(self.dimension).compile_check(
+            self.validate_value
+        )
+
 
 @dataclass(frozen=True)
 class ReturnSpec:
@@ -151,6 +164,21 @@ class SemanticPlane:
                 return spec
         raise DescriptorError(f"interface {self.interface!r} has no method {name!r}")
 
+    @functools.cached_property
+    def argument_checks(self) -> Dict[str, Dict[str, Callable[[Any], None]]]:
+        """Method name → parameter name → its compiled check
+        (:meth:`ParameterSpec.compiled_check`).
+
+        Built on first use and kept on the plane, so every proxy built
+        from one descriptor shares one table."""
+        return {
+            method.name: {
+                parameter.name: parameter.compiled_check()
+                for parameter in method.parameters
+            }
+            for method in self.methods
+        }
+
     def method_names(self) -> List[str]:
         return [m.name for m in self.methods]
 
@@ -192,6 +220,18 @@ class SyntacticPlane:
         )
 
 
+#: Declared property type → the Python types its values may have.
+#: ``string`` and ``object`` are not checked: a hand-built spec defaults
+#: to ``string`` and may hold any value.
+_PROPERTY_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "double": (int, float),
+    "bool": (bool,),
+    "boolean": (bool,),
+}
+
+
 @dataclass(frozen=True)
 class PropertySpec:
     """Binding plane: one platform-specific attribute.
@@ -210,6 +250,17 @@ class PropertySpec:
     required: bool = False
 
     def validate_value(self, value: Any) -> None:
+        """Raise ``ValueError`` unless ``value`` has the declared numeric or
+        boolean type (``bool`` is not an ``int``) and is an allowed value."""
+        accepted = _PROPERTY_TYPES.get(self.type_name)
+        if accepted is not None and (
+            not isinstance(value, accepted)
+            or (isinstance(value, bool) and bool not in accepted)
+        ):
+            raise ValueError(
+                f"property {self.name!r}: expected {self.type_name}, got "
+                f"{type(value).__name__}"
+            )
         if self.allowed_values and value not in self.allowed_values:
             raise ValueError(
                 f"property {self.name!r}: {value!r} not in allowed values "

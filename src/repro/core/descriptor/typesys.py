@@ -9,10 +9,15 @@ type names the syntactic plane offers per language.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import DescriptorError
+
+
+def _accept_any(value: Any) -> None:
+    """The compiled check of an ``object`` dimension: every value passes."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,44 @@ class Dimension:
                     f"{self.name}: expected a bool, got {type(value).__name__}"
                 )
         # python_type is object: any value passes (callbacks, opaque handles)
+
+    def compile_check(
+        self, reference: Callable[[Any], None]
+    ) -> Callable[[Any], None]:
+        """A check equivalent to ``reference``, with the common case inlined.
+
+        ``reference`` must raise exactly when :meth:`validate` would (it
+        is :meth:`validate` or a wrapper that also admits ``None``).  The
+        returned check accepts an exact ``int`` or ``float`` within the
+        bounds (an exact ``str``, an exact ``bool``) on the spot and hands
+        every other value — bools posing as numbers, subclasses,
+        out-of-range values, ``None`` — to ``reference``, so every verdict
+        and every message still comes from :meth:`validate`.
+        """
+        python_type = self.python_type
+        if python_type is object:
+            return _accept_any
+        if python_type is str or python_type is bool:
+
+            def check_exact(value: Any) -> None:
+                if type(value) is not python_type:
+                    reference(value)
+
+            return check_exact
+        # A missing bound is an infinite one: no exact number lies past it.
+        minimum = -math.inf if self.minimum is None else self.minimum
+        maximum = math.inf if self.maximum is None else self.maximum
+
+        def check_number(value: Any) -> None:
+            kind = type(value)
+            if (
+                (kind is not float and kind is not int)
+                or value < minimum
+                or value > maximum
+            ):
+                reference(value)
+
+        return check_number
 
     def type_for_language(self, language: str) -> str:
         """The default concrete type for ``language`` ('java'/'javascript')."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxy.base import MProxy
-from repro.errors import ProxyError
+from repro.errors import ProxyPropertyError
 from repro.platforms.android.context import Context
 from repro.platforms.android.platform import AndroidPlatform
 
@@ -23,10 +23,11 @@ class AndroidBinding(MProxy):
 
     def _context(self, for_what: str) -> Context:
         """The ``context`` property ``for_what`` needs: it must be set, and
-        be an Android :class:`~repro.platforms.android.context.Context`."""
+        be an Android :class:`~repro.platforms.android.context.Context`
+        (either failure is a :class:`~repro.errors.ProxyPropertyError`)."""
         context = self.properties.require("context", for_what)
         if not isinstance(context, Context):
-            raise ProxyError(
+            raise ProxyPropertyError(
                 f"property 'context' must be an Android Context, got "
                 f"{type(context).__name__}"
             )

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.calendar.api import CalendarProxy, overlapping
 from repro.core.proxies.factory import register_implementation
+from repro.core.proxies.s60_common import S60Binding
 from repro.core.proxy.datatypes import CalendarEvent
 from repro.errors import ProxyInvalidArgumentError
 from repro.platforms.s60.pim import Event, EventItem, PimStatics
-from repro.platforms.s60.platform import S60Platform
 
 
 def _to_uniform(item: EventItem) -> CalendarEvent:
@@ -27,12 +26,8 @@ def _to_uniform(item: EventItem) -> CalendarEvent:
     )
 
 
-class S60CalendarProxyImpl(CalendarProxy):
+class S60CalendarProxyImpl(S60Binding, CalendarProxy):
     """``com.ibm.S60.calendar.CalendarProxy``."""
-
-    def __init__(self, descriptor: ProxyDescriptor, platform: S60Platform) -> None:
-        super().__init__(descriptor, "s60")
-        self._platform = platform
 
     def _open(self, mode: int):
         return self._platform.pim.open_pim_list(PimStatics.EVENT_LIST, mode)

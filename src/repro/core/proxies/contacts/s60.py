@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.contacts.api import ContactsProxy
 from repro.core.proxies.factory import register_implementation
+from repro.core.proxies.s60_common import S60Binding
 from repro.core.proxy.datatypes import Contact as UniformContact
 from repro.platforms.s60.pim import Contact, ContactItem, PimStatics
-from repro.platforms.s60.platform import S60Platform
 
 
 def _to_uniform(item: ContactItem) -> UniformContact:
@@ -30,12 +29,8 @@ def _to_uniform(item: ContactItem) -> UniformContact:
     )
 
 
-class S60ContactsProxyImpl(ContactsProxy):
+class S60ContactsProxyImpl(S60Binding, ContactsProxy):
     """``com.ibm.S60.contacts.ContactsProxy``."""
-
-    def __init__(self, descriptor: ProxyDescriptor, platform: S60Platform) -> None:
-        super().__init__(descriptor, "s60")
-        self._platform = platform
 
     def _open(self, mode: int):
         return self._platform.pim.open_pim_list(PimStatics.CONTACT_LIST, mode)

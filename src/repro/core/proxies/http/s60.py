@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from urllib.parse import urlparse
 
-from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.http.api import (
     HttpProxy,
@@ -12,20 +11,16 @@ from repro.core.proxies.http.api import (
     as_response_listener,
     degraded_response,
 )
+from repro.core.proxies.s60_common import S60Binding
 from repro.core.proxy.datatypes import HttpResult
 from repro.device.network import HttpRequest
 from repro.errors import ProxyInvalidArgumentError
 from repro.platforms.s60.connector import HttpConnection, PERMISSION_HTTP
 from repro.platforms.s60.exceptions import SecurityException
-from repro.platforms.s60.platform import S60Platform
 
 
-class S60HttpProxyImpl(HttpProxy):
+class S60HttpProxyImpl(S60Binding, HttpProxy):
     """``com.ibm.S60.http.HttpProxy``."""
-
-    def __init__(self, descriptor: ProxyDescriptor, platform: S60Platform) -> None:
-        super().__init__(descriptor, "s60")
-        self._platform = platform
 
     def get(self, url: str) -> HttpResult:
         def attempt() -> HttpResult:

@@ -25,6 +25,7 @@ from typing import Dict, Optional
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.location.api import NO_EXPIRATION, LocationProxy
+from repro.core.proxies.s60_common import S60Binding
 from repro.core.proxy.callbacks import ProximityListener
 from repro.core.proxy.datatypes import Location
 from repro.core.resilience import LAST_RESULT
@@ -102,12 +103,11 @@ class _ExitWatchListener(NativeLocationListener):
         pass
 
 
-class S60LocationProxyImpl(LocationProxy):
+class S60LocationProxyImpl(S60Binding, LocationProxy):
     """``com.ibm.S60.location.LocationProxy``."""
 
     def __init__(self, descriptor: ProxyDescriptor, platform: S60Platform) -> None:
-        super().__init__(descriptor, "s60")
-        self._platform = platform
+        super().__init__(descriptor, platform)
         self._machines: Dict[int, _AlertMachine] = {}
 
     # -- criteria from properties -------------------------------------------

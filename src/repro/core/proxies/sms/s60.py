@@ -14,17 +14,17 @@ from typing import Optional
 
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.proxies.factory import register_implementation
+from repro.core.proxies.s60_common import S60Binding
 from repro.core.proxies.sms.api import SmsProxy, UniformSmsCallback, as_status_listener
 from repro.platforms.s60.platform import S60Platform
 from repro.util.identifiers import IdGenerator
 
 
-class S60SmsProxyImpl(SmsProxy):
+class S60SmsProxyImpl(S60Binding, SmsProxy):
     """``com.ibm.S60.sms.SmsProxy``."""
 
     def __init__(self, descriptor: ProxyDescriptor, platform: S60Platform) -> None:
-        super().__init__(descriptor, "s60")
-        self._platform = platform
+        super().__init__(descriptor, platform)
         self._ids = IdGenerator()
 
     def send_text_message(

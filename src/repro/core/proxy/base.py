@@ -13,8 +13,7 @@ A concrete proxy binding (e.g. the Android Location proxy) subclasses
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.core.descriptor.model import BindingPlane, ProxyDescriptor
 from repro.core.proxy.exceptions import map_platform_exception
@@ -25,8 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.resilience.policy import ResilienceRuntime
     from repro.obs import Observability
 
-#: Stand-in for a span when tracing is off (``nullcontext`` is reusable).
-_UNTRACED = contextlib.nullcontext()
+#: The argument checks of a method the semantic plane does not declare.
+_NO_CHECKS: Dict[str, Callable[[Any], None]] = {}
 
 
 class MProxy:
@@ -84,12 +83,19 @@ class MProxy:
     # -- shared invocation plumbing ---------------------------------------------
 
     def _validate_arguments(self, method_name: str, **arguments: Any) -> None:
-        """Check named arguments against the semantic plane's dimensions."""
-        method = self.descriptor.semantic.method(method_name)
+        """Check named arguments against the semantic plane's dimensions,
+        with the checks the plane compiled once per method
+        (:attr:`~repro.core.descriptor.model.SemanticPlane.argument_checks`)."""
+        semantic = self.descriptor.semantic
+        checks = semantic.argument_checks.get(method_name, _NO_CHECKS)
         for name, value in arguments.items():
-            parameter = method.parameter(name)
+            check = checks.get(name)
+            if check is None:
+                # An unknown method or parameter: the plane's own lookups
+                # raise the DescriptorError.
+                semantic.method(method_name).parameter(name)
             try:
-                parameter.validate_value(value)
+                check(value)
             except ValueError as exc:
                 raise ProxyInvalidArgumentError(str(exc)) from exc
 
@@ -149,37 +155,40 @@ class MProxy:
            accounting, bounded retry, circuit breaking and, when the
            policy enables it, ``fallback`` — the
            :data:`~repro.core.resilience.LAST_RESULT` sentinel or a
-           callable).  A bare proxy runs it once inside a
-           ``binding:<operation>`` span and maps escaping platform
-           exceptions to the uniform hierarchy.
+           callable).  A bare proxy runs it once (inside a
+           ``binding:<operation>`` span when tracing) and maps escaping
+           platform exceptions to the uniform hierarchy.
 
-        A runtime may run ``thunk`` more than once, so it must be safe to
-        re-run after a failure.
+        With tracing off the path is a straight line: validate, then
+        execute.  A runtime may run ``thunk`` more than once, so it must
+        be safe to re-run after a failure.
         """
         if arguments:
             self._validate_arguments(operation, **arguments)
         obs = self._obs
-        traced = obs is not None and obs.tracer.enabled
+        if obs is None or not obs.tracer.enabled:
+            if self._resilience is not None:
+                return self._resilience.execute(
+                    self.binding, operation, thunk, fallback=fallback
+                )
+            try:
+                return thunk()
+            except ProxyError:
+                raise  # already uniform
+            except Exception as exc:
+                raise map_platform_exception(self.binding, exc, operation) from exc
         platform = self.binding.platform
-        with (
-            obs.tracer.span(
-                f"dispatch:{operation}",
-                interface=self.descriptor.interface,
-                platform=platform,
-            )
-            if traced
-            else _UNTRACED
+        with obs.tracer.span(
+            f"dispatch:{operation}",
+            interface=self.descriptor.interface,
+            platform=platform,
         ):
             if self._resilience is not None:
                 return self._resilience.execute(
                     self.binding, operation, thunk, fallback=fallback
                 )
             try:
-                with (
-                    obs.tracer.span(f"binding:{operation}", platform=platform)
-                    if traced
-                    else _UNTRACED
-                ):
+                with obs.tracer.span(f"binding:{operation}", platform=platform):
                     return thunk()
             except ProxyError:
                 raise  # already uniform

@@ -4,8 +4,8 @@ Platform-mandated attributes — Android's application context, S60's
 criteria knobs — do not belong in the common API, but each binding still
 needs them.  A :class:`PropertySet` is constructed from the binding
 plane's :class:`~repro.core.descriptor.model.PropertySpec` list and
-validates keys, allowed values and required-before-use rules uniformly
-across every platform.
+validates keys, declared types, allowed values and required-before-use
+rules uniformly across every platform.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class PropertySet:
             ) from None
 
     def set(self, key: str, value: Any) -> None:
-        """Set a property, enforcing the binding plane's allowed values."""
+        """Set a property, enforcing the binding plane's declared type and
+        allowed values."""
         spec = self.spec(key)
         try:
             spec.validate_value(value)

@@ -35,12 +35,9 @@ from repro.errors import (
     ProxyTimeoutError,
 )
 from repro.obs import MetricsRegistry, NOOP_TRACER, Observability
+from repro.obs.metrics import Counter
 from repro.util.clock import Scheduler
-from repro.util.idempotency import (
-    chain_context,
-    current_chain,
-    next_chain_sequence,
-)
+from repro.util.idempotency import CHAIN_STACK, ChainContext, next_chain_sequence
 
 #: A fallback is either the LAST_RESULT sentinel or ``f(error) -> value``
 #: (returning ``UNHANDLED`` to decline).
@@ -133,6 +130,11 @@ class ResilienceStats:
     def inc(self, field: str, amount: int = 1) -> None:
         self._counters[field].inc(amount)
 
+    def counter(self, field: str) -> Counter:
+        """The registry counter behind ``field``, for callers that count
+        on every call and hold it."""
+        return self._counters[field]
+
     def __getattr__(self, name: str) -> int:
         try:
             return self._counters[name].value
@@ -166,6 +168,10 @@ class ResilienceRuntime:
             self._metrics = MetricsRegistry()
             self._tracer = NOOP_TRACER
         self.stats = ResilienceStats(self._metrics, label)
+        # The counters every execution moves, held to skip the lookup.
+        self._attempts = self.stats.counter("attempts")
+        self._successes = self.stats.counter("successes")
+        self._failures = self.stats.counter("failures")
         self.breakers: Dict[str, CircuitBreaker] = {}
         self._last_results: Dict[str, Any] = {}
         self._jitter_rng = random.Random(f"{policy.seed}:{label}")
@@ -259,15 +265,21 @@ class ResilienceRuntime:
         runtime's chain is already open (WebView JS over Android) the
         inner execution rides it instead of minting a new key.
         """
-        if current_chain() is None:
-            key = f"{self.label}:{operation}:{next_chain_sequence()}"
-            self._chain_seq += 1
-            tag = f"{self.label}:{operation}#{self._chain_seq}"
-        else:
-            key = None  # riding the outer runtime's chain
-            tag = None
         tracer = self._tracer
-        with chain_context(key or "", tracer if tracer.enabled else None, tag):
+        # The chain is pushed and popped inline: through a generator-based
+        # context manager it cost about a third of a passthrough execution.
+        opened = not CHAIN_STACK
+        if opened:
+            self._chain_seq += 1
+            CHAIN_STACK.append(
+                ChainContext(
+                    tracer=tracer if tracer.enabled else None,
+                    origin=(
+                        self.label, operation, next_chain_sequence(), self._chain_seq
+                    ),
+                )
+            )
+        try:
             if not tracer.enabled:
                 return self._execute(binding, operation, thunk, fallback)
             with tracer.span(
@@ -276,15 +288,9 @@ class ResilienceRuntime:
                 max_attempts=self.policy.max_attempts,
             ):
                 return self._execute(binding, operation, thunk, fallback)
-
-    def _run_attempt(
-        self, operation: str, thunk: Callable[[], Any], attempt: int
-    ) -> Any:
-        tracer = self._tracer
-        if not tracer.enabled:
-            return thunk()
-        with tracer.span(f"binding:{operation}", attempt=attempt):
-            return thunk()
+        finally:
+            if opened:
+                CHAIN_STACK.pop()
 
     def _execute(
         self,
@@ -293,7 +299,8 @@ class ResilienceRuntime:
         thunk: Callable[[], Any],
         fallback: Optional[Fallback],
     ) -> Any:
-        breaker = self.breaker_for(operation)
+        policy = self.policy
+        breaker = None if policy.breaker is None else self.breaker_for(operation)
         if breaker is not None and not breaker.allow():
             self.stats.inc("circuit_rejections")
             self._tracer.event("circuit.rejected", operation=operation)
@@ -305,14 +312,18 @@ class ResilienceRuntime:
                 return served
             raise rejection
 
-        policy = self.policy
+        tracer = self._tracer
         retry_index = 0
         while True:
-            self.stats.inc("attempts")
+            self._attempts.inc()
             started_ms = self._clock.now_ms
             error: Optional[ProxyError] = None
             try:
-                result = self._run_attempt(operation, thunk, retry_index + 1)
+                if tracer.enabled:
+                    with tracer.span(f"binding:{operation}", attempt=retry_index + 1):
+                        result = thunk()
+                else:
+                    result = thunk()
             except ProxyError as exc:
                 error = exc
             except Exception as exc:
@@ -329,13 +340,13 @@ class ResilienceRuntime:
                         f"(budget {policy.timeout_ms:.0f}ms)"
                     )
                 else:
-                    self.stats.inc("successes")
+                    self._successes.inc()
                     if breaker is not None:
                         breaker.record_success()
                     self._last_results[operation] = result
                     return result
 
-            self.stats.inc("failures")
+            self._failures.inc()
             if breaker is not None:
                 breaker.record_failure(transient=error.transient)
             attempts_left = policy.max_attempts - (retry_index + 1)

@@ -24,7 +24,7 @@ ride the already-open chain.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 
 class ChainContext:
@@ -38,17 +38,48 @@ class ChainContext:
     is safe to stamp on spans and events.  The causal analyzer uses it
     to stitch a retried attempt chain's dedup hits and saga spans
     together.
+
+    A resilience runtime opens a chain on every call and passes
+    ``origin`` = (runtime label, operation, global ordinal, runtime
+    ordinal) instead of the strings: the key
+    ``<label>:<operation>:<global ordinal>`` and the tag
+    ``<label>:<operation>#<runtime ordinal>`` are formatted on first
+    read, since most calls write nothing that reads them.
     """
 
-    __slots__ = ("key", "tracer", "tag")
+    __slots__ = ("tracer", "_key", "_tag", "_origin")
 
-    def __init__(self, key: str, tracer=None, tag: Optional[str] = None) -> None:
-        self.key = key
+    def __init__(
+        self,
+        key: Optional[str] = None,
+        tracer=None,
+        tag: Optional[str] = None,
+        origin: Optional[Tuple[str, str, int, int]] = None,
+    ) -> None:
+        self._key = key
         self.tracer = tracer
-        self.tag = tag
+        self._tag = tag
+        self._origin = origin
+
+    @property
+    def key(self) -> str:
+        if self._key is None:
+            label, operation, sequence, _ = self._origin
+            self._key = f"{label}:{operation}:{sequence}"
+        return self._key
+
+    @property
+    def tag(self) -> Optional[str]:
+        if self._tag is None and self._origin is not None:
+            label, operation, _, ordinal = self._origin
+            self._tag = f"{label}:{operation}#{ordinal}"
+        return self._tag
 
 
-_STACK: List[ChainContext] = []
+#: The open chains, innermost last.  Every push is paired with a pop in
+#: a ``finally``: :func:`chain_context` pairs them for most callers, and
+#: the resilience runtime inline, on every proxied call.
+CHAIN_STACK: List[ChainContext] = []
 
 _SEQUENCE = 0
 
@@ -69,7 +100,7 @@ def next_chain_sequence() -> int:
 
 def current_chain() -> Optional[ChainContext]:
     """The innermost open chain context, or ``None`` outside any."""
-    return _STACK[-1] if _STACK else None
+    return CHAIN_STACK[-1] if CHAIN_STACK else None
 
 
 @contextlib.contextmanager
@@ -81,12 +112,12 @@ def chain_context(
     Re-entrant: when a chain is already open the existing context is
     reused (see the nesting rule above) and ``key``/``tag`` are ignored.
     """
-    if _STACK:
-        yield _STACK[-1]
+    if CHAIN_STACK:
+        yield CHAIN_STACK[-1]
         return
     context = ChainContext(key, tracer, tag)
-    _STACK.append(context)
+    CHAIN_STACK.append(context)
     try:
         yield context
     finally:
-        _STACK.pop()
+        CHAIN_STACK.pop()

@@ -125,6 +125,29 @@ class TestPropertySpec:
     def test_no_allowed_values_means_anything(self):
         PropertySpec("free").validate_value(object())
 
+    @pytest.mark.parametrize(
+        "type_name, good, bad",
+        [
+            ("int", [0, 500, -1], [True, 1.5, 500.0, "500", None]),
+            ("float", [0, 0.5, -1.0], [False, "0.5", None]),
+            ("double", [2, 2.5], [True, "2.5"]),
+            ("boolean", [True, False], [0, 1, "true", None]),
+            ("bool", [False], [1.0, "false"]),
+        ],
+    )
+    def test_declared_types_enforced(self, type_name, good, bad):
+        spec = PropertySpec("knob", type_name=type_name)
+        for value in good:
+            spec.validate_value(value)
+        for value in bad:
+            with pytest.raises(ValueError, match=f"expected {type_name}"):
+                spec.validate_value(value)
+
+    @pytest.mark.parametrize("type_name", ["string", "object"])
+    def test_string_and_object_types_unchecked(self, type_name):
+        for value in (42, True, None, object()):
+            PropertySpec("free", type_name=type_name).validate_value(value)
+
 
 class TestBindingPlane:
     def test_unknown_platform_rejected(self):

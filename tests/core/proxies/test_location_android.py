@@ -54,6 +54,13 @@ class TestGetLocation:
             proxy.set_property("context", "not a context")
             proxy.get_location()
 
+    def test_wrong_typed_context_fails_like_an_unset_one(self, sc):
+        proxy = create_proxy("Location", sc.platform)
+        proxy.set_property("context", "not-a-context")
+        with pytest.raises(ProxyPropertyError, match="Android Context") as info:
+            proxy.get_location()
+        assert info.value.error_code == ProxyPropertyError.error_code == 1004
+
     def test_missing_permission_maps_to_uniform_error(self, sc):
         sc.platform.install("noperm", set())
         proxy = create_proxy("Location", sc.platform)

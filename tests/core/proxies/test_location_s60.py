@@ -5,7 +5,7 @@ import pytest
 from repro.apps.workforce import scenario
 from repro.core.proxies import create_proxy
 from repro.core.proxy.callbacks import ProximityListener
-from repro.errors import ProxyPermissionError, ProxyPlatformError
+from repro.errors import ProxyPermissionError, ProxyPlatformError, ProxyPropertyError
 
 SITE = scenario.SITE
 
@@ -111,6 +111,18 @@ class TestCriteriaProperties:
         proxy = create_proxy("Location", sc.platform)
         with pytest.raises(ProxyPermissionError):
             proxy.get_location()
+
+    @pytest.mark.parametrize(
+        "key", ["preferredResponseTime", "horizontalAccuracy", "verticalAccuracy"]
+    )
+    def test_mistyped_criteria_rejected_at_set_property(self, proxy, key):
+        """``preferredResponseTime = "fast"`` once made every
+        ``getLocation`` fail with ProxyPlatformError (1005), blaming the
+        platform for a configuration error."""
+        with pytest.raises(ProxyPropertyError, match=key) as info:
+            proxy.set_property(key, "fast")
+        assert info.value.error_code == 1004
+        assert proxy.get_location().latitude != 0.0
 
     def test_android_only_property_unknown_here(self, proxy):
         from repro.errors import ProxyPropertyError

@@ -9,7 +9,7 @@ from repro.core.proxies.location.webview import (
     install_location_wrapper,
 )
 from repro.core.proxy.datatypes import Location
-from repro.errors import ProxyError, ProxyPermissionError
+from repro.errors import ProxyError, ProxyPermissionError, ProxyPropertyError
 
 SITE = scenario.SITE
 
@@ -113,6 +113,26 @@ class TestBridgeSemantics:
         proxy = LocationProxyJs.in_page(page)
         proxy.set_property("pollInterval", 250)
         assert proxy.get_property("pollInterval") == 250
+
+    @pytest.mark.parametrize("value", ["fast", True, 250.0, None])
+    def test_mistyped_poll_interval_rejected_before_any_alert(self, sc, page, value):
+        """A non-int ``pollInterval`` once passed ``setProperty`` and failed
+        only after the Java side had registered the alert, leaving a
+        receiver no ``remove_proximity_alert`` could release."""
+        proxy = LocationProxyJs.in_page(page)
+        registry = sc.platform.android.broadcast_registry
+        before = registry.registered_count()
+        with pytest.raises(ProxyPropertyError, match="pollInterval") as info:
+            proxy.set_property("pollInterval", value)
+        assert info.value.error_code == 1004
+        assert proxy.get_property("pollInterval") == 500  # the default holds
+        listener = lambda *args: None  # noqa: E731
+        proxy.add_proximity_alert(
+            SITE.latitude, SITE.longitude, 0.0, SITE.radius_m, -1, listener
+        )
+        assert registry.registered_count() == before + 1
+        proxy.remove_proximity_alert(listener)
+        assert registry.registered_count() == before
 
     def test_provider_property_forwarded_to_java(self, sc, page):
         proxy = LocationProxyJs.in_page(page)

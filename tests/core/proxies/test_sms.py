@@ -157,6 +157,22 @@ class TestWebViewBinding:
         with pytest.raises(ProxyPermissionError):
             proxy.send_text_message("+2", "hi")
 
+    def test_mistyped_poll_interval_rejected_before_any_send(
+        self, webview_scenario, page
+    ):
+        """A non-int ``pollInterval`` once failed ``send_text_message``
+        with a raw ``ValueError`` after the SMSC had accepted the
+        message, so a retrying app sent it twice."""
+        proxy = SmsProxyJs.in_page(page)
+        with pytest.raises(ProxyPropertyError, match="pollInterval") as info:
+            proxy.set_property("pollInterval", "fast")
+        assert info.value.error_code == 1004
+        message_id = proxy.send_text_message("+2", "hi", lambda e, mid, r: None)
+        webview_scenario.platform.run_for(5_000.0)
+        inbox = webview_scenario.device.sms_center.inbox_of("+2")
+        assert [message.text for message in inbox] == ["hi"]
+        proxy.stop_tracking(message_id)
+
     def test_factory_path(self, webview_scenario, page):
         proxy = create_proxy("Sms", webview_scenario.platform)
         assert isinstance(proxy, SmsProxyJs)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.proxies import standard_registry
 from repro.core.proxy.base import MProxy
 from repro.errors import (
+    DescriptorError,
     ProxyError,
     ProxyInvalidArgumentError,
     ProxyPlatformError,
@@ -61,6 +62,24 @@ class TestValidationAndGuard:
         with pytest.raises(ProxyInvalidArgumentError):
             proxy._validate_arguments("addProximityAlert", latitude=200.0)
         proxy._validate_arguments("addProximityAlert", latitude=20.0)
+
+    def test_argument_errors_keep_the_dimension_message(self):
+        descriptor = standard_registry().descriptor("Location")
+        proxy = LocationShapedProxy(descriptor, "android")
+        with pytest.raises(ProxyInvalidArgumentError) as info:
+            proxy._validate_arguments("addProximityAlert", radius=0.0, latitude=True)
+        assert str(info.value) == "length.radius: 0.0 below minimum 1e-09"
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_unknown_method_or_parameter_is_a_descriptor_error(self):
+        descriptor = standard_registry().descriptor("Location")
+        proxy = LocationShapedProxy(descriptor, "android")
+        with pytest.raises(DescriptorError, match="has no method 'teleport'"):
+            proxy._validate_arguments("teleport", latitude=1.0)
+        with pytest.raises(DescriptorError, match="has no parameter 'speed'"):
+            proxy._validate_arguments("addProximityAlert", latitude=1.0, speed=3)
+        # Only validated arguments are looked up: a call without any runs.
+        assert proxy._call("teleport", lambda: "ran") == "ran"
 
     def test_guard_maps_platform_exceptions(self):
         from repro.platforms.s60.exceptions import LocationException

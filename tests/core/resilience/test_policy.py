@@ -22,6 +22,7 @@ from repro.errors import (
     ProxyTransientError,
 )
 from repro.util.clock import Scheduler, SimulatedClock
+from repro.util.idempotency import chain_context, current_chain, next_chain_sequence
 
 
 @pytest.fixture
@@ -291,6 +292,61 @@ class TestFallbacks:
             fallback=lambda error: f"degraded: {type(error).__name__}",
         )
         assert served == "degraded: ProxyCircuitOpenError"
+
+
+class TestAttemptChain:
+    """Every execution opens one attempt chain and always closes it."""
+
+    @pytest.mark.parametrize(
+        "error, escapes_as",
+        [(ValueError, ProxyError), (KeyboardInterrupt, KeyboardInterrupt)],
+    )
+    def test_chain_closes_when_the_thunk_raises(self, binding, error, escapes_as):
+        runtime = _runtime()
+
+        def thunk():
+            assert current_chain() is not None
+            raise error("boom")
+
+        with pytest.raises(escapes_as):
+            runtime.execute(binding, "get", thunk)
+        assert current_chain() is None
+
+    def test_key_and_tag_formats(self, binding):
+        runtime = _runtime(label="Sms/android")
+        seen = []
+
+        def thunk():
+            chain = current_chain()
+            seen.append((chain.key, chain.tag, chain.tracer))
+
+        last = next_chain_sequence()
+        runtime.execute(binding, "sendTextMessage", thunk)
+        runtime.execute(binding, "sendTextMessage", thunk)
+        prefix = "Sms/android:sendTextMessage"
+        assert seen == [
+            (f"{prefix}:{last + 1}", f"{prefix}#1", None),
+            (f"{prefix}:{last + 2}", f"{prefix}#2", None),
+        ]
+        assert current_chain() is None
+
+    def test_an_open_chain_is_ridden(self, binding):
+        outer, inner = _runtime(label="outer"), _runtime(label="inner")
+        seen = []
+
+        def inner_thunk():
+            seen.append(current_chain())
+
+        outer.execute(
+            binding, "get", lambda: inner.execute(binding, "get", inner_thunk)
+        )
+        with chain_context("caller-key") as opened:
+            inner.execute(binding, "get", inner_thunk)
+        assert seen[0].tag == "outer:get#1"
+        assert seen[1] is opened and seen[1].key == "caller-key" and seen[1].tag is None
+        # Riding mints nothing: the inner runtime's first own chain is #1.
+        inner.execute(binding, "get", inner_thunk)
+        assert seen[2].tag == "inner:get#1"
 
 
 class TestPolicyConfig:
