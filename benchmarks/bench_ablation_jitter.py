@@ -9,9 +9,12 @@ proxy overhead stays a small fraction of the native call.
 
 import statistics
 
-import pytest
-
+from benchmarks.bench_fig10_invocation_overhead import measure_bar
 from repro.bench.harness import APIS, Fig10Runner, PLATFORMS, format_table
+
+
+def _median_total(samples):
+    return statistics.median(virtual + real for virtual, real in samples)
 
 
 def test_fig10_shape_survives_jitter(benchmark):
@@ -21,12 +24,10 @@ def test_fig10_shape_survives_jitter(benchmark):
         results = {}
         for platform in PLATFORMS:
             for api in APIS:
-                samples = runner.measure(
-                    platform, api, with_proxy=False, repetitions=40
+                samples = measure_bar(
+                    runner, platform, api, with_proxy=False, repetitions=40
                 )
-                results[(api, platform)] = statistics.median(
-                    s.total_ms for s in samples
-                )
+                results[(api, platform)] = _median_total(samples)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -57,12 +58,16 @@ def test_proxy_overhead_fraction_under_jitter(benchmark):
     runner = Fig10Runner(jitter_fraction=0.10)
 
     def run():
-        without = runner.measure("s60", "getLocation", with_proxy=False, repetitions=40)
-        with_proxy = runner.measure("s60", "getLocation", with_proxy=True, repetitions=40)
+        without = measure_bar(
+            runner, "s60", "getLocation", with_proxy=False, repetitions=40
+        )
+        with_proxy = measure_bar(
+            runner, "s60", "getLocation", with_proxy=True, repetitions=40
+        )
         return (
-            statistics.median(s.total_ms for s in without),
-            statistics.median(s.total_ms for s in with_proxy),
-            statistics.median(s.real_ms for s in with_proxy),
+            _median_total(without),
+            _median_total(with_proxy),
+            statistics.median(real for _, real in with_proxy),
         )
 
     median_without, median_with, real_overhead = benchmark.pedantic(

@@ -110,7 +110,7 @@ class _Recorder:
 def run_scenario(shape: str, *, admission_on: bool, seed: int = 0):
     """Drive one load shape through one dispatcher; returns the stats."""
     scheduler = Scheduler(SimulatedClock())
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     sampler = hub.install_sampler()
     sampler.track("runtime.queue_depth")
     config = (
@@ -311,7 +311,7 @@ def _profiled_invocations(admission):
     from repro.apps.workforce import scenario
     from repro.core.proxies import create_proxy
 
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     sc = scenario.build_android(observability=hub)
     sc.platform.run_for(5_000.0)  # let the GPS produce a first fix
     proxy = create_proxy("Location", sc.platform)

@@ -54,7 +54,7 @@ def run_load(
     from repro.util.clock import Scheduler, SimulatedClock
 
     scheduler = Scheduler(SimulatedClock())
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     runtime = ConcurrencyRuntime(
         scheduler,
         shards=shards,
@@ -216,7 +216,7 @@ def run_overload(*, requests: int = 32, queue_depth: int = 4, seed: int = 0):
     from repro.util.clock import Scheduler, SimulatedClock
 
     scheduler = Scheduler(SimulatedClock())
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     sampler = hub.install_sampler()
     sampler.track("runtime.queue_depth")
     sampler.track("runtime.inflight")

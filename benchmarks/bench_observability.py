@@ -2,13 +2,11 @@
 
 The tentpole claim: the default (disabled) state is near-zero-cost — an
 instrumentation site pays one ``tracer.enabled`` attribute read and a
-branch.  Three tiers are measured on the same Android Location binding:
+branch.  Two tiers are measured on the same Android Location binding:
 
 * ``disabled`` — the default hub (no-op tracer, live registry): what
   every pre-observability caller now pays;
-* ``tracing``  — a recording tracer: the full span tree per invocation;
-* ``tracing+real`` — tracing with real-time capture on (adds two
-  ``perf_counter`` reads per span).
+* ``tracing``  — a recording tracer: the full span tree per invocation.
 
 Micro tiers isolate the tracer itself: a no-op span vs. a recorded
 span vs. a counter increment.  On top of the tiers, the pipeline
@@ -48,8 +46,7 @@ pytestmark = pytest.mark.obs
 
 TIERS = {
     "disabled": lambda: Observability.disabled(),
-    "tracing": lambda: Observability(capture_real_time=False),
-    "tracing+real": lambda: Observability(capture_real_time=True),
+    "tracing": lambda: Observability(),
 }
 
 
@@ -97,7 +94,7 @@ def test_noop_span_micro(benchmark):
 
 def test_recorded_span_micro(benchmark):
     """One recorded span: open, stamp, close (virtual clock only)."""
-    tracer = Tracer(SimulatedClock(), capture_real_time=False)
+    tracer = Tracer(SimulatedClock())
 
     def one_span():
         with tracer.span("op", key="value"):
@@ -138,7 +135,7 @@ SAMPLE_SEED = 17
 def _posture_ms(sampled: bool, invocations: int = PIPELINE_INVOCATIONS):
     """Per-invocation wall-clock cost of one telemetry posture, export
     included; returns ``(ms, pipeline-or-None, exported_line_count)``."""
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     pipeline = None
     if sampled:
         pipeline = hub.install_pipeline(
@@ -177,7 +174,7 @@ def test_bench_observability_result():
     """Write BENCH_observability.json: traced span accounting, sampling
     accounting, micro timings and the sampled-vs-full comparison."""
     repetitions = 5
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     proxy = _location_proxy(hub)
     hub.tracer.reset()
     for _ in range(repetitions):
@@ -186,7 +183,7 @@ def test_bench_observability_result():
     entry = profile.operations[("getLocation", "android")]
     assert entry.invocations == repetitions
 
-    tracer = Tracer(SimulatedClock(), capture_real_time=False)
+    tracer = Tracer(SimulatedClock())
 
     def recorded_span():
         with tracer.span("op"):

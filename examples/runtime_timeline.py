@@ -24,7 +24,7 @@ from repro.util.clock import Scheduler, SimulatedClock
 
 def main():
     scheduler = Scheduler(SimulatedClock())
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     sampler = hub.install_sampler()
     sampler.track("runtime.queue_depth")
     sampler.track("runtime.inflight")

@@ -26,7 +26,7 @@ def traced_location_call():
     print("1. One invocation, one span tree")
     print("=" * 72)
 
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     sc = scenario.build_android(observability=hub)
     sc.platform.run_for(5_000.0)  # let the GPS produce a first fix
 
@@ -47,7 +47,7 @@ def traced_chaos_run():
     print("2. Under faults: retries, fallbacks and breakers in the trace")
     print("=" * 72)
 
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     sc = scenario.build_android(
         fault_plan=FaultPlan.transient(0.5, seed=7, start_ms=1_000.0),
         observability=hub,
@@ -82,7 +82,7 @@ def deterministic_export():
     print("=" * 72)
 
     def one_run() -> str:
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         sc = scenario.build_android(
             fault_plan=FaultPlan.transient(0.5, seed=7, start_ms=1_000.0),
             observability=hub,

@@ -370,11 +370,7 @@ def build_fleet(
     )
     fleet = Fleet(scheduler=scheduler, server=server, supervisor=supervisor)
     if runtime:
-        hub = (
-            Observability(capture_real_time=False)
-            if (observability or flight_recorder)
-            else None
-        )
+        hub = Observability() if (observability or flight_recorder) else None
         fleet.runtime = ConcurrencyRuntime(
             scheduler,
             shards=shards,
@@ -426,9 +422,7 @@ def build_fleet(
             sms_center=sms_center,
             network=network,
             scheduler=scheduler,
-            observability=(
-                Observability(capture_real_time=False) if observability else None
-            ),
+            observability=Observability() if observability else None,
             trajectory=Trajectory(
                 [
                     Waypoint(0.0, away),

@@ -6,11 +6,10 @@ from repro.bench.calibration import (
     figure10_s60_latency,
     figure10_webview_bridge_latency,
 )
-from repro.bench.harness import Fig10Runner, InvocationSample, format_table
+from repro.bench.harness import Fig10Runner, format_table
 
 __all__ = [
     "Fig10Runner",
-    "InvocationSample",
     "PAPER_FIGURE_10",
     "figure10_android_latency",
     "figure10_s60_latency",

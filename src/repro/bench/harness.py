@@ -1,23 +1,23 @@
-"""The Figure-10 runner: API invocation time with and without proxies.
+"""The Figure-10 runner: the calibrated worlds behind each bar.
 
 Measurement model (see ``repro.bench.calibration``): one invocation's cost
 is *(virtual native latency charged by the substrate)* + *(real Python
 time spent executing the call path)*.  Both modes pay the same calibrated
-native charge; the proxy mode additionally executes the M-Proxy layer in
-real time — so the measured overhead is genuinely the proxy layer's cost,
-exactly what the paper's Figure 10 isolates.
+native charge; the proxy mode additionally executes the M-Proxy layer.
+This module builds the worlds and drives them in virtual time only; the
+wall-clock half is timed from outside the program, by the per-bar loop
+in ``benchmarks/bench_fig10_invocation_overhead.py`` and by
+``python3 -m benchmarks.e2e``.
 """
 
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps.workforce import scenario
 from repro.bench.calibration import (
-    PAPER_FIGURE_10,
     figure10_android_latency,
     figure10_s60_latency,
     figure10_webview_bridge_latency,
@@ -36,7 +36,6 @@ from repro.util.clock import Scheduler
 #: The three APIs Figure 10 charts.
 APIS = ("addProximityAlert", "getLocation", "sendSMS")
 PLATFORMS = ("android", "webview", "s60")
-MODES = ("without", "with")
 
 
 class _NullUniformListener(ProximityListener):
@@ -52,21 +51,6 @@ class _NullS60Listener(S60NativeListener):
         pass
 
 
-@dataclass(frozen=True)
-class InvocationSample:
-    """One measured API invocation."""
-
-    api: str
-    platform: str
-    mode: str  # "without" | "with"
-    virtual_ms: float
-    real_ms: float
-
-    @property
-    def total_ms(self) -> float:
-        return self.virtual_ms + self.real_ms
-
-
 @dataclass
 class _Bench:
     """One (platform, mode) bench context: invoke + cleanup per API."""
@@ -79,7 +63,7 @@ class _Bench:
 
 
 class Fig10Runner:
-    """Builds the calibrated scenarios and measures every bar of Figure 10."""
+    """Builds the calibrated scenario behind every bar of Figure 10."""
 
     def __init__(self, *, jitter_fraction: float = 0.0) -> None:
         self._jitter = jitter_fraction
@@ -255,6 +239,7 @@ class Fig10Runner:
 
         # Without proxy: the developer's raw shims over the Android managers.
         android = sc.platform.android
+        intents: List[Intent] = []
 
         class RawShims:
             """Bench-only Java shim exposing the three calls directly."""
@@ -262,6 +247,7 @@ class Fig10Runner:
             def add_proximity_alert(self, latitude, longitude, radius) -> str:
                 manager = context.get_system_service(Context.LOCATION_SERVICE)
                 intent = Intent("bench.PROXIMITY")
+                intents.append(intent)
                 manager.add_proximity_alert(
                     latitude, longitude, radius, ANDROID_NO_EXPIRATION, intent
                 )
@@ -282,8 +268,11 @@ class Fig10Runner:
         webview.load_page(lambda window: holder.update(shims=window.bridge_object("RawShims")))
         shims = holder["shims"]
 
-        def clear_alerts() -> None:
-            android.location_state._alerts.clear()
+        def remove_alerts() -> None:
+            # On the Java side, so cleanup crosses no bridge.
+            manager = context.get_system_service(Context.LOCATION_SERVICE)
+            while intents:
+                manager.remove_proximity_alert(intents.pop())
 
         return _Bench(
             clock_now=lambda: sc.platform.clock.now_ms,
@@ -295,7 +284,7 @@ class Fig10Runner:
                 "getLocation": lambda: shims.get_location(),
                 "sendSMS": lambda: shims.send_text_message("+900", "bench"),
             },
-            cleanup={"addProximityAlert": clear_alerts},
+            cleanup={"addProximityAlert": remove_alerts},
         )
 
     def _bench_for(
@@ -308,76 +297,6 @@ class Fig10Runner:
         if platform == "webview":
             return self._webview_bench(with_proxy, hub)
         raise ValueError(f"unknown platform {platform!r}")
-
-    # -- measurement -------------------------------------------------------------
-
-    def measure(
-        self, platform: str, api: str, *, with_proxy: bool, repetitions: int = 10
-    ) -> List[InvocationSample]:
-        """Measure ``repetitions`` invocations of one bar of Figure 10."""
-        bench = self._bench_for(platform, with_proxy)
-        invoke = bench.invoke[api]
-        cleanup = bench.cleanup.get(api)
-        mode = "with" if with_proxy else "without"
-        samples: List[InvocationSample] = []
-        # Warm-up (outside the measurement, as the paper's averaging implies).
-        invoke()
-        if cleanup is not None:
-            cleanup()
-        for _ in range(repetitions):
-            virtual_before = bench.clock_now()
-            real_before = time.perf_counter()  # wall-clock: measurement
-            invoke()
-            real_ms = (time.perf_counter() - real_before) * 1_000.0  # wall-clock: measurement
-            virtual_ms = bench.clock_now() - virtual_before
-            samples.append(
-                InvocationSample(
-                    api=api,
-                    platform=platform,
-                    mode=mode,
-                    virtual_ms=virtual_ms,
-                    real_ms=real_ms,
-                )
-            )
-            if cleanup is not None:
-                cleanup()
-        return samples
-
-    def run_detailed(
-        self, repetitions: int = 30
-    ) -> Dict[Tuple[str, str, str], Dict[str, float]]:
-        """Every bar, split into its two cost components:
-        ``(api, platform, mode) → {virtual_ms, real_ms, total_ms}``
-        (medians).  The virtual component is deterministic when the
-        latency models carry no jitter; the real component is the
-        wall-clock Python execution cost."""
-        results: Dict[Tuple[str, str, str], Dict[str, float]] = {}
-        for platform in PLATFORMS:
-            for with_proxy in (False, True):
-                mode = "with" if with_proxy else "without"
-                for api in APIS:
-                    samples = self.measure(
-                        platform, api, with_proxy=with_proxy, repetitions=repetitions
-                    )
-                    results[(api, platform, mode)] = {
-                        "virtual_ms": statistics.median(s.virtual_ms for s in samples),
-                        "real_ms": statistics.median(s.real_ms for s in samples),
-                        "total_ms": statistics.median(s.total_ms for s in samples),
-                    }
-        return results
-
-    def run(self, repetitions: int = 30) -> Dict[Tuple[str, str, str], float]:
-        """The whole figure: (api, platform, mode) → median total ms.
-
-        The paper averaged 10 runs on a handset where the proxy cost was
-        milliseconds; our proxy cost is tens of microseconds, so the
-        median over more repetitions keeps scheduler noise below the
-        signal.
-        """
-        return {
-            key: detail["total_ms"]
-            for key, detail in self.run_detailed(repetitions).items()
-        }
 
     # -- runtime parity ------------------------------------------------------
 
@@ -398,8 +317,7 @@ class Fig10Runner:
         dispatcher — and returns the medians.  With one shard and an
         empty queue the dispatcher replays the captured charge on its
         lane verbatim, so ``runtime_ms == direct_ms``: queueing adds no
-        modelled latency of its own.  (Real-time proxy overhead is the
-        measured path's business; this one guards the virtual model.)
+        modelled latency of its own.
         """
         bench = self._bench_for(platform, True)
         invoke = bench.invoke[api]
@@ -436,23 +354,19 @@ class Fig10Runner:
         *,
         apis: Tuple[str, ...] = APIS,
         platforms: Tuple[str, ...] = PLATFORMS,
-        real_time: bool = False,
     ) -> str:
         """Run every with-proxy bar under a recording tracer and return
         the concatenated JSONL export (one tracer per platform; the
         profile fold re-segments on span-id restart).
 
-        Virtual-time stamps only by default, so with jitter-free latency
-        models the output is byte-identical across identically-seeded
-        runs — this is the input ``python -m repro.obs profile``
-        decomposes into the Figure-10 per-layer overhead view.  Pass
-        ``real_time=True`` for a profiling export that additionally
-        carries wall-clock stamps (fold it with ``time="real"``); that
-        output is *not* deterministic.
+        With jitter-free latency models the output is byte-identical
+        across identically-seeded runs — this is the input
+        ``python -m repro.obs profile`` decomposes into the Figure-10
+        per-layer overhead view.
         """
         chunks: List[str] = []
         for platform in platforms:
-            hub = Observability(capture_real_time=real_time)
+            hub = Observability()
             bench = self._bench_for(platform, True, hub)
             hub.tracer.reset()  # drop setup-era spans; keep invocations only
             for api in apis:
@@ -462,7 +376,7 @@ class Fig10Runner:
                     invoke()
                     if cleanup is not None:
                         cleanup()
-            chunks.append(hub.export_jsonl(include_real_time=real_time))
+            chunks.append(hub.export_jsonl())
         return "".join(chunks)
 
 
@@ -483,34 +397,3 @@ def format_table(headers: List[str], rows: List[List[str]]) -> str:
     lines = [render(headers), render(["-" * w for w in widths])]
     lines.extend(render(row) for row in rows)
     return "\n".join(lines)
-
-
-def figure10_report(repetitions: int = 30) -> str:
-    """The full Figure-10 comparison table (measured vs paper)."""
-    runner = Fig10Runner()
-    measured = runner.run(repetitions)
-    headers = [
-        "API", "Platform",
-        "paper w/o", "ours w/o",
-        "paper w/", "ours w/",
-        "paper ovh", "ours ovh",
-    ]
-    rows = []
-    for platform in PLATFORMS:
-        for api in APIS:
-            paper_without, paper_with = PAPER_FIGURE_10[(api, platform)]
-            ours_without = measured[(api, platform, "without")]
-            ours_with = measured[(api, platform, "with")]
-            rows.append(
-                [
-                    api,
-                    platform,
-                    f"{paper_without:.1f}",
-                    f"{ours_without:.1f}",
-                    f"{paper_with:.1f}",
-                    f"{ours_with:.1f}",
-                    f"{paper_with - paper_without:.1f}",
-                    f"{ours_with - ours_without:.2f}",
-                ]
-            )
-    return format_table(headers, rows)

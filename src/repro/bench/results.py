@@ -7,8 +7,9 @@ the perf trajectory is a first-class, diffable artifact (see
 * ``metrics`` — **deterministic**, virtual-time-derived numbers (and
   the traced overhead profile).  Two identically-seeded runs serialize
   these byte-identically: no timestamps, no wall-clock anywhere.
-* ``measured`` — wall-clock-derived numbers (real-time medians from the
-  Figure-10 harness, micro-benchmark timings).  Excluded by
+* ``measured`` — wall-clock-derived numbers, timed by the benchmark
+  files under ``benchmarks/`` (never by this package): per-bar
+  Figure-10 medians, micro-benchmark timings.  Excluded by
   ``to_json(include_measured=False)`` and by the determinism tests.
 
 The regression gate (``python -m repro.obs diff``) accepts a BENCH

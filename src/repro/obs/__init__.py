@@ -97,9 +97,6 @@ class Observability:
     clock:
         Virtual clock for span stamps; usually left ``None`` and bound
         by the adopting device.
-    capture_real_time:
-        Passed through to the tracer; disable for fully constant span
-        objects in tests.
     """
 
     def __init__(
@@ -107,14 +104,9 @@ class Observability:
         *,
         enabled: bool = True,
         clock: Optional[SimulatedClock] = None,
-        capture_real_time: bool = True,
     ) -> None:
         self.metrics = MetricsRegistry()
-        self.tracer = (
-            Tracer(clock, capture_real_time=capture_real_time)
-            if enabled
-            else NOOP_TRACER
-        )
+        self.tracer = Tracer(clock) if enabled else NOOP_TRACER
         self._clock = clock
         #: Optional metric time-series sampler (see ``install_sampler``).
         self.sampler: Optional[TimeSeriesSampler] = None
@@ -192,11 +184,9 @@ class Observability:
 
     # -- convenience export surface -----------------------------------------
 
-    def export_jsonl(self, *, include_real_time: bool = False) -> str:
+    def export_jsonl(self) -> str:
         """Finished spans as deterministic JSON Lines."""
-        return export_jsonl(
-            self.tracer.finished_spans(), include_real_time=include_real_time
-        )
+        return export_jsonl(self.tracer.finished_spans())
 
     def render_trace(self) -> str:
         """Human-readable span forest."""

@@ -29,7 +29,8 @@ native call (Figure 10) — directly from traces:
   graph: write→visibility latency percentiles, gossip convergence
   paths, saga decomposition and the causality-violation audit.
 
-The determinism contract extends here: no wall-clock reads, no
+The determinism contract extends here: no wall-clock reads (policed
+by ``tests/test_wallclock_lint.py`` over all of ``src/repro``), no
 unseeded RNGs (policed by ``tests/chaos/test_determinism_lint.py``,
 whose scope includes all of ``obs/``) — two identically-seeded runs
 produce byte-identical profiles.

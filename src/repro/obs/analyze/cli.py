@@ -119,10 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help=helps["profile"], parents=[parent]
     )
     profile.add_argument("trace", help="JSONL trace export")
-    profile.add_argument(
-        "--time", choices=("virtual", "real"), default="virtual",
-        help="time domain to fold in (real needs an include_real_time export)",
-    )
     profile.add_argument("--top", type=int, default=0, metavar="N",
                          help="also print the top-N spans by self-time")
     profile.add_argument("--flame", action="store_true",
@@ -289,19 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     records = parse_jsonl(_read(args.trace))
-    profile = OverheadProfile.from_records(records, time=args.time)
+    profile = OverheadProfile.from_records(records)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(profile.to_json())
     if args.flame:
-        print(collapsed_stacks(records, time=args.time))
+        print(collapsed_stacks(records))
     elif args.format == "json":
         print(profile.to_json(), end="")
     else:
         print(render_profile_text(profile))
     if args.top:
         print()
-        print(top_spans_text(records, args.top, time=args.time))
+        print(top_spans_text(records, args.top))
     return 0
 
 

@@ -14,15 +14,12 @@ split per invocation, and aggregating over invocations yields it per
 operation × platform.  ``substrate`` self-time is the simulated native
 charge; everything else is the MobiVine layer.
 
-All arithmetic defaults to the deterministic virtual-time stamps, so
-two identically-seeded runs produce byte-identical profiles
-(:meth:`OverheadProfile.to_json`).  Traces exported with
-``include_real_time=True`` can instead be folded in the ``real`` time
-domain (``OverheadProfile.from_records(records, time="real")``) — that
-is the profiling view: actual Python execution cost per layer, which
-is where the middleware's own overhead shows up (virtual time only
-advances on substrate charges, so virtual middleware self-time is
-structurally ~0).
+All arithmetic is on the deterministic virtual-time stamps, so two
+identically-seeded runs produce byte-identical profiles
+(:meth:`OverheadProfile.to_json`).  Virtual time only advances on
+substrate charges, so virtual middleware self-time is structurally ~0;
+the middleware's wall-clock cost per layer is measured from outside
+the program by ``python3 -m benchmarks.e2e run --trace``.
 """
 
 from __future__ import annotations
@@ -41,10 +38,6 @@ LAYERS: Tuple[str, ...] = ("dispatch", "resilience", "binding", "bridge", "subst
 MIDDLEWARE_LAYERS: Tuple[str, ...] = ("dispatch", "resilience", "binding", "bridge")
 
 PROFILE_SCHEMA = "repro.obs.profile/v1"
-
-#: Time domains a trace can be folded in.  ``virtual`` is deterministic;
-#: ``real`` requires an export made with ``include_real_time=True``.
-TIME_DOMAINS: Tuple[str, ...] = ("virtual", "real")
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +69,14 @@ def records_to_jsonl(records: Iterable[Dict[str, Any]]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def spans_to_records(
-    spans: Iterable[Span], *, include_real_time: bool = False
-) -> List[Dict[str, Any]]:
+def spans_to_records(spans: Iterable[Span]) -> List[Dict[str, Any]]:
     """Live :class:`~repro.obs.span.Span` objects as records."""
-    return [span.to_dict(include_real_time=include_real_time) for span in spans]
+    return [span.to_dict() for span in spans]
 
 
-def _duration(record: Dict[str, Any], time_domain: str = "virtual") -> float:
-    start = record.get(f"start_{time_domain}_ms") or 0.0
-    end = record.get(f"end_{time_domain}_ms")
+def _duration(record: Dict[str, Any]) -> float:
+    start = record.get("start_virtual_ms") or 0.0
+    end = record.get("end_virtual_ms")
     if end is None:
         return 0.0
     return max(0.0, end - start)
@@ -192,34 +183,25 @@ class OperationProfile:
 class OverheadProfile:
     """The full Figure-10 decomposition, derived from traces."""
 
-    def __init__(self, *, time_domain: str = "virtual") -> None:
-        if time_domain not in TIME_DOMAINS:
-            raise ValueError(f"time_domain must be one of {TIME_DOMAINS}")
-        self.time_domain = time_domain
+    def __init__(self) -> None:
         self.operations: Dict[Tuple[str, str], OperationProfile] = {}
 
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_records(
-        cls, records: Sequence[Dict[str, Any]], *, time: str = "virtual"
-    ) -> "OverheadProfile":
-        profile = cls(time_domain=time)
+    def from_records(cls, records: Sequence[Dict[str, Any]]) -> "OverheadProfile":
+        profile = cls()
         for segment in _segments(records):
             profile._fold_segment(segment)
         return profile
 
     @classmethod
-    def from_jsonl(cls, text: str, *, time: str = "virtual") -> "OverheadProfile":
-        return cls.from_records(parse_jsonl(text), time=time)
+    def from_jsonl(cls, text: str) -> "OverheadProfile":
+        return cls.from_records(parse_jsonl(text))
 
     @classmethod
-    def from_spans(
-        cls, spans: Iterable[Span], *, time: str = "virtual"
-    ) -> "OverheadProfile":
-        return cls.from_records(
-            spans_to_records(spans, include_real_time=(time == "real")), time=time
-        )
+    def from_spans(cls, spans: Iterable[Span]) -> "OverheadProfile":
+        return cls.from_records(spans_to_records(spans))
 
     def _fold_segment(self, segment: Sequence[Dict[str, Any]]) -> None:
         known = {record["span_id"] for record in segment}
@@ -277,7 +259,7 @@ class OverheadProfile:
         # On the WebView path the root is the bridge crossing and the
         # dispatch span sits beneath it — bill the whole tree, root
         # included, to the dispatched operation.
-        tree_total = _duration(root, self.time_domain)
+        tree_total = _duration(root)
         entry.total_ms += tree_total
         entry.latency.observe(tree_total)
 
@@ -285,9 +267,7 @@ class OverheadProfile:
         while stack:
             record = stack.pop()
             kids = children.get(record["span_id"], [])
-            self_ms = _duration(record, self.time_domain) - sum(
-                _duration(kid, self.time_domain) for kid in kids
-            )
+            self_ms = _duration(record) - sum(_duration(kid) for kid in kids)
             layer = _layer_of(record["name"])
             entry.layer_self_ms[layer] = (
                 entry.layer_self_ms.get(layer, 0.0) + max(0.0, self_ms)
@@ -306,7 +286,7 @@ class OverheadProfile:
         operations = [entry.to_dict() for entry in self.sorted_operations()]
         return {
             "schema": PROFILE_SCHEMA,
-            "time": self.time_domain,
+            "time": "virtual",
             "operations": operations,
             "totals": {
                 "invocations": sum(e.invocations for e in self.operations.values()),
@@ -327,10 +307,15 @@ class OverheadProfile:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "OverheadProfile":
         """Rehydrate a saved profile (layer totals and counts only; the
-        percentile streams are summarized, not replayable)."""
+        percentile streams are summarized, not replayable).  A document
+        folded in any time domain but ``virtual`` is rejected, so the
+        regression gate never compares layers across domains."""
         if payload.get("schema") != PROFILE_SCHEMA:
             raise ValueError(f"not a {PROFILE_SCHEMA} document")
-        profile = cls(time_domain=payload.get("time", "virtual"))
+        time = payload.get("time", "virtual")
+        if time != "virtual":
+            raise ValueError(f"profile time {time!r} is not 'virtual'")
+        profile = cls()
         for item in payload.get("operations", []):
             entry = OperationProfile(item["operation"], item["platform"])
             entry.invocations = item.get("invocations", 0)
@@ -389,13 +374,13 @@ def render_profile_text(profile: OverheadProfile) -> str:
     return _table(headers, rows)
 
 
-def collapsed_stacks(records: Sequence[Dict[str, Any]], *, time: str = "virtual") -> str:
+def collapsed_stacks(records: Sequence[Dict[str, Any]]) -> str:
     """Flamegraph collapsed-stack format: ``a;b;c <self-µs>`` per line.
 
-    Weights are exclusive self-time (virtual by default) in integer
-    microseconds, aggregated over identical stacks and emitted sorted,
-    so the output is deterministic and feeds ``flamegraph.pl`` (or
-    speedscope) directly.
+    Weights are exclusive virtual self-time in integer microseconds,
+    aggregated over identical stacks and emitted sorted, so the output
+    is deterministic and feeds ``flamegraph.pl`` (or speedscope)
+    directly.
     """
     totals: Dict[str, int] = {}
     for segment in _segments(records):
@@ -419,9 +404,7 @@ def collapsed_stacks(records: Sequence[Dict[str, Any]], *, time: str = "virtual"
 
         for record in segment:
             kids = children.get(record["span_id"], [])
-            self_ms = _duration(record, time) - sum(
-                _duration(kid, time) for kid in kids
-            )
+            self_ms = _duration(record) - sum(_duration(kid) for kid in kids)
             weight = int(round(max(0.0, self_ms) * 1_000.0))
             if weight <= 0:
                 continue
@@ -430,9 +413,7 @@ def collapsed_stacks(records: Sequence[Dict[str, Any]], *, time: str = "virtual"
     return "\n".join(f"{stack} {weight}" for stack, weight in sorted(totals.items()))
 
 
-def top_spans_text(
-    records: Sequence[Dict[str, Any]], n: int = 10, *, time: str = "virtual"
-) -> str:
+def top_spans_text(records: Sequence[Dict[str, Any]], n: int = 10) -> str:
     """Top-N span names by aggregate exclusive self-time."""
     totals: Dict[str, Tuple[float, int]] = {}
     for segment in _segments(records):
@@ -445,9 +426,7 @@ def top_spans_text(
         for record in segment:
             kids = children.get(record["span_id"], [])
             self_ms = max(
-                0.0,
-                _duration(record, time)
-                - sum(_duration(kid, time) for kid in kids),
+                0.0, _duration(record) - sum(_duration(kid) for kid in kids)
             )
             total, count = totals.get(record["name"], (0.0, 0))
             totals[record["name"]] = (total + self_ms, count + 1)

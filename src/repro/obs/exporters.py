@@ -22,27 +22,19 @@ from repro.obs.span import Span
 class InMemoryExporter:
     """Collects span dicts for programmatic inspection."""
 
-    def __init__(self, *, include_real_time: bool = False) -> None:
-        self._include_real_time = include_real_time
+    def __init__(self) -> None:
         self.exported: List[Dict[str, Any]] = []
 
     def export(self, spans: Iterable[Span]) -> List[Dict[str, Any]]:
-        batch = [
-            span.to_dict(include_real_time=self._include_real_time) for span in spans
-        ]
+        batch = [span.to_dict() for span in spans]
         self.exported.extend(batch)
         return batch
 
 
-def export_jsonl(spans: Iterable[Span], *, include_real_time: bool = False) -> str:
-    """Spans as JSON Lines (deterministic: sorted keys, virtual time only
-    unless ``include_real_time``)."""
+def export_jsonl(spans: Iterable[Span]) -> str:
+    """Spans as JSON Lines (deterministic: sorted keys, virtual time)."""
     lines = [
-        json.dumps(
-            span.to_dict(include_real_time=include_real_time),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
         for span in spans
     ]
     return "\n".join(lines) + ("\n" if lines else "")
@@ -57,14 +49,13 @@ class JsonlFileExporter:
     exporter as a context manager.
     """
 
-    def __init__(self, path, *, include_real_time: bool = False) -> None:
+    def __init__(self, path) -> None:
         self.path = path
-        self._include_real_time = include_real_time
         self._handle = None
 
     def export(self, spans: Iterable[Span]) -> int:
         """Append ``spans``; returns the number written."""
-        payload = export_jsonl(spans, include_real_time=self._include_real_time)
+        payload = export_jsonl(spans)
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(payload)

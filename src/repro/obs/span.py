@@ -1,13 +1,10 @@
 """The span model: one timed unit of work inside the M-Proxy stack.
 
-A span is stamped with **two** clocks:
-
-* *virtual* milliseconds from the device's
-  :class:`~repro.util.clock.SimulatedClock` — deterministic, and the
-  only timestamps that appear in exported traces by default;
-* *real* milliseconds from ``perf_counter`` — the Python execution cost
-  of the span, used by the profiling benchmarks and excluded from
-  deterministic exports.
+A span is stamped in *virtual* milliseconds from the device's
+:class:`~repro.util.clock.SimulatedClock` only, so its timestamps are
+deterministic.  The wall-clock cost of a layer is measured from outside
+the program (``python3 -m benchmarks.e2e run --trace``), never stamped
+on spans.
 
 Span identifiers are small sequential integers drawn from the owning
 tracer, never random — two runs of the same seeded scenario produce the
@@ -62,9 +59,7 @@ class Span:
     span_id: int
     parent_id: Optional[int]
     start_virtual_ms: float
-    start_real_ms: float
     end_virtual_ms: Optional[float] = None
-    end_real_ms: Optional[float] = None
     status: str = STATUS_OK
     error: Optional[str] = None
     attributes: Dict[str, Any] = field(default_factory=dict)
@@ -97,21 +92,10 @@ class Span:
             return 0.0
         return self.end_virtual_ms - self.start_virtual_ms
 
-    @property
-    def duration_real_ms(self) -> float:
-        """Real (Python execution) time spent in this span."""
-        if self.end_real_ms is None:
-            return 0.0
-        return self.end_real_ms - self.start_real_ms
-
-    def to_dict(self, *, include_real_time: bool = False) -> Dict[str, Any]:
-        """Deterministic dict form.
-
-        Real-time stamps are excluded by default so that exports of
-        seeded runs are byte-identical across executions; pass
-        ``include_real_time=True`` for profiling output.
-        """
-        out: Dict[str, Any] = {
+    def to_dict(self) -> Dict[str, Any]:
+        """Deterministic dict form: exports of seeded runs are
+        byte-identical across executions."""
+        return {
             "name": self.name,
             "trace_id": self.trace_id,
             "span_id": self.span_id,
@@ -125,7 +109,3 @@ class Span:
             "attributes": self.attributes,
             "events": [event.to_dict() for event in self.events],
         }
-        if include_real_time:
-            out["start_real_ms"] = self.start_real_ms
-            out["end_real_ms"] = self.end_real_ms
-        return out

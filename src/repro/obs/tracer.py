@@ -2,35 +2,27 @@
 
 Two implementations share one duck type:
 
-* :class:`Tracer` — records hierarchical spans stamped with virtual and
-  real time.  Single-threaded by design (the whole simulation is), so
-  the "current span" is a plain stack, not a context variable.
+* :class:`Tracer` — records hierarchical spans stamped with virtual
+  time.  Single-threaded by design (the whole simulation is), so the
+  "current span" is a plain stack, not a context variable.
 * :class:`NoopTracer` — the default attached to every device.  Its
   ``enabled`` flag is ``False`` and every instrumentation site checks
   that flag *before* doing any span work, which is what keeps the
   Figure-10 invocation path at its pre-observability cost.
 
-Determinism: span and trace ids are sequential integers; virtual
-timestamps come from the bound :class:`~repro.util.clock.SimulatedClock`.
-The only wall-clock read in the subsystem is the per-span real-time
-stamp below, which never feeds back into simulation behaviour and is
-excluded from deterministic exports.
+Determinism: span and trace ids are sequential integers; timestamps
+come from the bound :class:`~repro.util.clock.SimulatedClock` and
+nothing else, so a seeded run's spans are the same on every execution.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import time
 from typing import Any, Iterator, List, Optional
 
 from repro.obs.span import Span, _clean_attributes
 from repro.util.clock import SimulatedClock
-
-
-def _real_now_ms() -> float:
-    """Real-time stamp for span profiling (never drives simulation)."""
-    return time.perf_counter() * 1_000.0  # wall-clock: measurement
 
 
 class NoopTracer:
@@ -112,9 +104,6 @@ class Tracer:
         The virtual clock stamping span boundaries.  May be bound later
         (``bind_clock``) — a device adopts the tracer during
         construction; until then virtual stamps read 0.0.
-    capture_real_time:
-        When ``False``, real-time stamps are recorded as 0.0 — useful
-        for tests that want fully constant span objects.
     """
 
     enabled = True
@@ -123,11 +112,9 @@ class Tracer:
         self,
         clock: Optional[SimulatedClock] = None,
         *,
-        capture_real_time: bool = True,
         retain: bool = True,
     ) -> None:
         self._clock = clock
-        self._capture_real_time = capture_real_time
         self._spans: List[Span] = []
         self._stack: List[Span] = []
         self._span_ids = itertools.count(1)
@@ -169,7 +156,6 @@ class Tracer:
             next(self._span_ids),
             parent.span_id if parent is not None else None,
             clock.now_ms if clock is not None else 0.0,
-            _real_now_ms() if self._capture_real_time else 0.0,
             attributes=_clean_attributes(attributes) if attributes else {},
         )
         self._spans.append(span)
@@ -197,7 +183,6 @@ class Tracer:
             top = stack.pop()
             clock = self._clock
             top.end_virtual_ms = clock.now_ms if clock is not None else 0.0
-            top.end_real_ms = _real_now_ms() if self._capture_real_time else 0.0
             self._finished_cache = None
             if self._sinks:
                 for sink in self._sinks:

@@ -157,13 +157,8 @@ def _attach_runtime(
     )
 
 
-def _new_hub() -> Observability:
-    # Deterministic spans: real-time stamps off, like the conformance suite.
-    return Observability(capture_real_time=False)
-
-
 def _build_android(scenario: Scenario) -> ScenarioWorld:
-    hub = _new_hub()
+    hub = Observability()
     bundle = worlds.build_android(
         fault_plan=scenario.env.fault_plan(scenario.seed), observability=hub
     )
@@ -183,7 +178,7 @@ def _build_android(scenario: Scenario) -> ScenarioWorld:
 
 
 def _build_s60(scenario: Scenario) -> ScenarioWorld:
-    hub = _new_hub()
+    hub = Observability()
     bundle = worlds.build_s60(
         fault_plan=scenario.env.fault_plan(scenario.seed), observability=hub
     )
@@ -200,7 +195,7 @@ def _build_s60(scenario: Scenario) -> ScenarioWorld:
 
 
 def _build_webview(scenario: Scenario) -> ScenarioWorld:
-    hub = _new_hub()
+    hub = Observability()
     bundle = worlds.build_webview(
         fault_plan=scenario.env.fault_plan(scenario.seed), observability=hub
     )

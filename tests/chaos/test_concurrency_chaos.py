@@ -33,7 +33,7 @@ REPORT_URL = f"http://{SERVER_HOST}{PATH_REPORT_LOCATION}"
 
 
 def build_faulted_runtime(plan, *, shards=2, queue_depth=8, seed=3):
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     sc = scenario.build_android(fault_plan=plan, observability=hub)
     logic = launch_on_android(
         sc.platform,

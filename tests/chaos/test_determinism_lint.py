@@ -1,9 +1,9 @@
 """Static determinism lint for the fault plane and resilience layer.
 
 Reproducibility is a structural property of these packages, so it is
-enforced structurally: no unseeded RNG construction, no module-level
-``random.*`` draws (they share interpreter-global state), and no wall
-clock — ever.
+enforced structurally: no unseeded RNG construction and no module-level
+``random.*`` draws (they share interpreter-global state).  The wall
+clock is banned from all of ``src/repro`` by ``tests/test_wallclock_lint.py``.
 """
 
 import pathlib
@@ -18,11 +18,6 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: Packages whose behaviour must be a pure function of (plan, seed, clock).
 DETERMINISTIC_PACKAGES = (SRC / "faults", SRC / "core" / "resilience", SRC / "obs")
 
-#: The tracer's real-time profiling stamp is the one sanctioned read; it
-#: never drives simulation and is excluded from deterministic exports.
-#: tests/test_wallclock_lint.py polices where the pragma may appear.
-WALL_CLOCK_PRAGMA = "# wall-clock: measurement"
-
 FORBIDDEN = (
     # random.Random() with no seed argument
     (re.compile(r"random\.Random\(\s*\)"), "unseeded random.Random()"),
@@ -31,10 +26,6 @@ FORBIDDEN = (
         re.compile(r"random\.(random|randint|uniform|choice|shuffle|gauss)\("),
         "global-state random.* draw",
     ),
-    # wall-clock anything
-    (re.compile(r"\btime\.sleep\("), "wall-clock sleep"),
-    (re.compile(r"\btime\.(time|monotonic|perf_counter)\("), "wall-clock read"),
-    (re.compile(r"datetime\.now\("), "wall-clock read"),
 )
 
 
@@ -55,8 +46,6 @@ class TestDeterminismLint:
         text = path.read_text()
         violations = []
         for lineno, line in enumerate(text.splitlines(), start=1):
-            if WALL_CLOCK_PRAGMA in line:
-                continue
             stripped = line.split("#", 1)[0]
             for pattern, label in FORBIDDEN:
                 if pattern.search(stripped):

@@ -146,7 +146,7 @@ class TestSagaCrashRecovery:
         recovery compensates the in-doubt executions — no reservation
         survives without its committed report."""
         scheduler = Scheduler(SimulatedClock())
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         tier = DistribRuntime(
             scheduler,
             DistribConfig(regions=REGIONS, write_quorum=2, seed=5),

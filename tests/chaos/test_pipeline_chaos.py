@@ -25,7 +25,7 @@ ONE_PERCENT = PipelineConfig(default_rate=0.01, seed=13, streaming=True)
 @pytest.mark.parametrize("platform", PLATFORMS)
 class TestOnePercentSamplingUnderChaos:
     def test_zero_tail_misses(self, platform):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         hub.install_pipeline(ONE_PERCENT)
         DRIVERS[platform](transient_plan(0.35, seed=7), seed=7, observability=hub)
         accounting = hub.pipeline.accounting()
@@ -44,7 +44,7 @@ class TestOnePercentSamplingUnderChaos:
         assert any(record["status"] == "error" for record in kept)
 
     def test_captured_anomalies_pass_the_gate(self, platform):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         hub.install_pipeline(ONE_PERCENT)
         DRIVERS[platform](transient_plan(0.35, seed=7), seed=7, observability=hub)
         report = HealthReport.build(hub.pipeline)

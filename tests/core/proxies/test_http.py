@@ -117,7 +117,7 @@ class TestWebViewBinding:
 
     def test_in_page_proxy_traces_on_a_traced_device(self):
         sc = scenario.build_webview(
-            observability=Observability(capture_real_time=False)
+            observability=Observability()
         )
         _add_routes(sc.device)
         webview = sc.platform.new_webview()

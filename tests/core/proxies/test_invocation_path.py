@@ -153,7 +153,7 @@ def worlds():
     is independent and the tracer is reset before it)."""
     built = {}
     for platform, build in WORLDS.items():
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         sc, make = build(hub)
         server = sc.device.network.add_server("api.test")
         for method in ("GET", "POST"):

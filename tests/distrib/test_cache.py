@@ -32,7 +32,7 @@ class FakeProxy:
 
 @pytest.fixture
 def hub():
-    return Observability(capture_real_time=False)
+    return Observability()
 
 
 @pytest.fixture

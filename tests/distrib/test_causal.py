@@ -66,7 +66,7 @@ class TestCausalTracker:
         assert merged == {"ap-south": 2, "eu-west": 1}
 
     def test_note_visible_records_first_sighting_and_gauge(self):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         tracker = CausalTracker(REGIONS, metrics=hub.metrics)
         stamp = tracker.note_write("t", "k", (1, "ap-south"), "ap-south", 100.0)
         assert stamp.visible == {"ap-south": 100.0}
@@ -122,7 +122,7 @@ class TestLwwInversionAudit:
     def test_injected_inversion_through_replication(self):
         """End-to-end: forge the stamps' clocks after two real writes and
         let the replication apply itself detect the inversion."""
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         tier = build_tier(observability=hub)
         table = tier.table("t")
         table.put("k", "old", region="ap-south")
@@ -142,7 +142,7 @@ class TestLwwInversionAudit:
 
 class TestStaleReadAudit:
     def test_resurrected_slot_flags_exactly_once(self):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         tier = build_tier(observability=hub)
         cache = tier.cache("c")
         cache.put("k", "v1", region="ap-south")
@@ -173,7 +173,7 @@ class TestStaleReadAudit:
 
 class TestFlightDumpOnViolation:
     def test_violation_triggers_incident_dump(self):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         flight = hub.install_flight_recorder()
         monitor = CausalMonitor(observability=hub)
         tracker = CausalTracker(REGIONS)
@@ -189,7 +189,7 @@ class TestFlightDumpOnViolation:
 
 class TestHealthyRunsAreClean:
     def test_mixed_workload_audit_clean(self):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         tier = build_tier(observability=hub)
         table = tier.table("reports")
         cache = tier.cache("c")

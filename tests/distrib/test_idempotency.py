@@ -99,7 +99,7 @@ class TestSmsExactlyOnce:
             if with_fault
             else ()
         )
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         sc = scenario.build_android(
             fault_plan=FaultPlan(seed=11, rules=rules), observability=hub
         )

@@ -168,7 +168,7 @@ class TestQuorum:
 class TestObservability:
     def test_replication_spans_and_counters(self):
         scheduler = Scheduler(SimulatedClock())
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         tier = DistribRuntime(
             scheduler,
             DistribConfig(regions=("a", "b"), seed=0),
@@ -186,7 +186,7 @@ class TestObservability:
 
     def test_partition_spans_record_cut_and_heal(self):
         scheduler = Scheduler(SimulatedClock())
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         tier = DistribRuntime(
             scheduler,
             DistribConfig(regions=("a", "b"), seed=0),

@@ -12,7 +12,7 @@ pytestmark = pytest.mark.distrib
 
 @pytest.fixture
 def hub():
-    return Observability(capture_real_time=False)
+    return Observability()
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ REGIONS = ("ap-south", "eu-west")
 
 def build_traced_tier(*, seed=1, regions=REGIONS):
     scheduler = Scheduler(SimulatedClock())
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     hub.bind_clock(scheduler.clock)
     tier = DistribRuntime(
         scheduler, DistribConfig(regions=regions, seed=seed), observability=hub

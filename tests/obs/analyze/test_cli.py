@@ -14,7 +14,7 @@ pytestmark = pytest.mark.obs
 @pytest.fixture
 def trace_path(tmp_path):
     clock = SimulatedClock()
-    tracer = Tracer(clock, capture_real_time=False)
+    tracer = Tracer(clock)
     for latency in (5.0, 50.0):
         with tracer.span("dispatch:getLocation", platform="android"):
             clock.advance(1.0)
@@ -94,11 +94,6 @@ class TestProfileCommand:
         assert "dispatch:getLocation;substrate:android.getLocation" in out
         assert "self%" in out  # the top-N table rode along
 
-    def test_time_domain_flag(self, trace_path, capsys):
-        assert main(["profile", str(trace_path), "--time", "real", "--json"]) == 0
-        printed = json.loads(capsys.readouterr().out)
-        assert printed["time"] == "real"
-
 
 class TestSloCommand:
     def test_met_slo_exits_zero(self, trace_path, capsys):
@@ -150,6 +145,21 @@ class TestDiffCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
 
+    def test_gate_rejects_a_non_virtual_profile(self, trace_path, tmp_path):
+        """A profile folded in another time domain never reaches the
+        layer-by-layer comparison: the gate errors out (the uncaught
+        ``ValueError`` exits ``python -m repro.obs`` with status 1)."""
+        base = tmp_path / "base.json"
+        assert main(["profile", str(trace_path), "--out", str(base)]) == 0
+        real = tmp_path / "real.json"
+        real.write_text(
+            json.dumps({**json.loads(base.read_text()), "time": "real"}),
+            encoding="utf-8",
+        )
+        for pair in ((base, real), (real, base)):
+            with pytest.raises(ValueError, match="not 'virtual'"):
+                main(["diff", "--gate", *map(str, pair)])
+
 
 class TestTimelineCommand:
     def test_text_gantt_and_use_summary(self, lane_trace_path, capsys):
@@ -200,7 +210,7 @@ class TestCriticalPathCommand:
 def flight_path(tmp_path):
     clock = SimulatedClock()
     recorder = FlightRecorder(clock=clock)
-    tracer = Tracer(clock, capture_real_time=False)
+    tracer = Tracer(clock)
     recorder.attach(tracer, source="agent-0")
     with tracer.span("queue:work", shard=0):
         clock.advance(5.0)

@@ -14,7 +14,7 @@ pytestmark = pytest.mark.obs
 
 def profile_with(native_ms, *, dispatch_ms=1.0, invocations=2):
     clock = SimulatedClock()
-    tracer = Tracer(clock, capture_real_time=False)
+    tracer = Tracer(clock)
     for _ in range(invocations):
         with tracer.span("dispatch:getLocation", platform="android"):
             clock.advance(dispatch_ms)
@@ -80,7 +80,7 @@ class TestDiff:
 class TestLoadProfile:
     def test_loads_trace_jsonl(self):
         clock = SimulatedClock()
-        tracer = Tracer(clock, capture_real_time=False)
+        tracer = Tracer(clock)
         with tracer.span("dispatch:op", platform="android"):
             clock.advance(5.0)
         profile = load_profile_text(export_jsonl(tracer.finished_spans()))

@@ -40,7 +40,7 @@ def clock():
 
 @pytest.fixture
 def tracer(clock):
-    return Tracer(clock, capture_real_time=False)
+    return Tracer(clock)
 
 
 class TestFold:
@@ -125,7 +125,7 @@ class TestFold:
     def test_concatenated_exports_resegmented(self, clock):
         chunks = []
         for _ in range(2):  # two tracers → span ids restart
-            tracer = Tracer(clock, capture_real_time=False)
+            tracer = Tracer(clock)
             make_invocation(tracer, clock)
             chunks.append(export_jsonl(tracer.finished_spans()))
         profile = OverheadProfile.from_jsonl("".join(chunks))
@@ -152,37 +152,25 @@ class TestSerialization:
         rehydrated = OverheadProfile.from_dict(profile.to_dict())
         entry = rehydrated.operations[("getLocation", "android")]
         assert entry.native_ms == pytest.approx(10.0)
-        assert rehydrated.time_domain == "virtual"
+        assert rehydrated.to_dict()["time"] == "virtual"
 
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
             OverheadProfile.from_dict({"schema": "nope"})
 
-    def test_bad_time_domain_rejected(self):
-        with pytest.raises(ValueError):
-            OverheadProfile(time_domain="cpu")
-
-
-class TestRealTimeDomain:
-    def test_real_fold_uses_real_stamps(self):
-        clock = SimulatedClock()
-        tracer = Tracer(clock, capture_real_time=True)
+    def test_bad_time_domain_rejected(self, tracer, clock):
+        """Only virtual-time profile documents load; one without a
+        ``time`` field is read as virtual."""
         make_invocation(tracer, clock)
-        records = parse_jsonl(
-            export_jsonl(tracer.finished_spans(), include_real_time=True)
-        )
-        profile = OverheadProfile.from_records(records, time="real")
-        entry = profile.operations[("getLocation", "android")]
-        assert profile.time_domain == "real"
-        # Wall-clock self-times: tiny but the tree total is positive and
-        # the virtual substrate charge (10ms) is nowhere to be seen.
-        assert entry.total_ms < 10.0
-
-    def test_real_fold_of_virtual_only_export_is_zero(self, tracer, clock):
-        make_invocation(tracer, clock)
-        records = parse_jsonl(export_jsonl(tracer.finished_spans()))
-        profile = OverheadProfile.from_records(records, time="real")
-        assert profile.operations[("getLocation", "android")].total_ms == 0.0
+        payload = OverheadProfile.from_spans(tracer.finished_spans()).to_dict()
+        for time in ("real", "cpu"):
+            with pytest.raises(ValueError, match="not 'virtual'"):
+                OverheadProfile.from_dict({**payload, "time": time})
+        del payload["time"]
+        entry = OverheadProfile.from_dict(payload).operations[
+            ("getLocation", "android")
+        ]
+        assert entry.native_ms == pytest.approx(10.0)
 
 
 class TestViews:

@@ -127,7 +127,7 @@ class TestEngine:
 
     def test_breach_span_event(self):
         clock = SimulatedClock()
-        tracer = Tracer(clock, capture_real_time=False)
+        tracer = Tracer(clock)
         engine = SloEngine([SloSpec("op", 10.0)], tracer=tracer)
         engine.observe("op", 99.0, t_ms=1.0)
         engine.evaluate(2.0)

@@ -16,7 +16,7 @@ pytestmark = [pytest.mark.obs, pytest.mark.pipeline]
 def trace_path(tmp_path):
     """20 clean dispatches plus one error trace, exported to JSONL."""
     clock = SimulatedClock()
-    tracer = Tracer(clock, capture_real_time=False)
+    tracer = Tracer(clock)
     for _ in range(20):
         with tracer.span("dispatch:notify", platform="android"):
             clock.advance(5.0)
@@ -106,7 +106,7 @@ class TestHealthGate:
         # A clean trace (the fixture's error trace would blow the 1%
         # error budget no matter the latency threshold).
         clock = SimulatedClock()
-        tracer = Tracer(clock, capture_real_time=False)
+        tracer = Tracer(clock)
         for _ in range(20):
             with tracer.span("dispatch:notify", platform="android"):
                 clock.advance(5.0)

@@ -16,7 +16,7 @@ pytestmark = [pytest.mark.obs, pytest.mark.pipeline]
 
 def _tracer():
     clock = SimulatedClock()
-    return clock, Tracer(clock, capture_real_time=False)
+    return clock, Tracer(clock)
 
 
 def _invoke(clock, tracer, name="dispatch:notify", *, ms=5.0, fail=False, **attrs):
@@ -178,7 +178,7 @@ class TestCardinalityGuard:
 
 class TestObservabilityAttachment:
     def test_install_pipeline_is_idempotent(self):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         first = hub.install_pipeline(PipelineConfig(default_rate=1.0))
         second = hub.install_pipeline()
         assert first is second is hub.pipeline

@@ -162,7 +162,7 @@ class TestWorkloadExportDeterminism:
         repeat runs, on all three platforms."""
         exports = []
         for _ in range(2):
-            hub = Observability(capture_real_time=False)
+            hub = Observability()
             hub.install_pipeline(
                 PipelineConfig(default_rate=0.3, seed=5, streaming=True)
             )

@@ -16,7 +16,6 @@ def _span(status="ok", events=(), **attributes):
         span_id=1,
         parent_id=None,
         start_virtual_ms=0.0,
-        start_real_ms=0.0,
         end_virtual_ms=1.0,
     )
     span.status = status

@@ -22,7 +22,7 @@ pytestmark = pytest.mark.obs
 def trace():
     """A small finished trace with an event and an error span."""
     clock = SimulatedClock()
-    tracer = Tracer(clock)  # real-time capture on: exports must drop it
+    tracer = Tracer(clock)
     with tracer.span("dispatch:get", interface="Http"):
         clock.advance(2.0)
         with tracer.span("binding:get"):
@@ -44,11 +44,6 @@ class TestJsonl:
             record = json.loads(line)
             assert "start_real_ms" not in record
             assert "end_real_ms" not in record
-
-    def test_real_time_opt_in(self, trace):
-        payload = export_jsonl(trace.finished_spans(), include_real_time=True)
-        record = json.loads(payload.splitlines()[0])
-        assert "start_real_ms" in record
 
     def test_keys_sorted_and_one_object_per_line(self, trace):
         payload = export_jsonl(trace.finished_spans())
@@ -110,7 +105,7 @@ class TestJsonlFileExporter:
 
     def test_utf8_attributes_survive(self, tmp_path):
         clock = SimulatedClock()
-        tracer = Tracer(clock, capture_real_time=False)
+        tracer = Tracer(clock)
         with tracer.span("dispatch:send", text="नमस्ते"):
             clock.advance(1.0)
         path = tmp_path / "spans.jsonl"

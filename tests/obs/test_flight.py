@@ -17,7 +17,7 @@ def make_recorder(**kwargs):
 class TestRecording:
     def test_attach_shadows_finished_spans_and_events(self):
         clock, recorder = make_recorder()
-        tracer = Tracer(clock, capture_real_time=False)
+        tracer = Tracer(clock)
         recorder.attach(tracer, source="agent-1")
         with tracer.span("queue:work", shard=0):
             tracer.event("queue.shed", depth=3)
@@ -32,7 +32,7 @@ class TestRecording:
 
     def test_span_ring_is_bounded(self):
         clock, recorder = make_recorder(span_capacity=2)
-        tracer = Tracer(clock, capture_real_time=False)
+        tracer = Tracer(clock)
         recorder.attach(tracer)
         for index in range(4):
             with tracer.span(f"s{index}"):
@@ -119,7 +119,7 @@ class TestSerialization:
 
     def test_render_text_mentions_dump_and_suppression(self):
         clock, recorder = make_recorder()
-        tracer = Tracer(clock, capture_real_time=False)
+        tracer = Tracer(clock)
         recorder.attach(tracer)
         with tracer.span("queue:work"):
             clock.advance(2.0)
@@ -133,7 +133,7 @@ class TestSerialization:
     def test_deterministic_across_identical_runs(self):
         def run():
             clock, recorder = make_recorder()
-            tracer = Tracer(clock, capture_real_time=False)
+            tracer = Tracer(clock)
             recorder.attach(tracer, source="a")
             with tracer.span("queue:get", shard=0):
                 clock.advance(3.0)

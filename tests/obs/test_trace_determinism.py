@@ -21,7 +21,7 @@ pytestmark = [pytest.mark.obs, pytest.mark.chaos]
 
 
 def _traced_run(platform: str, plan, *, seed: int):
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     run = DRIVERS[platform](plan, seed=seed, observability=hub)
     return hub, run
 
@@ -67,7 +67,7 @@ class TestBreakerLifecycleAsSpanEvents:
 
     @pytest.fixture(scope="class")
     def blackout_hub(self):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         run_android(
             FaultPlan.network_blackout(WARMUP_MS, 150_000.0, seed=4),
             seed=4,
@@ -96,7 +96,7 @@ class TestBreakerLifecycleAsSpanEvents:
     def test_blackout_export_is_deterministic(self):
         exports = []
         for _ in range(2):
-            hub = Observability(capture_real_time=False)
+            hub = Observability()
             run_android(
                 FaultPlan.network_blackout(WARMUP_MS, 150_000.0, seed=4),
                 seed=4,
@@ -114,7 +114,7 @@ class TestTracingDoesNotPerturbTheRun:
     @pytest.mark.parametrize("platform", PLATFORMS)
     def test_fingerprint_unchanged(self, platform):
         plain = DRIVERS[platform](transient_plan(0.3, seed=9), seed=9)
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         traced = DRIVERS[platform](
             transient_plan(0.3, seed=9), seed=9, observability=hub
         )
@@ -126,7 +126,7 @@ class TestSpanTreeShape:
     """One fault-free getLocation yields the acceptance span tree."""
 
     def test_dispatch_resilience_binding_substrate(self):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         sc = scenario.build_android(observability=hub)
         sc.platform.run_for(5_000.0)  # let the GPS produce a first fix
         proxy = create_proxy("Location", sc.platform)

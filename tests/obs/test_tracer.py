@@ -15,7 +15,7 @@ def clock():
 
 @pytest.fixture
 def tracer(clock):
-    return Tracer(clock, capture_real_time=False)
+    return Tracer(clock)
 
 
 class TestSpanLifecycle:
@@ -52,12 +52,6 @@ class TestSpanLifecycle:
         assert span.end_virtual_ms == 115.5
         assert span.duration_virtual_ms == 15.5
 
-    def test_real_time_capture_disabled_yields_constants(self, tracer):
-        with tracer.span("op") as span:
-            pass
-        assert span.start_real_ms == 0.0
-        assert span.end_real_ms == 0.0
-
     def test_escaping_exception_marks_error_and_reraises(self, tracer):
         with pytest.raises(ValueError, match="boom"):
             with tracer.span("op") as span:
@@ -80,7 +74,7 @@ class TestSpanLifecycle:
             tracer.end_span(span)
 
     def test_late_clock_binding(self):
-        tracer = Tracer(capture_real_time=False)
+        tracer = Tracer()
         clock = SimulatedClock()
         clock.advance(42.0)
         tracer.bind_clock(clock)
@@ -226,7 +220,7 @@ class TestObservabilityHub:
         assert hub.metrics is not None  # metrics stay live regardless
 
     def test_enabled_hub_records(self):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         assert hub.enabled is True
         with hub.tracer.span("op"):
             pass

@@ -38,7 +38,7 @@ def world():
 
 
 def make_runtime(world, **kwargs):
-    kwargs.setdefault("observability", Observability(capture_real_time=False))
+    kwargs.setdefault("observability", Observability())
     return ConcurrencyRuntime(world, **kwargs)
 
 
@@ -521,7 +521,7 @@ class TestRetryAfterHonored:
 
 class TestEnrichedEvents:
     def test_shed_event_carries_context(self, world):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         runtime = make_runtime(
             world, shards=1, queue_depth=1, observability=hub
         )
@@ -544,7 +544,7 @@ class TestEnrichedEvents:
         runtime.drain()
 
     def test_throttle_event_and_span_outcome(self, world):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         runtime = make_runtime(
             world,
             shards=1,

@@ -77,7 +77,7 @@ class TestBucketSafety:
     def test_same_seed_identical_throttling(self, arrivals, seed, rate):
         def run():
             world = Scheduler(SimulatedClock())
-            hub = Observability(capture_real_time=False)
+            hub = Observability()
             runtime = ConcurrencyRuntime(
                 world,
                 shards=2,
@@ -139,7 +139,7 @@ class TestSheddingOrder:
             world,
             shards=1,
             queue_depth=queue_depth,
-            observability=Observability(capture_real_time=False),
+            observability=Observability(),
             admission=AdmissionConfig(
                 bucket=None, overflow_capacity=0, autoscaler=None
             ),
@@ -188,7 +188,7 @@ class TestAutoscalerBounds:
 
     def _run(self, arrivals, *, autoscale):
         world = Scheduler(SimulatedClock())
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         hub.install_sampler()
         runtime = ConcurrencyRuntime(
             world,

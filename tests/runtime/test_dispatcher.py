@@ -17,7 +17,7 @@ def world():
 
 
 def make_runtime(world, **kwargs):
-    kwargs.setdefault("observability", Observability(capture_real_time=False))
+    kwargs.setdefault("observability", Observability())
     return ConcurrencyRuntime(world, **kwargs)
 
 
@@ -91,7 +91,7 @@ class TestAdmissionControl:
         assert d.completed_count == 4
 
     def test_shed_records_span_event(self, world):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         runtime = make_runtime(world, shards=1, queue_depth=1, observability=hub)
         d = runtime.dispatcher("p")
         for _ in range(4):
@@ -108,7 +108,7 @@ class TestAdmissionControl:
         runtime.drain()
 
     def test_shed_metric_labelled_by_platform(self, world):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         runtime = make_runtime(world, shards=1, queue_depth=1, observability=hub)
         d = runtime.dispatcher("android")
         for _ in range(4):
@@ -184,7 +184,7 @@ class TestCoalescing:
 
 class TestQueueSpans:
     def test_executed_request_records_queue_span(self, world):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         runtime = make_runtime(world, shards=1, queue_depth=16, observability=hub)
         d = runtime.dispatcher("android")
         d.submit("getLocation", charge(world, 25.0), tracer=hub.tracer)
@@ -202,7 +202,7 @@ class TestQueueSpans:
         assert first.duration_virtual_ms == pytest.approx(25.0)
 
     def test_lane_spans_overlap_across_shards(self, world):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         runtime = make_runtime(world, shards=2, queue_depth=16, observability=hub)
         d = runtime.dispatcher("p")
         d.submit("work", charge(world, 100.0), tracer=hub.tracer)

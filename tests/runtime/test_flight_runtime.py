@@ -22,7 +22,7 @@ pytestmark = pytest.mark.concurrency
 
 def make_runtime(**kwargs):
     scheduler = Scheduler(SimulatedClock())
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     sampler = hub.install_sampler()
     sampler.track("runtime.queue_depth")
     sampler.track("runtime.inflight")
@@ -90,7 +90,7 @@ class TestShedDump:
 class TestBreakerDump:
     def test_breaker_open_triggers_dump(self):
         scheduler = Scheduler(SimulatedClock())
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         flight = hub.install_flight_recorder()
         runtime = ResilienceRuntime(
             ResiliencePolicy(
@@ -119,7 +119,7 @@ class TestBreakerDump:
 
 class TestSloBreachDump:
     def test_newly_breached_slo_triggers_dump(self):
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         flight = hub.install_flight_recorder()
         engine = SloEngine(
             [SloSpec(operation="get", latency_threshold_ms=10.0)],

@@ -33,7 +33,7 @@ FLEET_SPEC = st.lists(WORKLOAD, min_size=1, max_size=5)
 def run_fleet_spec(spec, *, seed: int, shards: int):
     """Execute a generated workload mix; return every observable output."""
     world = Scheduler(SimulatedClock())
-    hub = Observability(capture_real_time=False)
+    hub = Observability()
     runtime = ConcurrencyRuntime(
         world, shards=shards, queue_depth=64, seed=seed, observability=hub
     )

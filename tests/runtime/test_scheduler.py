@@ -152,7 +152,7 @@ class TestIsolationAndResults:
     def test_metrics_count_lifecycle(self, world):
         from repro.obs import Observability
 
-        hub = Observability(capture_real_time=False)
+        hub = Observability()
         coop = CooperativeScheduler(world, seed=0, observability=hub)
 
         def ok():
