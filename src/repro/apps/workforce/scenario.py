@@ -27,7 +27,6 @@ from repro.platforms.s60.messaging import PERMISSION_SMS_SEND
 from repro.platforms.s60.packaging import Jar, JarEntry, JadDescriptor, MidletSuite
 from repro.platforms.s60.platform import S60Platform
 from repro.platforms.webview.platform import WebViewPlatform
-from repro.runtime import ConcurrencyRuntime
 from repro.util.geo import GeoPoint, destination_point
 from repro.util.latency import LatencyModel
 
@@ -55,29 +54,6 @@ S60_PERMISSIONS = [PERMISSION_LOCATION, PERMISSION_SMS_SEND, PERMISSION_HTTP]
 
 def standard_config(alert_timer_s: float = -1.0) -> WorkforceConfig:
     return WorkforceConfig(agent=AGENT, site=SITE, alert_timer_s=alert_timer_s)
-
-
-def attach_runtime(
-    scenario,
-    *,
-    shards: int = 2,
-    queue_depth: int = 32,
-    seed: int = 0,
-) -> ConcurrencyRuntime:
-    """A concurrency runtime on a built scenario's device scheduler.
-
-    Works with any of the ``build_*`` results below (they all expose
-    ``.device``); the runtime shares the scenario's virtual clock and
-    observability hub, so queue spans and ``runtime.*`` metrics land in
-    the same place as the scenario's dispatch spans.
-    """
-    return ConcurrencyRuntime(
-        scenario.device.scheduler,
-        shards=shards,
-        queue_depth=queue_depth,
-        seed=seed,
-        observability=scenario.device.obs,
-    )
 
 
 def commute_trajectory(

@@ -13,7 +13,7 @@ A concrete proxy binding (e.g. the Android Location proxy) subclasses
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.core.descriptor.model import BindingPlane, ProxyDescriptor
 from repro.core.proxy.exceptions import map_platform_exception
@@ -54,27 +54,13 @@ class MProxy:
         self.properties = PropertySet(self.binding.properties)
         self._resilience: Optional["ResilienceRuntime"] = None
         self._obs: Optional["Observability"] = None
-        self._property_listeners: List[Callable[[str, Any], None]] = []
 
     # -- the generic property mechanism (paper: setProperty) -----------------
 
     def set_property(self, key: str, value: Any) -> None:
         """Set a platform-specific attribute (validated against the
-        binding plane's property list).
-
-        Subscribed property listeners are notified after a successful
-        set — the concurrency runtime's property-read cache relies on
-        this to invalidate on every ``setProperty``."""
+        binding plane's property list)."""
         self.properties.set(key, value)
-        for listener in self._property_listeners:
-            listener(key, value)
-
-    def subscribe_property_changes(
-        self, listener: Callable[[str, Any], None]
-    ) -> None:
-        """Register ``listener(key, value)`` to fire after every
-        successful :meth:`set_property` (invalid sets never notify)."""
-        self._property_listeners.append(listener)
 
     def get_property(self, key: str) -> Any:
         """Read a property's effective value (explicit or default)."""

@@ -5,13 +5,12 @@ substrate a production deployment of the middleware would run on:
 
 * :mod:`~repro.distrib.replication` — per-key LWW-versioned replicated
   tables, anti-entropy gossip, injectable partitions;
-* :mod:`~repro.distrib.cache` — read-through/write-behind tiered caches
-  with cross-region invalidation fan-out and staleness accounting;
+* :mod:`~repro.distrib.cache` — region-local L1 caches over replicated
+  tables, with write-behind, cross-region invalidation fan-out and
+  staleness accounting;
 * :mod:`~repro.distrib.idempotency` — the idempotency-key store that
   makes retried substrate writes exactly-once;
 * :mod:`~repro.distrib.saga` — compensating multi-step flows;
-* :mod:`~repro.distrib.notifications` — the WebView notification table
-  (paper Figure 6) replicated across regions;
 * :mod:`~repro.distrib.causal` — per-region vector clocks, causal span
   stamps (``causal.origin`` / ``causal.vc``), write→visibility lag
   tracking and the happens-before audit;
@@ -45,13 +44,8 @@ from repro.distrib.replication import (
     Version,
     VersionedEntry,
 )
-from repro.distrib.cache import (
-    TieredCache,
-    TieredLocationFixCache,
-    TieredPropertyReadCache,
-)
+from repro.distrib.cache import TieredCache, TieredLocationFixCache
 from repro.distrib.saga import SagaExecution, SagaOrchestrator, SagaStep
-from repro.distrib.notifications import ReplicatedNotificationTable
 from repro.distrib.runtime import DistribRuntime
 
 __all__ = [
@@ -65,14 +59,12 @@ __all__ = [
     "IdempotencyStore",
     "PartitionMap",
     "ReplicaState",
-    "ReplicatedNotificationTable",
     "ReplicatedTable",
     "SagaExecution",
     "SagaOrchestrator",
     "SagaStep",
     "TieredCache",
     "TieredLocationFixCache",
-    "TieredPropertyReadCache",
     "Version",
     "VersionedEntry",
     "chain_context",

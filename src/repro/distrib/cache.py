@@ -1,8 +1,8 @@
 """Tiered caches: region-local L1 over a replicated backing store.
 
-:class:`TieredCache` promotes the runtime's single-node caches to a
-two-tier design.  Each region keeps an L1 slot map (value, cached-at
-stamp, backing version); misses read through to the backing
+:class:`TieredCache` promotes the runtime's single-node location cache
+to a two-tier design.  Each region keeps an L1 slot map (value,
+cached-at stamp, backing version); misses read through to the backing
 :class:`~repro.distrib.replication.ReplicatedTable`, writes buffer in a
 write-behind queue flushed after ``write_behind_delay_ms``, and every
 write fans an invalidation out to the *other* regions' L1s after the
@@ -12,19 +12,14 @@ served from an L1 slot whose version is older than what the backing
 store already knows is a *stale* hit, and the counter quantifies the
 staleness the tier trades for latency.
 
-Two adapters keep the runtime API unchanged:
-:class:`TieredLocationFixCache` mirrors ``LocationFixCache`` (get/put/
-invalidate/hits/misses), :class:`TieredPropertyReadCache` subclasses
-``PropertyReadCache`` so proxy attachment and setProperty invalidation
-keep working, with writes mirrored into the tier and invalidations
-fanned out cross-region.
+:class:`TieredLocationFixCache` keeps the runtime API unchanged: it
+mirrors ``LocationFixCache`` (get/put/invalidate/hits/misses).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.runtime.coalesce import PropertyReadCache
 from repro.util.clock import Scheduler
 
 from repro.distrib.causal import CausalMonitor, CausalTracker, encode_vc
@@ -42,11 +37,10 @@ class _L1Slot:
 
 
 class TieredCache:
-    """Read-through / write-behind cache over a replicated table.
+    """Write-behind cache over a replicated table.
 
-    ``loader`` (optional) supplies the value on a full miss — the
-    read-through source of truth (e.g. the GPS receiver); without one a
-    miss returns ``None`` and the caller populates via :meth:`put`.
+    A miss that the backing replica cannot serve returns ``None``; the
+    caller populates the cache via :meth:`put`.
     """
 
     def __init__(
@@ -57,7 +51,6 @@ class TieredCache:
         backing: ReplicatedTable,
         partitions: PartitionMap,
         *,
-        loader: Optional[Callable[[str], Any]] = None,
         observability=None,
         causal: Optional[CausalTracker] = None,
         monitor: Optional[CausalMonitor] = None,
@@ -67,7 +60,6 @@ class TieredCache:
         self._scheduler = scheduler
         self.backing = backing
         self._partitions = partitions
-        self._loader = loader
         self._observability = observability
         self._metrics = observability.metrics if observability else None
         self.causal = causal
@@ -94,7 +86,7 @@ class TieredCache:
         """The freshest value the region can see without blocking.
 
         Order: fresh L1 slot (stale-hit accounting against the backing
-        version) → backing replica → read-through loader → ``None``.
+        version) → backing replica → ``None``.
         """
         target = region if region is not None else self.config.home_region
         now = self._scheduler.clock.now_ms
@@ -118,13 +110,7 @@ class TieredCache:
         if value is not None:
             version = self.backing.version_of(key, region=target)
             self._l1[target][key] = _L1Slot(value, now, version)
-            return value
-        if self._loader is not None:
-            value = self._loader(key)
-            if value is not None:
-                self.put(key, value, region=target)
-            return value
-        return None
+        return value
 
     # -- writes ---------------------------------------------------------------
 
@@ -308,37 +294,3 @@ class TieredLocationFixCache:
     @property
     def misses(self) -> int:
         return self._misses.value
-
-
-class TieredPropertyReadCache(PropertyReadCache):
-    """``PropertyReadCache`` whose writes mirror into the tier and whose
-    setProperty invalidations fan out cross-region.
-
-    The memoisation itself stays per-proxy/in-process (proxy identity
-    does not replicate); what the tier adds is a replicated shadow of
-    the latest property values under ``prop:<n>:<key>`` and the
-    cross-region invalidation path, so a remote region observing the
-    shadow never reads a value the origin already invalidated — modulo
-    the replication delay the staleness counters account for.
-    """
-
-    def __init__(self, tier: TieredCache, metrics=None, *, label: str = (
-            "properties")) -> None:
-        super().__init__(metrics, label=label)
-        self._tier = tier
-        self._labels: Dict[int, int] = {}
-
-    def _shadow_key(self, proxy_id: int, key: str) -> str:
-        ordinal = self._labels.setdefault(proxy_id, len(self._labels))
-        return f"prop:{ordinal}:{key}"
-
-    def get(self, proxy, key: str) -> Any:
-        value = super().get(proxy, key)
-        shadow = self._shadow_key(id(proxy), key)
-        if self._tier.l1_slot(shadow) != value:
-            self._tier.put(shadow, value)
-        return value
-
-    def _invalidate(self, proxy_id: int, key: str) -> None:
-        super()._invalidate(proxy_id, key)
-        self._tier.invalidate(self._shadow_key(proxy_id, key))

@@ -6,8 +6,8 @@ when constructed with ``ConcurrencyRuntime(distrib=DistribConfig(...))``:
 * lazily-created named :class:`~repro.distrib.replication.ReplicatedTable`\\ s
   sharing one :class:`~repro.distrib.replication.PartitionMap`;
 * :class:`~repro.distrib.cache.TieredCache` instances (plus the
-  location/property adapters the runtime swaps in for its single-node
-  caches);
+  location adapter the runtime swaps in for its single-node location
+  cache);
 * one :class:`~repro.distrib.idempotency.IdempotencyStore` attached to
   the fleet's substrate write sites;
 * one :class:`~repro.distrib.saga.SagaOrchestrator`;
@@ -26,19 +26,14 @@ lag spikes with the outage that caused them.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.util.clock import Scheduler
 
-from repro.distrib.cache import (
-    TieredCache,
-    TieredLocationFixCache,
-    TieredPropertyReadCache,
-)
+from repro.distrib.cache import TieredCache, TieredLocationFixCache
 from repro.distrib.causal import CausalMonitor, CausalTracker
 from repro.distrib.config import DistribConfig
 from repro.distrib.idempotency import IdempotencyStore
-from repro.distrib.notifications import ReplicatedNotificationTable
 from repro.distrib.replication import PartitionMap, ReplicatedTable
 from repro.distrib.saga import SagaOrchestrator
 
@@ -66,8 +61,6 @@ class DistribRuntime:
         self._tables: Dict[str, ReplicatedTable] = {}
         self._caches: Dict[str, TieredCache] = {}
         self._location_caches: Dict[str, TieredLocationFixCache] = {}
-        self._property_cache: Optional[TieredPropertyReadCache] = None
-        self._notifications: Optional[ReplicatedNotificationTable] = None
         #: Shared per-region vector clocks + write visibility tracking —
         #: one tracker orders events across every table and cache.
         self.causal = CausalTracker(
@@ -129,9 +122,7 @@ class DistribRuntime:
     def tables(self) -> Dict[str, ReplicatedTable]:
         return dict(self._tables)
 
-    def cache(
-        self, name: str, *, loader: Optional[Callable[[str], Any]] = None
-    ) -> TieredCache:
+    def cache(self, name: str) -> TieredCache:
         """The named tiered cache (lazily created over ``cache:<name>``)."""
         cache = self._caches.get(name)
         if cache is None:
@@ -141,14 +132,11 @@ class DistribRuntime:
                 self.scheduler,
                 self.table(f"cache:{name}"),
                 self.partitions,
-                loader=loader,
                 observability=self.observability,
                 causal=self.causal,
                 monitor=self.monitor,
             )
             self._caches[name] = cache
-        elif loader is not None and cache._loader is None:
-            cache._loader = loader
         return cache
 
     def location_cache(self, label: str) -> TieredLocationFixCache:
@@ -162,22 +150,6 @@ class DistribRuntime:
             )
             self._location_caches[label] = adapter
         return adapter
-
-    def property_cache(self) -> TieredPropertyReadCache:
-        """The tier-backed property-read cache (runtime swap-in)."""
-        if self._property_cache is None:
-            self._property_cache = TieredPropertyReadCache(
-                self.cache("properties"), self._metrics
-            )
-        return self._property_cache
-
-    def notifications(self) -> ReplicatedNotificationTable:
-        """The replicated WebView notification table."""
-        if self._notifications is None:
-            self._notifications = ReplicatedNotificationTable(
-                self.table("notifications"), injector=self._injector
-            )
-        return self._notifications
 
     # -- partitions -----------------------------------------------------------
 

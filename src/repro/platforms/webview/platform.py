@@ -43,16 +43,12 @@ class WebViewPlatform(PlatformBase):
         *,
         android: Optional[AndroidPlatform] = None,
         latency: Optional[LatencyModel] = None,
-        notification_table: Optional[NotificationTable] = None,
     ) -> None:
         super().__init__(device, latency=latency or DEFAULT_BRIDGE_LATENCY)
         if android is not None and android.device is not device:
             raise ValueError("android platform must be mounted on the same device")
         self.android = android or AndroidPlatform(device)
-        # ``notification_table`` accepts any object with the table's API —
-        # the distrib tier passes a ReplicatedNotificationTable so Figure
-        # 6's Java-side store spans regions (docs/DISTRIBUTION.md).
-        self.notification_table = notification_table or NotificationTable(
+        self.notification_table = NotificationTable(
             injector=getattr(device, "faults", None)
         )
         #: The window of the most recently loaded page (set by

@@ -9,8 +9,7 @@ virtual-time substrate without giving up reproducibility:
 * :class:`~repro.runtime.dispatcher.Dispatcher` — per-platform worker
   shards with bounded queues, load-shedding admission control and
   in-flight request coalescing, in front of ``MProxy``;
-* :mod:`~repro.runtime.coalesce` — staleness-window location fix reuse
-  and a ``setProperty``-invalidated property-read cache;
+* :mod:`~repro.runtime.coalesce` — staleness-window location fix reuse;
 * :class:`ConcurrencyRuntime` — the bundle the workforce fleet and the
   benchmarks actually use.
 
@@ -32,7 +31,7 @@ from repro.runtime.admission import (
     ShardAutoscaler,
     TokenBucketConfig,
 )
-from repro.runtime.coalesce import LocationFixCache, PropertyReadCache
+from repro.runtime.coalesce import LocationFixCache
 from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.futures import Future, FutureStateError
 from repro.runtime import scheduler as task_states
@@ -54,7 +53,6 @@ __all__ = [
     "Future",
     "FutureStateError",
     "LocationFixCache",
-    "PropertyReadCache",
     "ShardAutoscaler",
     "TokenBucketConfig",
 ]
@@ -64,7 +62,7 @@ class ConcurrencyRuntime:
     """One deployment's concurrency plane.
 
     Bundles the cooperative task scheduler, lazily-created per-platform
-    dispatchers and the read caches over one shared
+    dispatchers and the location-fix caches over one shared
     :class:`~repro.util.clock.Scheduler`.
 
     Parameters
@@ -94,7 +92,7 @@ class ConcurrencyRuntime:
     distrib:
         Optional :class:`~repro.distrib.config.DistribConfig` mounting
         the distributed data tier (see ``docs/DISTRIBUTION.md``): the
-        runtime's read caches become region-aware tiered caches, a
+        runtime's location-fix caches become region-aware tiered caches, a
         :class:`~repro.distrib.runtime.DistribRuntime` is exposed as
         ``self.distrib``, and its anti-entropy gossip tick rides the
         cooperative scheduler's drain instants.  Every cross-region hop
@@ -102,7 +100,7 @@ class ConcurrencyRuntime:
         ``causal.origin`` span attributes, per-region vector clocks) and
         audited for happens-before violations — see the ``causal``
         section of ``docs/OBSERVABILITY.md``.  ``None`` (the default)
-        keeps the single-node caches.
+        keeps the single-node location-fix caches.
     """
 
     def __init__(
@@ -145,11 +143,8 @@ class ConcurrencyRuntime:
             self.distrib = DistribRuntime(
                 scheduler, distrib, observability=self.observability
             )
-            self.properties = self.distrib.property_cache()
             # Gossip repair rides the same control instants as autoscaling.
             self.tasks.add_drain_hook(self.distrib.tick)
-        else:
-            self.properties = PropertyReadCache(self.observability.metrics)
         if admission is not None and admission.autoscaler is not None:
             # Fleet-driven runs advance time through the cooperative
             # scheduler, so the control loop rides its drain passes.
@@ -316,11 +311,6 @@ class ConcurrencyRuntime:
 
         future.add_done_callback(remember)
         return future
-
-    def get_property(self, proxy, key: str) -> Any:
-        """Cached descriptor/property lookup (invalidated by any
-        ``set_property`` on the proxy)."""
-        return self.properties.get(proxy, key)
 
     # -- driving -------------------------------------------------------------
 

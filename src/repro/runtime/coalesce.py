@@ -1,24 +1,20 @@
 """Read coalescing and caching for idempotent proxy operations.
 
-Three independent savings, all safe only for reads:
+Two independent savings, both safe only for reads:
 
 * **in-flight coalescing** — handled inside the dispatcher via coalesce
   keys (HTTP GETs to the same URL share one execution while one is
   queued or in service);
 * **location fix reuse** — :class:`LocationFixCache` serves the last fix
-  while it is younger than a staleness window on the virtual clock;
-* **property lookups** — :class:`PropertyReadCache` memoises
-  ``get_property`` per (proxy, key) and invalidates on every
-  ``setProperty`` through the proxy's property-change subscription.
+  while it is younger than a staleness window on the virtual clock.
 
-Every hit, miss and invalidation is a ``runtime.*`` counter so the
-benchmarks can report the saving and the property suite can prove the
-invalidation contract.
+Every hit and miss is a ``runtime.*`` counter so the benchmarks can
+report the saving.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any
 
 from repro.util.clock import SimulatedClock
 
@@ -27,7 +23,7 @@ class LocationFixCache:
     """Serve a recent fix instead of touching the GPS again.
 
     ``staleness_ms`` bounds how old (in virtual time) a reused fix may
-    be; ``0`` disables reuse entirely.
+    be; with ``0`` a fix is reused only at the instant it was stored.
     """
 
     def __init__(
@@ -76,68 +72,3 @@ class LocationFixCache:
     @property
     def misses(self) -> int:
         return self._misses.value
-
-
-class PropertyReadCache:
-    """Memoised ``get_property`` with setProperty invalidation.
-
-    Attach proxies explicitly; attachment subscribes to the proxy's
-    property-change notifications, so *any* ``set_property(key, ...)``
-    drops exactly that key's cached value — the invalidation-on-write
-    contract the hypothesis suite exercises.
-    """
-
-    def __init__(self, metrics=None, *, label: str = "properties") -> None:
-        self._values: Dict[Tuple[int, str], Any] = {}
-        self._attached: Dict[int, Any] = {}
-        if metrics is None:
-            from repro.obs import MetricsRegistry
-
-            metrics = MetricsRegistry()
-        self._hits = metrics.counter("runtime.property_cache_hits", source=label)
-        self._misses = metrics.counter("runtime.property_cache_misses", source=label)
-        self._invalidations = metrics.counter(
-            "runtime.property_cache_invalidations", source=label
-        )
-
-    def attach(self, proxy) -> None:
-        """Start caching ``proxy``'s reads (idempotent per proxy)."""
-        key = id(proxy)
-        if key in self._attached:
-            return
-        self._attached[key] = proxy  # strong ref keeps id() stable
-        proxy.subscribe_property_changes(
-            lambda name, value, _key=key: self._invalidate(_key, name)
-        )
-
-    def get(self, proxy, key: str) -> Any:
-        """Cached property read (attaches the proxy on first use)."""
-        self.attach(proxy)
-        cache_key = (id(proxy), key)
-        if cache_key in self._values:
-            self._hits.inc()
-            return self._values[cache_key]
-        self._misses.inc()
-        value = proxy.get_property(key)
-        self._values[cache_key] = value
-        return value
-
-    def _invalidate(self, proxy_id: int, key: str) -> None:
-        self._values.pop((proxy_id, key), None)
-        self._invalidations.inc()
-
-    def cached_value(self, proxy, key: str) -> Optional[Any]:
-        """The raw cache slot (``None`` when absent) — test aid."""
-        return self._values.get((id(proxy), key))
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def invalidations(self) -> int:
-        return self._invalidations.value

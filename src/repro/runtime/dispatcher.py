@@ -170,6 +170,10 @@ class Dispatcher:
         self.queue_depth = queue_depth
         self._shards = [_Shard(index) for index in range(shards)]
         self._inflight: Dict[str, _Request] = {}
+        #: Requests executed on a lane whose ``_settle`` has not run yet.
+        #: The ``runtime.inflight`` gauge counts them too, but every
+        #: dispatcher of one platform on one registry shares that gauge.
+        self._unsettled = 0
         self._seq = itertools.count()
         self._rr = itertools.count()
         self._obs = observability
@@ -244,8 +248,15 @@ class Dispatcher:
 
     @property
     def idle(self) -> bool:
-        """No queued or buffered work and every lane's horizon passed."""
-        if self._overflow is not None and len(self._overflow):
+        """No queued or buffered work, every lane's horizon passed and
+        every executed request settled.
+
+        A lane's horizon alone is not enough: a scheduler callback may
+        charge the shared clock past ``busy_until_ms`` before that
+        request's settle callback runs."""
+        if self._unsettled or (
+            self._overflow is not None and len(self._overflow)
+        ):
             return False
         now = self._clock.now_ms
         return all(
@@ -643,6 +654,7 @@ class Dispatcher:
             self._buffer_gauge.set(len(self._overflow))
         self._depth_gauges[shard.index].set(len(shard.queue))
         self._inflight_gauge.add(1)
+        self._unsettled += 1
         start = self._clock.now_ms
         request.start_ms = start
         wait_ms = start - request.submit_ms
@@ -691,6 +703,7 @@ class Dispatcher:
             del self._inflight[request.coalesce_key]
         futures = [request.future] + request.attached
         self._inflight_gauge.add(-1)
+        self._unsettled -= 1
         if error is not None:
             self._failed.inc(len(futures))
             for future in futures:

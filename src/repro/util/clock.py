@@ -3,8 +3,8 @@
 Everything latency-bearing in the substrates (GPS fix acquisition, radio
 round-trips, WebView polling timers) is expressed against a
 :class:`SimulatedClock` so tests and benchmarks are deterministic and fast.
-Real wall-clock time is used only to measure the M-Proxy layer's own Python
-overhead in the Figure-10 benchmark.
+Nothing in the package reads a wall clock: the M-Proxy layer's own Python
+overhead is timed from outside, by the benchmarks under ``benchmarks/``.
 
 Time is measured in **milliseconds** as a float, matching the units of the
 paper's evaluation.

@@ -11,25 +11,6 @@ pytestmark = pytest.mark.distrib
 REGIONS = ("ap-south", "eu-west")
 
 
-class FakeProxy:
-    """The minimal property surface ``PropertyReadCache`` attaches to."""
-
-    def __init__(self):
-        self._props = {}
-        self._subscribers = []
-
-    def subscribe_property_changes(self, callback):
-        self._subscribers.append(callback)
-
-    def get_property(self, key):
-        return self._props.get(key)
-
-    def set_property(self, key, value):
-        self._props[key] = value
-        for callback in list(self._subscribers):
-            callback(key, value)
-
-
 @pytest.fixture
 def hub():
     return Observability()
@@ -46,20 +27,6 @@ def tier(hub):
 
 
 class TestReadThrough:
-    def test_miss_reads_through_loader_and_caches(self, tier, hub):
-        loads = []
-
-        def loader(key):
-            loads.append(key)
-            return f"loaded:{key}"
-
-        cache = tier.cache("fixes", loader=loader)
-        assert cache.get("k") == "loaded:k"
-        assert cache.get("k") == "loaded:k"
-        assert loads == ["k"]  # second read served from L1
-        assert hub.metrics.total("distrib.cache_misses") == 1
-        assert hub.metrics.total("distrib.cache_hits") == 1
-
     def test_miss_without_loader_returns_none(self, tier):
         assert tier.cache("fixes").get("absent") is None
 
@@ -167,24 +134,3 @@ class TestLocationFixAdapter:
         tier.scheduler.run_for(tier.config.replication_delay_ms)
         backing = tier.cache("location").backing
         assert backing.get("fix:loc", region="eu-west") == {"lat": 2.0}
-
-
-class TestPropertyAdapter:
-    def test_memoises_and_shadows_reads(self, tier):
-        cache = tier.property_cache()
-        proxy = FakeProxy()
-        proxy._props["interval"] = 500
-        assert cache.get(proxy, "interval") == 500
-        assert cache.get(proxy, "interval") == 500
-        assert cache.hits == 1 and cache.misses == 1
-        assert tier.cache("properties").l1_slot("prop:0:interval") == 500
-
-    def test_set_property_invalidates_memo_and_shadow(self, tier):
-        cache = tier.property_cache()
-        proxy = FakeProxy()
-        proxy._props["interval"] = 500
-        cache.get(proxy, "interval")
-        proxy.set_property("interval", 900)
-        assert cache.cached_value(proxy, "interval") is None
-        assert tier.cache("properties").l1_slot("prop:0:interval") is None
-        assert cache.get(proxy, "interval") == 900

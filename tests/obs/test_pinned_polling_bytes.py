@@ -65,39 +65,39 @@ PINS = {
     ),
     ("saga_flow", "android"): (
         "a1a5b677cfa2920dbf465af288144ac8c23b819d02334917bf4ae6733048c953",
-        "9e54c60ecb69e08bbc0222e50c3bd32b7b84d33c452b88d88d7d6ad645223bdc",
+        "5ce4e6c73b907c01fb5cc8386d933115f0c6d94b7dc77072f24a3c7c0f5df281",
     ),
     ("saga_flow", "s60"): (
         "c9ee9906de784726f80573b6783e329d7c8958a8800ab4157425844878383d9c",
-        "c63ef2cc4625f67d9011920b3d312056d7ad5464f33c03f5b7ccac256ec37688",
+        "91dccdca2568fee492d56ec5b395651c8d6d053613591ae0523021cf66e3f590",
     ),
     ("saga_flow", "webview"): (
         "22642212dd4bd30946d1e617d2bd08815d6805d20e1d910eff6e97d4103c5e0c",
-        "bf9b28a442f6bd6caf99abc187a0cf656d09554c2a21f07268bc0046ce82bf75",
+        "11833cf6fe35867ce32c4e5a18cdc475cc3dc425c1a1b6a5aa1f089dc6c1b45d",
     ),
     ("throttle_wave", "android"): (
         "1b01c9fb1bc10075349b252a2227e0f9fcc2494df69d4307b0d5cb3498bbc18c",
-        "4f9177cb6555ce36594a19137431ffb9a101d53b775d76ad3e4c4a40baf2bc96",
+        "bad2c05e48651ded27a62955a17e81f2a9a11a33aa85a13b798393460c31892b",
     ),
     ("throttle_wave", "s60"): (
         "dc37064f7d95499e385caf5ed7875329eb7bd6acb84ee7fbe98eb1cf7ddd0df1",
-        "574437babd2a9f29d6a78093844d7c4a3fc550f7d2df91ee94558817e202b167",
+        "e4d27233c9c8b7dc1c86004376321360d258015a75aad2b1fd3d8372fe66e794",
     ),
     ("throttle_wave", "webview"): (
         "906c28d83d8c4f46df069614e6ffb32d0f66b71651f5d12446718296c83c26d0",
-        "cdfbceba98c2c27c117383622b8bb7410433cbdc245de22a7845c7f9bec5407b",
+        "f9554609d977f41beeeceac41bb0b0bfe9d632be790129c31f6a39a8bfcf0025",
     ),
     ("webview_drain", "android"): (
         "ba9220358852e881352fe12e236ff86b1cca7f22887de3a0ad569bd4814fd216",
-        "52bdd9a29c027f4fc6116ccb0f9d189bf699d2b81c3892b5400497208c8ccbc3",
+        "2c81eb6b37ab69af24d515e8f896784dd4f32b189cbb488ffd0fb5f86ea9b762",
     ),
     ("webview_drain", "s60"): (
         "19b801917eccdbcc5a4a23f5edbd5b0611fd17c1bcef68520e4d27bbca956029",
-        "6344824929674b54985c9bcdb469582ccc6699bdf6562018dce3f38aaa849787",
+        "af75747ac386df66138d5c092dd310421db8abc7183d5d6e782d93810226205e",
     ),
     ("webview_drain", "webview"): (
         "8911ab2929b180fe01f4d03a9b29ea37ba3cce3c80b8dc95e642827955948f6a",
-        "98fb143cc4c8b68203e5b362263f5a2f4c067912000109fb37b0c19b21a71d3b",
+        "dabb5a8a8eaf90359782afe91d629481e92776a6aae437637369a36b4a70bc16",
     ),
 }
 

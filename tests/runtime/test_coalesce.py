@@ -1,5 +1,5 @@
-"""Unit tests for the read caches: location staleness window, property
-invalidation, and the runtime's proxy-aware helpers."""
+"""Unit tests for the location-fix cache's staleness window and the
+runtime's proxy-aware location helper."""
 
 import pytest
 
@@ -95,34 +95,3 @@ class TestRuntimeLocationHelper:
         assert not second.done()
         runtime.drain()
         assert second.error is None
-
-
-class TestPropertyReadCache:
-    def test_repeat_read_is_memoised(self, android):
-        sc, logic = android
-        runtime = ConcurrencyRuntime(sc.device.scheduler)
-        assert runtime.get_property(logic.location, "provider") == "gps"
-        assert runtime.get_property(logic.location, "provider") == "gps"
-        assert runtime.properties.hits == 1
-        assert runtime.properties.misses == 1
-
-    def test_set_property_invalidates_exactly_that_key(self, android):
-        sc, logic = android
-        runtime = ConcurrencyRuntime(sc.device.scheduler)
-        runtime.get_property(logic.http, "userAgent")
-        runtime.get_property(logic.http, "contentType")
-        logic.http.set_property("userAgent", "Conformance/2.0")
-        assert runtime.properties.cached_value(logic.http, "userAgent") is None
-        assert runtime.properties.cached_value(logic.http, "contentType") is not None
-        assert runtime.get_property(logic.http, "userAgent") == "Conformance/2.0"
-
-    def test_caches_are_per_proxy(self, android):
-        sc, logic = android
-        runtime = ConcurrencyRuntime(sc.device.scheduler)
-        runtime.get_property(logic.location, "provider")
-        runtime.get_property(logic.http, "userAgent")
-        logic.http.set_property("userAgent", "Conformance/2.0")
-        # the location proxy's slot is untouched
-        assert (
-            runtime.properties.cached_value(logic.location, "provider") is not None
-        )

@@ -229,3 +229,21 @@ class TestDeterminism:
             return d.executed_per_shard(), world.clock.now_ms
 
         assert run() == run()
+
+
+class TestDrain:
+    def test_drain_waits_for_settle_overtaken_by_a_clock_charge(self, world):
+        # A scheduler callback charges the shared clock past the lane's
+        # horizon before the request's settle callback has run.
+        runtime = make_runtime(world, shards=1)
+        future = runtime.submit("p", "work", charge(world, 50.0))
+
+        def agent():
+            yield future
+
+        task = runtime.spawn("agent", agent())
+        world.call_at(10.0, charge(world, 100.0))
+        runtime.drain()
+        assert future.done()
+        assert task.state == "done"
+        assert world.next_deadline_ms() is None

@@ -6,15 +6,15 @@
    arbitrary interleavings of sleeps, priorities and dispatch charges,
    not just the shapes the unit tests happen to pick.
 2. **Coalescing safety** — coalescing idempotent reads changes the
-   execution count, never the results; and a ``set_property`` write
-   always invalidates exactly that key's cached read.
+   execution count, never the results.
+3. **Drain completeness** — ``drain()`` returns only once every
+   dispatched request has settled, even when scheduler callbacks charge
+   the shared clock at arbitrary instants.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.workforce import scenario
-from repro.apps.workforce.proxied import launch_on_android
 from repro.obs import Observability
 from repro.runtime import ConcurrencyRuntime
 from repro.util.clock import Scheduler, SimulatedClock
@@ -131,26 +131,36 @@ class TestCoalescingSafety:
         assert coalesced_runs <= plain_runs
 
 
-class TestPropertyInvalidation:
-    @settings(max_examples=20, deadline=None)
+class TestDrainCompleteness:
+    @settings(max_examples=50, deadline=None)
     @given(
-        ops=st.lists(
-            st.one_of(
-                st.just(("get", None)),
-                st.tuples(st.just("set"), st.text(min_size=1, max_size=8)),
+        charges=st.lists(
+            st.floats(min_value=0.1, max_value=100.0), min_size=1, max_size=8
+        ),
+        shards=st.integers(min_value=1, max_value=3),
+        jolts=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=300.0),  # instant
+                st.floats(min_value=0.1, max_value=200.0),  # charge ms
             ),
-            max_size=10,
-        )
+            max_size=4,
+        ),
     )
-    def test_cached_read_never_stale(self, ops):
-        sc = scenario.build_android()
-        logic = launch_on_android(sc.platform, sc.new_context(), sc.config)
-        runtime = ConcurrencyRuntime(sc.device.scheduler)
-        for op, value in ops:
-            if op == "set":
-                logic.http.set_property("userAgent", value)
-            # the invariant: the cache NEVER serves a value the proxy
-            # itself would not return right now.
-            assert runtime.get_property(logic.http, "userAgent") == (
-                logic.http.get_property("userAgent")
-            )
+    def test_drain_settles_every_dispatched_request(self, charges, shards, jolts):
+        world = Scheduler(SimulatedClock())
+        runtime = ConcurrencyRuntime(world, shards=shards, queue_depth=64)
+        futures = [
+            runtime.submit("prop", "leg", lambda c=c: world.clock.advance(c))
+            for c in charges
+        ]
+
+        def agent():
+            for future in futures:
+                yield future
+
+        task = runtime.spawn("agent", agent())
+        for at_ms, jolt_ms in jolts:
+            world.call_at(at_ms, lambda j=jolt_ms: world.clock.advance(j))
+        runtime.drain()
+        assert all(future.done() for future in futures)
+        assert task.state == "done"
