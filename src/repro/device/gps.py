@@ -11,6 +11,7 @@ wobble around ground truth.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -51,19 +52,28 @@ class Trajectory:
 
     Before the first waypoint the position holds at the first point; after
     the last it holds at the last point — so a parked agent is just a
-    single-waypoint trajectory.
+    single-waypoint trajectory.  Leg start times, spans and speeds are
+    computed once, so a query finds its leg by bisection.
     """
 
     def __init__(self, waypoints: Sequence[Waypoint]) -> None:
         if not waypoints:
             raise ConfigurationError("trajectory needs at least one waypoint")
         ordered = sorted(waypoints, key=lambda w: w.t_ms)
+        self._spans: List[float] = []
+        self._speeds: List[float] = []
         for earlier, later in zip(ordered, ordered[1:]):
             if later.t_ms == earlier.t_ms:
                 raise ConfigurationError(
                     f"duplicate waypoint time {later.t_ms}"
                 )
+            span = later.t_ms - earlier.t_ms
+            duration_s = span / 1000.0
+            distance = earlier.point.distance_to_m(later.point)
+            self._spans.append(span)
+            self._speeds.append(distance / duration_s if duration_s > 0 else 0.0)
         self._waypoints: List[Waypoint] = list(ordered)
+        self._times = [w.t_ms for w in ordered]
 
     @property
     def waypoints(self) -> List[Waypoint]:
@@ -78,30 +88,28 @@ class Trajectory:
         return self._waypoints[-1].t_ms
 
     def position_at(self, t_ms: float) -> GeoPoint:
-        """Ground-truth position at virtual time ``t_ms``."""
+        """Ground-truth position at virtual time ``t_ms``.
+
+        At an interior waypoint's instant the earlier leg answers, with
+        fraction 1.0."""
         pts = self._waypoints
-        if t_ms <= pts[0].t_ms:
+        times = self._times
+        if t_ms <= times[0]:
             return pts[0].point
-        if t_ms >= pts[-1].t_ms:
+        if t_ms >= times[-1]:
             return pts[-1].point
-        for earlier, later in zip(pts, pts[1:]):
-            if earlier.t_ms <= t_ms <= later.t_ms:
-                span = later.t_ms - earlier.t_ms
-                fraction = (t_ms - earlier.t_ms) / span
-                return interpolate(earlier.point, later.point, fraction)
-        raise SimulationError(f"unreachable: t={t_ms}")  # pragma: no cover
+        leg = bisect_left(times, t_ms) - 1  # first leg with t in [t_k, t_k+1]
+        earlier = pts[leg]
+        fraction = (t_ms - earlier.t_ms) / self._spans[leg]
+        return interpolate(earlier.point, pts[leg + 1].point, fraction)
 
     def speed_at(self, t_ms: float) -> float:
-        """Ground-truth speed in metres/second at ``t_ms``."""
-        pts = self._waypoints
-        if t_ms < pts[0].t_ms or t_ms >= pts[-1].t_ms:
+        """Ground-truth speed in metres/second at ``t_ms``: that of the
+        leg with ``t_ms`` in ``[t_k, t_k+1)``."""
+        times = self._times
+        if t_ms < times[0] or t_ms >= times[-1]:
             return 0.0
-        for earlier, later in zip(pts, pts[1:]):
-            if earlier.t_ms <= t_ms < later.t_ms:
-                distance = earlier.point.distance_to_m(later.point)
-                duration_s = (later.t_ms - earlier.t_ms) / 1000.0
-                return distance / duration_s if duration_s > 0 else 0.0
-        return 0.0
+        return self._speeds[bisect_right(times, t_ms) - 1]
 
 
 class GpsReceiver:

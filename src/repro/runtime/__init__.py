@@ -34,13 +34,17 @@ from repro.runtime.admission import (
 from repro.runtime.coalesce import LocationFixCache
 from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.futures import Future, FutureStateError
-from repro.runtime import scheduler as task_states
 from repro.runtime.scheduler import AgentTask, CooperativeScheduler
 from repro.util.clock import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.distrib.config import DistribConfig
     from repro.distrib.runtime import DistribRuntime
+
+#: The longest virtual span one :meth:`ConcurrencyRuntime.drain` may cover
+#: (one virtual day).  It bounds virtual time rather than heap instants,
+#: which grow with agents × seconds and would stop a healthy large fleet.
+DRAIN_LIMIT_MS = 86_400_000.0
 
 __all__ = [
     "AdmissionConfig",
@@ -49,6 +53,7 @@ __all__ = [
     "AutoscalerConfig",
     "ConcurrencyRuntime",
     "CooperativeScheduler",
+    "DRAIN_LIMIT_MS",
     "Dispatcher",
     "Future",
     "FutureStateError",
@@ -323,43 +328,45 @@ class ConcurrencyRuntime:
 
     @property
     def quiescent(self) -> bool:
-        """Every dispatcher lane idle; every task finished (or parked on
-        an externally-settled future, which only the caller can move)."""
-        if not all(d.idle for d in self._dispatchers.values()):
+        """Every task finished (or parked on an externally-settled future,
+        which only the caller can move); every dispatcher lane idle."""
+        tasks = self.tasks
+        if tasks.settled_count != len(tasks.tasks):
             return False
-        return all(
-            task.finished or task.state == task_states.WAITING
-            for task in self.tasks.tasks
-        )
+        return all(d.idle for d in self._dispatchers.values())
 
-    def drain(self, *, max_steps: int = 100_000) -> int:
+    def drain(self) -> int:
         """Advance virtual time until the runtime is quiescent.
 
         Unlike ``Scheduler.drain`` this tolerates periodic substrate
         timers (GPS polling etc.): it stops on *runtime* quiescence —
         all shard lanes drained, all tasks done — not on an empty heap.
-        Returns callbacks executed.
+        Each pass runs the world up to the earliest heap deadline or
+        lane horizon and checks quiescence again.  A drain that would
+        run past :data:`DRAIN_LIMIT_MS` of virtual time raises
+        ``RuntimeError``: some task never settles.  Returns callbacks
+        executed.
         """
+        scheduler = self.scheduler
+        clock = scheduler.clock
+        limit_ms = clock.now_ms + DRAIN_LIMIT_MS
         executed = 0
-        for _ in range(max_steps):
+        while True:
             if self._autoscalers:
                 self.evaluate_autoscalers()
             if self.quiescent:
                 return executed
-            candidates = [
-                horizon
-                for horizon in (
-                    d.next_event_ms() for d in self._dispatchers.values()
-                )
-                if horizon is not None
-            ]
-            deadline = self.scheduler.next_deadline_ms()
-            if deadline is not None:
-                candidates.append(deadline)
-            if not candidates:
+            target = scheduler.next_deadline_ms()
+            for dispatcher in self._dispatchers.values():
+                horizon = dispatcher.next_event_ms()
+                if horizon is not None and (target is None or horizon < target):
+                    target = horizon
+            if target is None:
                 return executed  # nothing scheduled can move the state
-            target = max(min(candidates), self.scheduler.clock.now_ms)
-            executed += self.scheduler.run_until(target)
-        raise RuntimeError(
-            f"drain did not reach quiescence within {max_steps} steps"
-        )
+            if target > limit_ms:
+                raise RuntimeError(
+                    f"drain did not reach quiescence within {DRAIN_LIMIT_MS:g} "
+                    f"virtual ms (next event at {target}, now {clock.now_ms})"
+                )
+            now = clock.now_ms
+            executed += scheduler.run_until(target if target > now else now)

@@ -267,12 +267,14 @@ class Dispatcher:
     def next_event_ms(self) -> Optional[float]:
         """Earliest lane horizon still ahead of now (drain aid)."""
         now = self._clock.now_ms
-        horizons = [
-            shard.busy_until_ms
-            for shard in self._shards
-            if shard.queue or shard.busy_until_ms > now
-        ]
-        return min(horizons) if horizons else None
+        earliest = None
+        for shard in self._shards:
+            horizon = shard.busy_until_ms
+            if (shard.queue or horizon > now) and (
+                earliest is None or horizon < earliest
+            ):
+                earliest = horizon
+        return earliest
 
     def queue_depths(self) -> List[int]:
         return [len(shard.queue) for shard in self._shards]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -111,6 +112,8 @@ class CooperativeScheduler:
         self._ready: List[Tuple[int, int, AgentTask]] = []
         self._spawn_seq = itertools.count()
         self._wake_seq = itertools.count()
+        #: Tasks that only the caller can move on: DONE, FAILED or WAITING.
+        self._settled = 0
         self._drain_armed = False
         self._drain_hooks: List[Callable[[], None]] = []
         self._obs = observability
@@ -186,9 +189,18 @@ class CooperativeScheduler:
     def all_finished(self) -> bool:
         return all(task.finished for task in self.tasks)
 
+    @property
+    def settled_count(self) -> int:
+        """Tasks that are done, failed, or parked on a future — the ones
+        no scheduler instant can move.  Kept as state changes, so the
+        runtime's quiescence check costs O(1) instead of a scan."""
+        return self._settled
+
     # -- internals -----------------------------------------------------------
 
     def _make_ready(self, task: AgentTask) -> None:
+        if task.state == WAITING:
+            self._settled -= 1
         task.state = READY
         heapq.heappush(self._ready, (-task.priority, next(self._wake_seq), task))
         if not self._drain_armed:
@@ -226,10 +238,12 @@ class CooperativeScheduler:
                 yielded = task._generator.send(send)
         except StopIteration as stop:
             task.state = DONE
+            self._settled += 1
             task.result = stop.value
             self._completed.inc()
         except Exception as exc:  # task isolation: one bad agent ≠ dead fleet
             task.state = FAILED
+            self._settled += 1
             task.error = exc
             self._failed.inc()
             if self._obs is not None and self._obs.flight is not None:
@@ -256,10 +270,11 @@ class CooperativeScheduler:
             return
         if isinstance(yielded, Future):
             task.state = WAITING
+            self._settled += 1
             yielded.add_done_callback(self._resume_from(task))
             return
         if isinstance(yielded, (int, float)) and not isinstance(yielded, bool):
-            if yielded < 0:
+            if not 0 <= yielded < math.inf:
                 self._fail_bad_yield(task, yielded)
                 return
             task.state = SLEEPING
@@ -283,8 +298,9 @@ class CooperativeScheduler:
 
     def _fail_bad_yield(self, task: AgentTask, yielded: Any) -> None:
         task.state = FAILED
+        self._settled += 1
         task.error = ConfigurationError(
             f"task {task.name!r} yielded {yielded!r}; expected None, a "
-            "non-negative delay in ms, or a Future"
+            "finite non-negative delay in ms, or a Future"
         )
         self._failed.inc()

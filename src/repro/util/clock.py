@@ -15,10 +15,11 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ClockError
+
+_INF = float("inf")
 
 
 class SimulatedClock:
@@ -26,11 +27,15 @@ class SimulatedClock:
 
     The clock only moves when :meth:`advance` is called (usually indirectly
     through :meth:`Scheduler.run_until` / :meth:`Scheduler.run_for`).
+    Every time it accepts must be finite: a NaN compares false with
+    everything, so one NaN instant would silently stop all ordering.
     """
 
     def __init__(self, start_ms: float = 0.0) -> None:
-        if start_ms < 0:
-            raise ClockError(f"clock cannot start at negative time {start_ms!r}")
+        if not 0 <= start_ms < _INF:
+            raise ClockError(
+                f"clock must start at a finite non-negative time, got {start_ms!r}"
+            )
         self._now_ms = float(start_ms)
 
     @property
@@ -44,16 +49,20 @@ class SimulatedClock:
 
     def advance(self, delta_ms: float) -> float:
         """Move time forward by ``delta_ms`` and return the new time."""
-        if delta_ms < 0:
-            raise ClockError(f"cannot advance clock by negative delta {delta_ms!r}")
+        if not 0 <= delta_ms < _INF:
+            raise ClockError(
+                f"cannot advance clock by {delta_ms!r}; the delta must be "
+                "finite and non-negative"
+            )
         self._now_ms += delta_ms
         return self._now_ms
 
     def advance_to(self, when_ms: float) -> float:
         """Move time forward to the absolute instant ``when_ms``."""
-        if when_ms < self._now_ms:
+        if not self._now_ms <= when_ms < _INF:
             raise ClockError(
-                f"cannot move clock backwards from {self._now_ms} to {when_ms}"
+                f"cannot move clock from {self._now_ms} to {when_ms!r}; the "
+                "instant must be finite and not in the past"
             )
         self._now_ms = float(when_ms)
         return self._now_ms
@@ -95,25 +104,39 @@ class ChargeCapture:
         self.charge_ms = 0.0
 
 
-@dataclass(order=True)
 class ScheduledTask:
-    """A callback scheduled to run at a virtual instant.
+    """A callback scheduled to run at a virtual instant: the handle
+    :meth:`Scheduler.call_at` and its siblings return.
 
-    Ordering is (time, sequence) so that tasks scheduled for the same
-    instant run in FIFO order — the property the platform event loops rely
-    on for deterministic broadcast delivery.
+    The scheduler orders its heap by ``(when_ms, seq)`` entries that point
+    at the handle, so tasks due at the same instant run in FIFO order — the
+    property the platform event loops rely on for deterministic broadcast
+    delivery.
     """
 
-    when_ms: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    period_ms: Optional[float] = field(default=None, compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    name: str = field(default="", compare=False)
+    __slots__ = ("callback", "period_ms", "cancelled", "name")
+
+    def __init__(
+        self,
+        callback: Callable[[], None],
+        *,
+        period_ms: Optional[float] = None,
+        name: str = "",
+    ) -> None:
+        self.callback = callback
+        self.period_ms = period_ms
+        self.cancelled = False
+        self.name = name
 
     def cancel(self) -> None:
         """Prevent the task from firing (and from repeating, if periodic)."""
         self.cancelled = True
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"ScheduledTask({self.name!r}, period_ms={self.period_ms!r}, "
+            f"cancelled={self.cancelled})"
+        )
 
 
 class Scheduler:
@@ -127,7 +150,10 @@ class Scheduler:
 
     def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock if clock is not None else SimulatedClock()
-        self._heap: List[ScheduledTask] = []
+        #: ``(when_ms, seq, task)`` entries.  ``seq`` is unique, so a
+        #: comparison never reaches the task; a cancelled task's entries
+        #: stay until they reach the head, where they are dropped.
+        self._heap: List[Tuple[float, int, ScheduledTask]] = []
         self._seq = itertools.count()
 
     def call_at(
@@ -138,12 +164,14 @@ class Scheduler:
         name: str = "",
     ) -> ScheduledTask:
         """Schedule ``callback`` at absolute virtual time ``when_ms``."""
-        if when_ms < self.clock.now_ms:
+        now = self.clock.now_ms
+        if not now <= when_ms < _INF:
             raise ClockError(
-                f"cannot schedule task at {when_ms} before now {self.clock.now_ms}"
+                f"cannot schedule task at {when_ms!r}; it must be finite and "
+                f"not before now {now}"
             )
-        task = ScheduledTask(when_ms, next(self._seq), callback, name=name)
-        heapq.heappush(self._heap, task)
+        task = ScheduledTask(callback, name=name)
+        heapq.heappush(self._heap, (when_ms, next(self._seq), task))
         return task
 
     def call_later(
@@ -154,8 +182,10 @@ class Scheduler:
         name: str = "",
     ) -> ScheduledTask:
         """Schedule ``callback`` to run ``delay_ms`` from now."""
-        if delay_ms < 0:
-            raise ClockError(f"negative delay {delay_ms!r}")
+        if not 0 <= delay_ms < _INF:
+            raise ClockError(
+                f"delay must be finite and non-negative, got {delay_ms!r}"
+            )
         return self.call_at(self.clock.now_ms + delay_ms, callback, name=name)
 
     def call_every(
@@ -172,8 +202,10 @@ class Scheduler:
         from each firing instant (fixed-rate, not fixed-delay) — matching
         how platform polling timers behave.
         """
-        if period_ms <= 0:
-            raise ClockError(f"period must be positive, got {period_ms!r}")
+        if not 0 < period_ms < _INF:
+            raise ClockError(
+                f"period must be finite and positive, got {period_ms!r}"
+            )
         delay = period_ms if initial_delay_ms is None else initial_delay_ms
         task = self.call_later(delay, callback, name=name)
         task.period_ms = period_ms
@@ -181,22 +213,14 @@ class Scheduler:
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled tasks in the queue."""
-        return sum(1 for t in self._heap if not t.cancelled)
+        return sum(1 for _, _, task in self._heap if not task.cancelled)
 
     def next_deadline_ms(self) -> Optional[float]:
         """Virtual time of the earliest pending task, or ``None``."""
-        self._drop_cancelled_head()
-        return self._heap[0].when_ms if self._heap else None
-
-    def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-
-    def _pop_due(self, until_ms: float) -> Optional[ScheduledTask]:
-        self._drop_cancelled_head()
-        if self._heap and self._heap[0].when_ms <= until_ms:
-            return heapq.heappop(self._heap)
-        return None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def run_until(self, until_ms: float) -> int:
         """Run all tasks due up to (and including) ``until_ms``.
@@ -205,26 +229,35 @@ class Scheduler:
         ``until_ms``.  Returns the number of callbacks executed.  Callbacks
         may schedule further tasks; those run too if they fall in range.
         """
-        if until_ms < self.clock.now_ms:
+        clock = self.clock
+        if not clock.now_ms <= until_ms < _INF:
             raise ClockError(
-                f"cannot run until {until_ms}, now is {self.clock.now_ms}"
+                f"cannot run until {until_ms!r}, now is {clock.now_ms}"
             )
+        heap = self._heap
         executed = 0
-        while True:
-            task = self._pop_due(until_ms)
-            if task is None:
+        while heap:
+            when_ms, _, task = heap[0]
+            if task.cancelled:
+                heapq.heappop(heap)
+                continue
+            if when_ms > until_ms:
                 break
-            self.clock.advance_to(max(task.when_ms, self.clock.now_ms))
-            if task.period_ms is not None and not task.cancelled:
+            # Callbacks may advance the clock themselves (synchronous
+            # native-latency charges); never move it backwards.  This loop
+            # runs once per event, so it writes the clock's field directly.
+            if when_ms >= clock._now_ms:
+                clock._now_ms = float(when_ms)
+            period_ms = task.period_ms
+            if period_ms is None:
+                heapq.heappop(heap)
+            else:
                 # Re-arm before running so the callback can cancel itself.
-                task.when_ms = task.when_ms + task.period_ms
-                task.seq = next(self._seq)
-                heapq.heappush(self._heap, task)
+                heapq.heapreplace(heap, (when_ms + period_ms, next(self._seq), task))
             task.callback()
             executed += 1
-        # Callbacks may advance the clock themselves (e.g. synchronous
-        # native-latency charges); never move it backwards.
-        self.clock.advance_to(max(until_ms, self.clock.now_ms))
+        if until_ms >= clock._now_ms:
+            clock._now_ms = float(until_ms)
         return executed
 
     def run_for(self, delta_ms: float) -> int:

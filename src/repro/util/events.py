@@ -11,7 +11,7 @@ from __future__ import annotations
 import fnmatch
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List
+from typing import Any, Callable, List, Tuple
 
 Handler = Callable[[str, Any], None]
 
@@ -54,45 +54,38 @@ class EventBus:
     """
 
     def __init__(self) -> None:
-        self._subs: List[Subscription] = []
+        #: Replaced, never mutated, so a publish iterates a snapshot.
+        self._subs: Tuple[Subscription, ...] = ()
         self._tokens = itertools.count(1)
-        self._delivery_log: List[str] = []
 
     def subscribe(self, topic_pattern: str, handler: Handler) -> Subscription:
         """Register ``handler`` for every topic matching ``topic_pattern``."""
         sub = Subscription(self, topic_pattern, handler, token=next(self._tokens))
-        self._subs.append(sub)
+        self._subs += (sub,)
         return sub
 
     def _remove(self, sub: Subscription) -> None:
-        self._subs = [s for s in self._subs if s.token != sub.token]
+        self._subs = tuple(s for s in self._subs if s.token != sub.token)
 
     def publish(self, topic: str, payload: Any = None) -> int:
         """Deliver ``payload`` to all matching subscribers, in order.
 
-        Returns the number of handlers invoked.  Handlers that subscribe or
-        unsubscribe during delivery affect only subsequent publishes.
+        Returns the number of handlers invoked.  A handler subscribed
+        during delivery first hears the next publish.  A subscription
+        cancelled during delivery is skipped at once, so if one handler
+        unsubscribes another that has not run yet, that one misses this
+        publish too and is not counted.
         """
         delivered = 0
-        for sub in list(self._subs):
+        for sub in self._subs:
             if sub.active and sub.matches(topic):
                 sub.handler(topic, payload)
                 delivered += 1
-        self._delivery_log.append(topic)
         return delivered
 
     def subscriber_count(self, topic: str) -> int:
         """Number of active subscribers that would receive ``topic``."""
         return sum(1 for sub in self._subs if sub.active and sub.matches(topic))
-
-    @property
-    def published_topics(self) -> List[str]:
-        """Chronological log of every published topic (test/debug aid)."""
-        return list(self._delivery_log)
-
-    def clear_log(self) -> None:
-        """Forget the publish log (the subscriptions stay)."""
-        self._delivery_log.clear()
 
 
 class TypedSignal:

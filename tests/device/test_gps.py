@@ -1,10 +1,13 @@
 """Tests for the GPS receiver and trajectory playback."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.device.gps import GpsReceiver, Trajectory, Waypoint, TOPIC_FIX, TOPIC_STATE
 from repro.errors import ConfigurationError, SimulationError
-from repro.util.geo import GeoPoint, destination_point
+from repro.util.geo import GeoPoint, destination_point, interpolate
 
 
 def _line_trajectory():
@@ -99,14 +102,16 @@ class TestGpsReceiver:
         assert fix.point.distance_to_m(truth) < 50.0  # well within 10 sigma
 
     def test_power_off_stops_fixes(self, scheduler, bus):
+        fixes = []
+        bus.subscribe(TOPIC_FIX, lambda t, fix: fixes.append(fix))
         receiver = self._receiver(scheduler, bus, time_to_first_fix_ms=0.0)
         receiver.power_on()
         scheduler.run_for(3_000.0)
-        count_before = len(bus.published_topics)
+        count_before = len(fixes)
         receiver.power_off()
         scheduler.run_for(5_000.0)
-        topics_after = bus.published_topics[count_before:]
-        assert all(t != TOPIC_FIX for t in topics_after)
+        assert count_before > 0
+        assert len(fixes) == count_before
 
     def test_power_cycle_is_idempotent(self, scheduler, bus):
         receiver = self._receiver(scheduler, bus)
@@ -145,3 +150,59 @@ class TestGpsReceiver:
         receiver.set_trajectory(parked)
         scheduler.run_for(2_000.0)
         assert receiver.last_fix.point.distance_to_m(GeoPoint(50.0, 50.0)) < 100.0
+
+
+def _reference_position(trajectory, t_ms):
+    """The linear scan :meth:`Trajectory.position_at` replaced."""
+    pts = trajectory.waypoints
+    if t_ms <= pts[0].t_ms:
+        return pts[0].point
+    if t_ms >= pts[-1].t_ms:
+        return pts[-1].point
+    for earlier, later in zip(pts, pts[1:]):
+        if earlier.t_ms <= t_ms <= later.t_ms:
+            span = later.t_ms - earlier.t_ms
+            return interpolate(
+                earlier.point, later.point, (t_ms - earlier.t_ms) / span
+            )
+    raise AssertionError("unreachable")
+
+
+def _reference_speed(trajectory, t_ms):
+    """The linear scan :meth:`Trajectory.speed_at` replaced."""
+    pts = trajectory.waypoints
+    if t_ms < pts[0].t_ms or t_ms >= pts[-1].t_ms:
+        return 0.0
+    for earlier, later in zip(pts, pts[1:]):
+        if earlier.t_ms <= t_ms < later.t_ms:
+            distance = earlier.point.distance_to_m(later.point)
+            duration_s = (later.t_ms - earlier.t_ms) / 1000.0
+            return distance / duration_s if duration_s > 0 else 0.0
+    return 0.0
+
+
+_WAYPOINTS = st.lists(
+    st.tuples(
+        st.floats(-1e7, 1e7, allow_nan=False),
+        st.floats(-80.0, 80.0, allow_nan=False),
+        st.floats(-179.0, 179.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda w: w[0],
+)
+
+
+class TestTrajectoryAgainstLinearScan:
+    @settings(max_examples=200, deadline=None)
+    @given(waypoints=_WAYPOINTS, extra=st.lists(st.floats(-2e7, 2e7), max_size=5))
+    def test_bisection_answers_exactly_as_the_scan(self, waypoints, extra):
+        trajectory = Trajectory(
+            [Waypoint(t, GeoPoint(lat, lon)) for t, lat, lon in waypoints]
+        )
+        queries = list(extra)
+        for t, _, _ in waypoints:
+            queries += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        for t_ms in queries:
+            assert trajectory.position_at(t_ms) == _reference_position(trajectory, t_ms)
+            assert trajectory.speed_at(t_ms) == _reference_speed(trajectory, t_ms)

@@ -1,9 +1,12 @@
 """Unit tests for the cooperative task scheduler."""
 
-import pytest
+import math
 
-from repro.errors import ProxyTransientError
-from repro.runtime import CooperativeScheduler, Future
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import ConfigurationError, ProxyError, ProxyTransientError
+from repro.runtime import ConcurrencyRuntime, CooperativeScheduler, Future
 from repro.util.clock import Scheduler, SimulatedClock
 
 pytestmark = pytest.mark.concurrency
@@ -94,6 +97,22 @@ class TestYieldProtocol:
         world.run_for(1.0)
         assert bad.state == "failed"
 
+    @pytest.mark.parametrize("delay", (float("nan"), float("inf")), ids=("nan", "inf"))
+    def test_non_finite_sleep_fails_only_that_task(self, world, coop, delay):
+        def task():
+            yield delay
+
+        def peer():
+            yield 5.0
+            return "fine"
+
+        bad = coop.spawn("non-finite", task())
+        good = coop.spawn("peer", peer())
+        world.run_for(10.0)
+        assert bad.state == "failed" and isinstance(bad.error, ConfigurationError)
+        assert good.state == "done" and good.result == "fine"
+        assert world.clock.now_ms == 10.0
+
 
 class TestOrdering:
     def test_priority_beats_spawn_order(self, world, coop):
@@ -183,3 +202,139 @@ class TestSeededRng:
         a = CooperativeScheduler(world, seed=1)
         b = CooperativeScheduler(Scheduler(SimulatedClock()), seed=2)
         assert a.rng.random() != b.rng.random()
+
+
+# -- the settled-task count, against a full scan of task states ---------------
+
+_TASK_OPS = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from((0.0, 1.0, 5.0))),
+    st.just(("none",)),
+    st.tuples(st.just("wait"), st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("resolve"), st.integers(0, 3)),
+    st.tuples(st.just("bad"), st.sampled_from(("x", -1.0, math.nan, math.inf))),
+    st.just(("raise",)),
+    st.tuples(st.just("spawn"), st.integers(0, 5)),
+)
+_DRIVER_OPS = st.one_of(
+    st.tuples(st.just("run"), st.sampled_from((0.0, 1.0, 3.0))),
+    st.tuples(st.sampled_from(("resolve", "fail")), st.integers(0, 3)),
+    st.tuples(st.just("wake"), st.integers(0, 10)),
+)
+
+
+def _scanned_settled(coop):
+    return sum(task.state in ("done", "failed", "waiting") for task in coop.tasks)
+
+
+class TestSettledCount:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scripts=st.lists(st.lists(_TASK_OPS, max_size=6), min_size=1, max_size=6),
+        driver=st.lists(_DRIVER_OPS, max_size=20),
+    )
+    def test_matches_a_full_scan(self, scripts, driver):
+        """Normal returns, raises, bad yields, futures resolved and failed
+        (before and after a task parks on them), tasks spawned by tasks,
+        and tasks woken again while ready, sleeping or waiting."""
+        world = Scheduler(SimulatedClock())
+        coop = CooperativeScheduler(world, seed=0)
+        futures = [Future() for _ in range(4)]
+        spawn_budget = [10]
+
+        def agent(script):
+            for op in script:
+                kind = op[0]
+                if kind in ("sleep", "bad"):
+                    yield op[1]
+                elif kind == "none":
+                    yield None
+                elif kind == "wait":
+                    try:
+                        yield futures[op[1]]
+                    except ProxyError:
+                        if not op[2]:
+                            raise
+                elif kind == "resolve":
+                    if not futures[op[1]].done():
+                        futures[op[1]].resolve("by a task")
+                elif kind == "raise":
+                    raise RuntimeError("agent bug")
+                elif spawn_budget[0] > 0:
+                    spawn_budget[0] -= 1
+                    coop.spawn("child", agent(scripts[op[1] % len(scripts)]))
+            return "ok"
+
+        def check():
+            assert coop.settled_count == _scanned_settled(coop)
+
+        coop.add_drain_hook(check)
+        for index, script in enumerate(scripts):
+            coop.spawn(f"agent-{index}", agent(script))
+        check()
+        for kind, arg in driver:
+            if kind == "run":
+                world.run_for(arg)
+            elif kind == "wake":
+                coop._wake(coop.tasks[arg % len(coop.tasks)])
+            elif not futures[arg].done():
+                if kind == "resolve":
+                    futures[arg].resolve("by the driver")
+                else:
+                    futures[arg].fail(ProxyTransientError("by the driver"))
+            check()
+        world.run_for(100.0)
+        check()
+
+
+# -- ConcurrencyRuntime.drain -------------------------------------------------
+
+
+class TestRuntimeDrain:
+    def test_a_nan_yield_fails_one_task_and_the_rest_finish(self, world):
+        runtime = ConcurrencyRuntime(world)
+
+        def healthy():
+            for _ in range(3):
+                yield 250.0
+            return "fine"
+
+        def poisoned():
+            yield 10.0
+            yield float("nan")
+
+        good = [runtime.spawn("healthy-0", healthy())]
+        bad = runtime.spawn("poisoned", poisoned())
+        good += [runtime.spawn(f"healthy-{i}", healthy()) for i in (1, 2)]
+        runtime.drain()
+        assert [task.state for task in good] == ["done"] * 3
+        assert bad.state == "failed" and isinstance(bad.error, ConfigurationError)
+        assert world.clock.now_ms == 750.0
+
+    def test_bound_is_virtual_time_not_heap_instants(self, world):
+        """150 timers at distinct phases put 150 heap instants in every
+        virtual second; a 700 s sleep spans 105,000 of them."""
+        runtime = ConcurrencyRuntime(world)
+        for phase in range(150):
+            world.call_every(1_000.0, lambda: None, initial_delay_ms=phase * 6.5)
+
+        def sleeper():
+            yield 700_000.0
+
+        task = runtime.spawn("sleeper", sleeper())
+        runtime.drain()
+        assert task.state == "done"
+        assert world.clock.now_ms == 700_000.0
+
+    def test_a_task_that_never_settles_still_raises(self, world):
+        from repro.runtime import DRAIN_LIMIT_MS
+
+        runtime = ConcurrencyRuntime(world)
+
+        def forever():
+            while True:
+                yield 1_000.0
+
+        runtime.spawn("forever", forever())
+        with pytest.raises(RuntimeError, match="quiescence"):
+            runtime.drain()
+        assert DRAIN_LIMIT_MS - 1_000.0 <= world.clock.now_ms <= DRAIN_LIMIT_MS

@@ -111,12 +111,20 @@ class TestEventBus:
         ]
         assert _delivered(patterns, topic) == expected
 
-    def test_published_topics_log(self, bus):
-        bus.publish("a")
-        bus.publish("b")
-        assert bus.published_topics == ["a", "b"]
-        bus.clear_log()
-        assert bus.published_topics == []
+    def test_unsubscribe_during_delivery_skips_a_later_handler_at_once(self, bus):
+        received = []
+        subs = []
+
+        def first(topic, payload):
+            received.append("first")
+            subs[1].unsubscribe()
+
+        subs.append(bus.subscribe("t", first))
+        subs.append(bus.subscribe("t", lambda t, p: received.append("second")))
+        assert bus.publish("t") == 1
+        assert received == ["first"]
+        assert bus.publish("t") == 1
+        assert received == ["first", "first"]
 
 
 class TestTypedSignal:
