@@ -26,14 +26,12 @@ from repro.core.enrichment.rest import (
     RestResource,
     RestResult,
 )
-from repro.core.enrichment.debounce import DebouncedProximityListener
 
 __all__ = [
     "AccessDecision",
     "AccessRule",
     "AuditRecord",
     "CallRetryCoordinator",
-    "DebouncedProximityListener",
     "FormattedPosition",
     "InMemoryRestService",
     "LocationFormatEnrichment",

@@ -17,7 +17,7 @@ and asserts recovery restores the invariants).
 Tracing: each saga is one span tree — ``saga:<name>`` wrapping
 ``saga.step:<step>`` and ``saga.compensate:<step>`` children, with
 ``saga.step.failed`` / ``saga.completed`` / ``saga.compensated``
-events, so ``python -m repro.obs distrib`` can fold a trace into a
+events, so ``python -m repro.obs causal`` can fold a trace into a
 saga table.  Metrics: ``distrib.sagas_started`` / ``_completed`` /
 ``_compensated`` and ``distrib.saga_steps`` (labelled with the home
 ``region`` when the orchestrator is mounted region-aware).

@@ -28,13 +28,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.exporters import (
-    InMemoryExporter,
-    JsonlFileExporter,
-    export_jsonl,
-    render_metrics_text,
-    render_span_tree,
-)
+from repro.obs.exporters import export_jsonl, render_metrics_text, render_span_tree
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -69,7 +63,6 @@ from repro.obs.analyze import (
     diff_profiles,
     load_profile,
     parse_jsonl,
-    records_to_jsonl,
     render_causal_text,
     render_profile_text,
     top_spans_text,
@@ -196,10 +189,6 @@ class Observability:
         """Human-readable metric dump."""
         return render_metrics_text(self.metrics)
 
-    def report(self) -> dict:
-        """Registry-derived summary (see :func:`~repro.obs.report.registry_report`)."""
-        return registry_report(self.metrics)
-
 
 __all__ = [
     "CausalReport",
@@ -209,8 +198,6 @@ __all__ = [
     "Gauge",
     "HealthReport",
     "Histogram",
-    "InMemoryExporter",
-    "JsonlFileExporter",
     "LayerDelta",
     "MetricsRegistry",
     "NOOP_TRACER",
@@ -244,7 +231,6 @@ __all__ = [
     "load_profile",
     "parse_jsonl",
     "quantile_label",
-    "records_to_jsonl",
     "registry_report",
     "render_causal_text",
     "render_flight_text",

@@ -1,6 +1,6 @@
 """Entry point: ``python -m repro.obs
-{profile,slo,diff,timeline,critical-path,flight,admission,distrib,causal,
-scenario,health}``."""
+{profile,slo,diff,timeline,critical-path,flight,admission,causal,scenario,
+health}``."""
 
 import sys
 

@@ -22,12 +22,12 @@ native call (Figure 10) — directly from traces:
 * :mod:`repro.obs.analyze.admission` — shed / throttle / autoscale
   breakdown folded from the admission plane's span events (see
   ``docs/ADMISSION.md``);
-* :mod:`repro.obs.analyze.distrib` — replication-lag / dedup / saga
+* :mod:`repro.obs.analyze.causal` — the one cross-region analyzer:
+  the happens-before graph, write→visibility latency percentiles,
+  gossip convergence paths, saga decomposition, the causality-violation
+  audit and the replication-lag / gossip / partition / dedup / saga
   tables folded from the distributed tier's spans and events (see
-  ``docs/DISTRIBUTION.md``);
-* :mod:`repro.obs.analyze.causal` — the cross-region happens-before
-  graph: write→visibility latency percentiles, gossip convergence
-  paths, saga decomposition and the causality-violation audit.
+  ``docs/DISTRIBUTION.md``).
 
 The determinism contract extends here: no wall-clock reads (policed
 by ``tests/test_wallclock_lint.py`` over all of ``src/repro``), no
@@ -36,8 +36,8 @@ whose scope includes all of ``obs/``) — two identically-seeded runs
 produce byte-identical profiles.
 
 CLI: ``python -m repro.obs {profile,slo,diff,timeline,critical-path,
-flight,admission,distrib,causal}`` operates on exported JSONL trace
-files (see ``docs/PERFORMANCE.md``).
+flight,admission,causal,scenario,health}`` operates on exported JSONL
+trace files (see ``docs/PERFORMANCE.md``).
 """
 
 from repro.obs.analyze.admission import AdmissionReport, render_admission_text
@@ -46,7 +46,6 @@ from repro.obs.analyze.causal import (
     CausalReport,
     render_causal_text,
 )
-from repro.obs.analyze.distrib import DistribReport, render_distrib_text
 from repro.obs.analyze.critical_path import (
     CRITICAL_PATH_SCHEMA,
     CriticalPath,
@@ -64,7 +63,6 @@ from repro.obs.analyze.overhead import (
     OverheadProfile,
     collapsed_stacks,
     parse_jsonl,
-    records_to_jsonl,
     render_profile_text,
     top_spans_text,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "CausalReport",
     "CriticalPath",
     "DEFAULT_QUANTILES",
-    "DistribReport",
     "LAYERS",
     "LayerDelta",
     "PathStep",
@@ -100,10 +97,8 @@ __all__ = [
     "load_profile",
     "parse_jsonl",
     "quantile_label",
-    "records_to_jsonl",
     "render_admission_text",
     "render_causal_text",
-    "render_distrib_text",
     "render_profile_text",
     "top_spans_text",
 ]

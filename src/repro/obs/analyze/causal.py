@@ -1,8 +1,9 @@
 """Cross-region causal graph analytics over exported traces.
 
-``python -m repro.obs causal TRACE`` stitches the distributed tier's
-per-hop spans into one happens-before DAG and answers the questions the
-per-table aggregates (``repro.obs.analyze.distrib``) cannot:
+``python -m repro.obs causal TRACE`` is the one cross-region analyzer:
+it stitches the distributed tier's per-hop spans into one
+happens-before DAG and folds every distributed-tier count from the
+same pass:
 
 * **Graph** — every span is a node; edges are parent→child span links
   plus the cross-region ``causal.origin`` references stamped on
@@ -10,6 +11,10 @@ per-table aggregates (``repro.obs.analyze.distrib``) cannot:
   (each pointing back at the originating ``write:<table>`` span).  The
   report checks the graph is acyclic — a cycle means a hop claimed an
   origin that itself descends from the hop, i.e. causality is broken.
+  Span refs are ``trace_id:span_id`` per tracer, so a node is keyed by
+  ``(source, ref)`` and a ``causal.origin`` resolves within the source
+  of the span that carries it (fleet pipeline exports tag each span
+  with its tracer's ``source``).
 * **Visibility latency** — for every write (identified by its
   ``table/key/version`` stamp) the virtual time each region first saw
   it, via replication apply or gossip merge; folded into per
@@ -22,6 +27,12 @@ per-table aggregates (``repro.obs.analyze.distrib``) cannot:
 * **Audit results** — every ``causal.violation`` event found in the
   trace, plus dedup-chain joins from the ``chain`` tags on
   ``distrib.dedup`` events.
+* **Tier tables** — replication applies with their ``lag_ms`` per
+  ``table/region`` (read off the ``replicate:`` span itself, so sampled
+  exports that dropped the originating write still count), gossip
+  sweeps and merges per table, partition cuts and heals per pair,
+  dedup suppressions per store and per site, and completed /
+  compensated / failed-step counts per saga.
 
 Everything is recomputed from the trace alone and exported as
 deterministic JSON (sorted keys, rounded floats): two identically
@@ -39,27 +50,30 @@ __all__ = ["CAUSAL_SCHEMA", "CausalReport", "render_causal_text"]
 
 CAUSAL_SCHEMA = "repro.obs.causal/v1"
 
-#: Span-name prefixes that mark distributed-tier hops.
-_HOP_PREFIXES = (
-    "write:", "replicate:", "gossip:", "invalidate:", "flush:",
-)
+#: A graph node key: ``(source, "trace_id:span_id")``.
+Ref = Tuple[Optional[str], str]
+
+#: Saga lifecycle event → its per-saga outcome counter.
+_SAGA_OUTCOMES = {
+    "saga.completed": "completed",
+    "saga.compensated": "compensated",
+    "saga.step.failed": "failed_steps",
+}
 
 
 class _Write:
     """One replicated write reassembled from its ``write:`` span."""
 
-    __slots__ = ("table", "key", "version", "region", "t_ms", "ref", "visible")
+    __slots__ = ("table", "key", "version", "region", "t_ms", "visible")
 
     def __init__(
-        self, table: str, key: str, version: str, region: str,
-        t_ms: float, ref: Optional[str],
+        self, table: str, key: str, version: str, region: str, t_ms: float,
     ) -> None:
         self.table = table
         self.key = key
         self.version = version
         self.region = region
         self.t_ms = t_ms
-        self.ref = ref
         #: region → (first-visibility virtual ms, via) with via one of
         #: ``origin`` / ``replicate`` / ``gossip``.
         self.visible: Dict[str, Tuple[float, str]] = {region: (t_ms, "origin")}
@@ -102,12 +116,12 @@ class CausalReport:
     """The cross-region happens-before graph folded from one trace."""
 
     def __init__(self) -> None:
-        #: span ref (``trace_id:span_id``) → span name.
-        self.nodes: Dict[str, str] = {}
+        #: span ref → span name.
+        self.nodes: Dict[Ref, str] = {}
         #: (src ref, dst ref, kind) — ``child`` for span parentage,
         #: ``replicate`` / ``gossip`` / ``invalidate`` for cross-region
         #: causal references.
-        self.edges: List[Tuple[str, str, str]] = []
+        self.edges: List[Tuple[Ref, Ref, str]] = []
         self.acyclic = True
         #: write label → :class:`_Write`.
         self.writes: Dict[str, _Write] = {}
@@ -123,24 +137,32 @@ class CausalReport:
         self.violations: List[Dict[str, Any]] = []
         #: chain tag → number of dedup suppressions joined to it.
         self.dedup_chains: Dict[str, int] = {}
+        #: "table/region" → ``lag_ms`` of every replication apply.
+        self.replication: Dict[str, List[float]] = {}
+        #: table → {"sweeps": n, "merges": n}.
+        self.gossip: Dict[str, Dict[str, int]] = {}
+        #: partition pair → {"cuts": n, "heals": n}.
+        self.partitions: Dict[str, Dict[str, int]] = {}
+        #: dedup store label / site → suppression count.
+        self.dedup_by_store: Dict[str, int] = {}
+        self.dedup_by_site: Dict[str, int] = {}
+        #: saga name → {"completed", "compensated", "failed_steps"} counts.
+        self.saga_outcomes: Dict[str, Dict[str, int]] = {}
 
     # -- folding --------------------------------------------------------------
 
     @classmethod
     def from_records(cls, records: List[Dict[str, Any]]) -> "CausalReport":
         report = cls()
-        children: Dict[Tuple[int, Optional[int]], List[Dict[str, Any]]] = {}
+        children: Dict[Ref, List[Dict[str, Any]]] = {}
         for record in records:
             ref = _ref(record)
             report.nodes[ref] = record.get("name") or ""
             parent_id = record.get("parent_id")
+            parent = _ref(record, f"{record.get('trace_id')}:{parent_id}")
             if parent_id is not None:
-                report.edges.append(
-                    (f"{record.get('trace_id')}:{parent_id}", ref, "child")
-                )
-            children.setdefault(
-                (record.get("trace_id"), parent_id), []
-            ).append(record)
+                report.edges.append((parent, ref, "child"))
+            children.setdefault(parent, []).append(record)
             report._fold(record)
         report._check_acyclic()
         report._fold_sagas(records, children)
@@ -153,31 +175,44 @@ class CausalReport:
         region = attributes.get("region")
         if region:
             self.regions.add(str(region))
+        suffix = name.partition(":")[2]
+        table = str(attributes.get("table", suffix))
         if name.startswith("write:"):
-            self._bump_hop("write")
+            _bump(self.hops, "write")
             write = _Write(
-                str(attributes.get("table", name.split(":", 1)[1])),
+                table,
                 str(attributes.get("key", "")),
                 str(attributes.get("version", "")),
                 str(region or "unknown"),
                 float(record.get("start_virtual_ms") or 0.0),
-                ref,
             )
             self.writes.setdefault(write.label, write)
         elif name.startswith("replicate:"):
-            self._bump_hop("replicate")
+            _bump(self.hops, "replicate")
+            lag_ms = attributes.get("lag_ms")
+            self.replication.setdefault(
+                f"{table}/{attributes.get('region', 'unknown')}", []
+            ).append(float(lag_ms) if lag_ms is not None else 0.0)
             self._fold_visibility(record, attributes, via="replicate")
         elif name.startswith("gossip:"):
-            self._bump_hop("gossip_sweep")
+            _bump(self.hops, "gossip_sweep")
+            entry = self.gossip.setdefault(table, {"sweeps": 0, "merges": 0})
+            entry["sweeps"] += 1
+            entry["merges"] += int(attributes.get("merges", 0) or 0)
+        elif name.startswith("partition:"):
+            entry = self.partitions.setdefault(suffix, {"cuts": 0, "heals": 0})
+            entry["heals" if attributes.get("event") == "heal" else "cuts"] += 1
+        elif name.startswith("saga:"):
+            self._saga_outcome(str(attributes.get("saga", suffix)))
         elif name.startswith("invalidate:"):
-            self._bump_hop("invalidate")
+            _bump(self.hops, "invalidate")
             origin_ref = attributes.get("causal.origin")
             if origin_ref:
-                self.edges.append((str(origin_ref), ref, "invalidate"))
+                self.edges.append((_ref(record, origin_ref), ref, "invalidate"))
         elif name.startswith("flush:"):
-            self._bump_hop("flush")
+            _bump(self.hops, "flush")
         elif name == "notify.drain":
-            self._bump_hop("notify.drain")
+            _bump(self.hops, "notify.drain")
         for event in record.get("events") or []:
             self._fold_event(record, event)
 
@@ -187,11 +222,9 @@ class CausalReport:
         event_name = event.get("name")
         attributes = event.get("attributes") or {}
         if event_name == "gossip.merge":
-            self._bump_hop("gossip")
-            sample = dict(attributes)
-            sample["end_t"] = event.get("t_virtual_ms")
+            _bump(self.hops, "gossip")
             self._fold_visibility_attrs(
-                sample, _ref(record), via="gossip",
+                record, attributes, via="gossip",
                 t_ms=float(event.get("t_virtual_ms") or 0.0),
             )
         elif event_name == "causal.violation":
@@ -201,11 +234,15 @@ class CausalReport:
             )
             self.violations.append(violation)
         elif event_name == "distrib.dedup":
-            self._bump_hop("dedup")
+            _bump(self.hops, "dedup")
+            _bump(self.dedup_by_store, str(attributes.get("store", "unknown")))
+            _bump(self.dedup_by_site, str(attributes.get("site", "unknown")))
             chain = attributes.get("chain")
             if chain:
-                chain = str(chain)
-                self.dedup_chains[chain] = self.dedup_chains.get(chain, 0) + 1
+                _bump(self.dedup_chains, str(chain))
+        elif event_name in _SAGA_OUTCOMES:
+            saga = str(attributes.get("saga", "unknown"))
+            self._saga_outcome(saga)[_SAGA_OUTCOMES[event_name]] += 1
 
     def _fold_visibility(
         self, record: Dict[str, Any], attributes: Dict[str, Any], *, via: str
@@ -215,19 +252,19 @@ class CausalReport:
             if record.get("end_virtual_ms") is not None
             else record.get("start_virtual_ms") or 0.0
         )
-        self._fold_visibility_attrs(attributes, _ref(record), via=via, t_ms=t_ms)
+        self._fold_visibility_attrs(record, attributes, via=via, t_ms=t_ms)
 
     def _fold_visibility_attrs(
         self,
+        record: Dict[str, Any],
         attributes: Dict[str, Any],
-        ref: str,
         *,
         via: str,
         t_ms: float,
     ) -> None:
         origin_ref = attributes.get("causal.origin")
         if origin_ref:
-            self.edges.append((str(origin_ref), ref, via))
+            self.edges.append((_ref(record, origin_ref), _ref(record), via))
         region = str(attributes.get("region", "unknown"))
         self.regions.add(region)
         table = str(attributes.get("table", "unknown"))
@@ -245,13 +282,15 @@ class CausalReport:
                 f"{table}/{region}", StreamingPercentiles()
             ).observe(lag_ms)
 
-    def _bump_hop(self, kind: str) -> None:
-        self.hops[kind] = self.hops.get(kind, 0) + 1
+    def _saga_outcome(self, saga: str) -> Dict[str, int]:
+        return self.saga_outcomes.setdefault(
+            saga, {"completed": 0, "compensated": 0, "failed_steps": 0}
+        )
 
     def _check_acyclic(self) -> None:
         """Kahn's algorithm over the stitched graph."""
-        indegree: Dict[str, int] = {ref: 0 for ref in self.nodes}
-        outgoing: Dict[str, List[str]] = {}
+        indegree: Dict[Ref, int] = {ref: 0 for ref in self.nodes}
+        outgoing: Dict[Ref, List[Ref]] = {}
         for src, dst, _ in self.edges:
             if src not in indegree or dst not in indegree:
                 continue  # reference into another export; not an edge here
@@ -271,7 +310,7 @@ class CausalReport:
     def _fold_sagas(
         self,
         records: List[Dict[str, Any]],
-        children: Dict[Tuple[int, Optional[int]], List[Dict[str, Any]]],
+        children: Dict[Ref, List[Dict[str, Any]]],
     ) -> None:
         for record in records:
             name = record.get("name") or ""
@@ -295,11 +334,7 @@ class CausalReport:
             stack = [record]
             while stack:
                 current = stack.pop()
-                stack.extend(
-                    children.get(
-                        (current.get("trace_id"), current.get("span_id")), ()
-                    )
-                )
+                stack.extend(children.get(_ref(current), ()))
                 if current is record:
                     continue
                 child_name = current.get("name") or ""
@@ -408,14 +443,41 @@ class CausalReport:
             "sagas": self.sagas,
             "dedup_chains": dict(sorted(self.dedup_chains.items())),
             "violations": self.violations,
+            "replication": {
+                key: {
+                    "count": len(lags),
+                    "mean_ms": round(sum(lags) / len(lags), 6),
+                    "max_ms": round(max(lags), 6),
+                }
+                for key, lags in sorted(self.replication.items())
+            },
+            "gossip": _sorted_tables(self.gossip),
+            "partitions": _sorted_tables(self.partitions),
+            "dedup_by_store": dict(sorted(self.dedup_by_store.items())),
+            "dedup_by_site": dict(sorted(self.dedup_by_site.items())),
+            "saga_outcomes": _sorted_tables(self.saga_outcomes),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _ref(record: Dict[str, Any]) -> str:
-    return f"{record.get('trace_id')}:{record.get('span_id')}"
+def _ref(record: Dict[str, Any], ref: Any = None) -> Ref:
+    """``record``'s node key or, given a ``trace_id:span_id`` ``ref``,
+    the key of that span in ``record``'s source."""
+    if ref is None:
+        ref = f"{record.get('trace_id')}:{record.get('span_id')}"
+    return (record.get("source"), str(ref))
+
+
+def _bump(table: Dict[str, int], key: str) -> None:
+    table[key] = table.get(key, 0) + 1
+
+
+def _sorted_tables(
+    tables: Dict[str, Dict[str, int]]
+) -> Dict[str, Dict[str, int]]:
+    return {key: dict(entry) for key, entry in sorted(tables.items())}
 
 
 def _percentile_dict(stats: StreamingPercentiles) -> Dict[str, Any]:
@@ -479,6 +541,22 @@ def render_causal_text(report: CausalReport) -> str:
             f"  dedup chains joined: {len(data['dedup_chains'])} "
             f"({sum(data['dedup_chains'].values())} suppression(s))"
         )
+    for title, rows in (
+        ("replication applies (table/region)", data["replication"]),
+        ("gossip", data["gossip"]),
+        ("partitions", data["partitions"]),
+        ("saga outcomes", data["saga_outcomes"]),
+    ):
+        if rows:
+            lines.append(f"  {title}:")
+            for key, entry in rows.items():
+                fields = " ".join(f"{name}={value}" for name, value in entry.items())
+                lines.append(f"    {key:<28} {fields}")
+    for label in ("store", "site"):
+        counts = data[f"dedup_by_{label}"]
+        if counts:
+            pairs = ", ".join(f"{key}={count}" for key, count in counts.items())
+            lines.append(f"  dedup by {label}: {pairs}")
     if data["violations"]:
         lines.append(f"  VIOLATIONS: {len(data['violations'])}")
         for violation in data["violations"]:

@@ -1,6 +1,6 @@
 """``python -m repro.obs`` — trace analytics from the command line.
 
-Eleven subcommands, all operating on exported JSONL trace files (or,
+Ten subcommands, all operating on exported JSONL trace files (or,
 for ``diff``, saved profile / BENCH documents; for ``flight``, a saved
 flight-recorder document).  Every subcommand follows one convention: a
 positional ``trace`` input plus ``--format {text,json}`` (``--json`` is
@@ -20,11 +20,11 @@ the shorthand), so scripts can pipe any analysis as JSON.
 * ``flight`` — render a flight-recorder incident document;
 * ``admission`` — shed / throttle / autoscale breakdown from the
   admission plane's span events;
-* ``distrib`` — replication-lag / dedup / saga tables from the
-  distributed tier's spans and events;
-* ``causal`` — the cross-region happens-before graph: visibility
-  latency, convergence paths, saga decomposition and the
-  causality-violation audit (``--gate`` fails on violations/cycles);
+* ``causal`` — the one cross-region analyzer: the happens-before
+  graph, visibility latency, convergence paths, saga decomposition,
+  the causality-violation audit (``--gate`` fails on violations/cycles)
+  and the tier tables (replication lag, gossip, partitions, dedup and
+  saga outcomes);
 * ``scenario`` — record/replay declarative cross-platform scenarios and
   diff recordings against the declared-divergence table (``--gate``
   fails on undeclared divergences; see ``docs/SCENARIOS.md``);
@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.obs.analyze.admission import AdmissionReport, render_admission_text
 from repro.obs.analyze.causal import CausalReport, render_causal_text
 from repro.obs.analyze.critical_path import CriticalPath
-from repro.obs.analyze.distrib import DistribReport, render_distrib_text
 from repro.obs.analyze.diff import (
     DEFAULT_NOISE_FRAC,
     DEFAULT_NOISE_MS,
@@ -72,8 +71,7 @@ COMMANDS: Tuple[Tuple[str, str], ...] = (
     ("critical-path", "the lane-segment chain explaining a drain's makespan"),
     ("flight", "render a saved flight-recorder incident document"),
     ("admission", "shed/throttle/autoscale breakdown from a trace"),
-    ("distrib", "replication-lag/dedup/saga breakdown from a trace"),
-    ("causal", "cross-region happens-before graph and consistency audit"),
+    ("causal", "cross-region happens-before graph, tier tables and audit"),
     ("scenario", "record/replay cross-platform scenarios; divergence gate"),
     ("health", "fleet health console over a trace; telemetry health gate"),
 )
@@ -170,13 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     admission.add_argument("trace", help="JSONL trace export")
     admission.add_argument("--out", metavar="PATH",
                            help="also save the JSON report to PATH")
-
-    distrib = commands.add_parser(
-        "distrib", help=helps["distrib"], parents=[parent]
-    )
-    distrib.add_argument("trace", help="JSONL trace export")
-    distrib.add_argument("--out", metavar="PATH",
-                         help="also save the JSON report to PATH")
 
     causal = commands.add_parser(
         "causal", help=helps["causal"], parents=[parent]
@@ -348,27 +339,29 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    timelines = ShardTimelines.from_records(parse_jsonl(_read(args.trace)))
+def _emit(
+    args: argparse.Namespace, document: Any, render: Callable[[], str]
+) -> None:
+    """Save ``document.to_json()`` to ``--out`` when given, then print
+    it (``--format json``) or ``render()`` (``--format text``)."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(timelines.to_json())
+            handle.write(document.to_json())
     if args.format == "json":
-        print(timelines.to_json(), end="")
+        print(document.to_json(), end="")
     else:
-        print(timelines.render_text(width=args.width))
+        print(render())
+
+
+def _cmd_timeline(args: argparse.Namespace) -> int:
+    timelines = ShardTimelines.from_records(parse_jsonl(_read(args.trace)))
+    _emit(args, timelines, lambda: timelines.render_text(width=args.width))
     return 0
 
 
 def _cmd_critical_path(args: argparse.Namespace) -> int:
     path = CriticalPath.from_records(parse_jsonl(_read(args.trace)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(path.to_json())
-    if args.format == "json":
-        print(path.to_json(), end="")
-    else:
-        print(path.render_text(max_steps=args.max_steps))
+    _emit(args, path, lambda: path.render_text(max_steps=args.max_steps))
     return 0
 
 
@@ -383,37 +376,13 @@ def _cmd_flight(args: argparse.Namespace) -> int:
 
 def _cmd_admission(args: argparse.Namespace) -> int:
     report = AdmissionReport.from_records(parse_jsonl(_read(args.trace)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(render_admission_text(report))
-    return 0
-
-
-def _cmd_distrib(args: argparse.Namespace) -> int:
-    report = DistribReport.from_records(parse_jsonl(_read(args.trace)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(render_distrib_text(report))
+    _emit(args, report, lambda: render_admission_text(report))
     return 0
 
 
 def _cmd_causal(args: argparse.Namespace) -> int:
     report = CausalReport.from_records(parse_jsonl(_read(args.trace)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(render_causal_text(report))
+    _emit(args, report, lambda: render_causal_text(report))
     if args.gate and (report.violations or not report.acyclic):
         return 1
     return 0
@@ -433,19 +402,6 @@ def _load_scenario(spec: str):
         f"unknown scenario {spec!r}: not a bundled name "
         f"({', '.join(sorted(LIBRARY))}) and not a file"
     )
-
-
-def _emit_diff(diff, args: argparse.Namespace) -> int:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(diff.to_json())
-    if args.format == "json":
-        print(diff.to_json(), end="")
-    else:
-        print(diff.render_text())
-    if args.gate and not diff.passed:
-        return 1
-    return 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -490,14 +446,14 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
     if args.scenario_command == "replay":
         base = ScenarioRecording.parse(_read(args.recording))
-        result = replay(base, platform=args.platform)
-        return _emit_diff(result.diff, args)
-    # diff
-    diff = diff_recordings(
-        ScenarioRecording.parse(_read(args.base)),
-        ScenarioRecording.parse(_read(args.other)),
-    )
-    return _emit_diff(diff, args)
+        diff = replay(base, platform=args.platform).diff
+    else:
+        diff = diff_recordings(
+            ScenarioRecording.parse(_read(args.base)),
+            ScenarioRecording.parse(_read(args.other)),
+        )
+    _emit(args, diff, diff.render_text)
+    return 1 if args.gate and not diff.passed else 0
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
@@ -525,13 +481,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
         flight_payload=flight_payload,
         strict=args.strict,
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-    if args.format == "json":
-        print(report.to_json(), end="")
-    else:
-        print(render_health_text(report))
+    _emit(args, report, lambda: render_health_text(report))
     if args.gate and not report.healthy:
         return 1
     return 0
@@ -547,7 +497,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "critical-path": _cmd_critical_path,
         "flight": _cmd_flight,
         "admission": _cmd_admission,
-        "distrib": _cmd_distrib,
         "causal": _cmd_causal,
         "scenario": _cmd_scenario,
         "health": _cmd_health,

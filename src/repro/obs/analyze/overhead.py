@@ -46,8 +46,9 @@ PROFILE_SCHEMA = "repro.obs.profile/v1"
 
 def parse_jsonl(text: str) -> List[Dict[str, Any]]:
     """Parse a JSONL trace export into span records (dicts), preserving
-    every field so that :func:`records_to_jsonl` round-trips
-    byte-identically."""
+    every field: re-serializing them the way
+    :func:`~repro.obs.exporters.export_jsonl` does gives back the same
+    bytes."""
     records: List[Dict[str, Any]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -58,15 +59,6 @@ def parse_jsonl(text: str) -> List[Dict[str, Any]]:
             raise ValueError(f"line {lineno} is not a span record")
         records.append(record)
     return records
-
-
-def records_to_jsonl(records: Iterable[Dict[str, Any]]) -> str:
-    """Re-serialize parsed records exactly as :func:`~repro.obs.exporters.export_jsonl` does."""
-    lines = [
-        json.dumps(record, sort_keys=True, separators=(",", ":"))
-        for record in records
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def spans_to_records(spans: Iterable[Span]) -> List[Dict[str, Any]]:

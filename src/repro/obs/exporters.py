@@ -1,11 +1,10 @@
 """Trace and metric exporters.
 
-Three export surfaces, matched to three consumers:
+Two export surfaces, matched to two consumers:
 
-* :class:`InMemoryExporter` — tests assert on structured span dicts;
-* :func:`export_jsonl` / :class:`JsonlFileExporter` — one JSON object
-  per span, sorted keys, virtual-time stamps only — byte-identical for
-  identical seeded runs;
+* :func:`export_jsonl` — one JSON object per span, sorted keys,
+  virtual-time stamps only — byte-identical for identical seeded runs;
+  the ``python -m repro.obs`` trace analyzers read this form back;
 * :func:`render_span_tree` / :func:`render_metrics_text` — the
   human-readable operator view.
 """
@@ -13,22 +12,10 @@ Three export surfaces, matched to three consumers:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.span import Span
-
-
-class InMemoryExporter:
-    """Collects span dicts for programmatic inspection."""
-
-    def __init__(self) -> None:
-        self.exported: List[Dict[str, Any]] = []
-
-    def export(self, spans: Iterable[Span]) -> List[Dict[str, Any]]:
-        batch = [span.to_dict() for span in spans]
-        self.exported.extend(batch)
-        return batch
 
 
 def export_jsonl(spans: Iterable[Span]) -> str:
@@ -38,40 +25,6 @@ def export_jsonl(spans: Iterable[Span]) -> str:
         for span in spans
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-class JsonlFileExporter:
-    """Writes span batches to a JSONL file.
-
-    The file is opened lazily in append mode with an explicit UTF-8
-    encoding (exports must be byte-identical across locales), flushed
-    after every batch, and closed via :meth:`close` or by using the
-    exporter as a context manager.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = path
-        self._handle = None
-
-    def export(self, spans: Iterable[Span]) -> int:
-        """Append ``spans``; returns the number written."""
-        payload = export_jsonl(spans)
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(payload)
-        self._handle.flush()
-        return payload.count("\n")
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlFileExporter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def render_span_tree(spans: Iterable[Span], *, include_events: bool = True) -> str:

@@ -10,7 +10,7 @@ must not pay ``to_dict`` for the ~99% of traces sampling drops.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.obs.span import Span
 
@@ -48,16 +48,6 @@ def span_duration_ms(span: SpanLike) -> float:
         end = span.get("end_virtual_ms")
         return (end - start) if end is not None else 0.0
     return span.duration_virtual_ms
-
-
-def iter_events(span: SpanLike) -> Iterator[Tuple[str, Dict[str, Any]]]:
-    """``(name, attributes)`` pairs for every event on the span."""
-    if isinstance(span, dict):
-        for event in span.get("events") or ():
-            yield event.get("name", ""), event.get("attributes") or {}
-    else:
-        for event in span.events:
-            yield event.name, event.attributes
 
 
 def record_from_span(

@@ -11,8 +11,9 @@ drains), so a burst's internal shape is visible rather than just its
 endpoints.
 
 Determinism: timestamps are virtual-clock reads, the ring buffers are
-plain deques, and the JSONL export is sorted series-major — two
-identically-seeded runs export byte-identical time series.
+plain deques, and :meth:`TimeSeriesSampler.tracked_series` is sorted
+by metric then labels — two identically-seeded runs sample identical
+time series.
 
 Same-instant semantics: many runtime ticks can land on one virtual
 instant (a submission burst at t=0).  A series keeps **one point per
@@ -25,15 +26,12 @@ that spiked to 64 and drained back to 12 inside one tick still shows
 from __future__ import annotations
 
 import collections
-import json
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram, MetricsRegistry, _labels_key
 
 #: A single sample: (t_virtual_ms, value, peak-at-or-before-this-instant).
 Point = Tuple[float, float, float]
-
-TIMESERIES_SCHEMA = "repro.obs.timeseries/v1"
 
 #: Tolerance for "the same virtual instant".
 _EPS = 1e-9
@@ -73,21 +71,6 @@ class TimeSeries:
     def peaks(self) -> List[float]:
         return [peak for _, _, peak in self.points]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "metric": self.metric,
-            "labels": dict(sorted(self.labels.items())),
-            "dropped": self.dropped,
-            "points": [
-                {
-                    "t_virtual_ms": round(t, 6),
-                    "value": round(value, 6),
-                    "peak": round(peak, 6),
-                }
-                for t, value, peak in self.points
-            ],
-        }
-
 
 class TimeSeriesSampler:
     """Samples selected registry series against the virtual clock.
@@ -106,7 +89,7 @@ class TimeSeriesSampler:
         point's ``peak``, so spikes are never silently dropped.
     capacity:
         Ring-buffer bound per series (oldest points evicted; the
-        eviction count is exported as ``dropped``).
+        eviction count is kept as ``dropped``).
     """
 
     def __init__(
@@ -209,39 +192,6 @@ class TimeSeriesSampler:
                     for sink in self._sinks:
                         sink(metric, series.labels, now, value)
         return appended
-
-    # -- export --------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": TIMESERIES_SCHEMA,
-            "period_ms": round(self.period_ms, 6),
-            "capacity": self.capacity,
-            "series": [series.to_dict() for series in self.tracked_series()],
-        }
-
-    def export_jsonl(self) -> str:
-        """One JSON object per sample point: series-major (sorted by
-        metric then labels), chronological within a series.  Sorted keys
-        throughout — identically-seeded runs export byte-identically."""
-        lines: List[str] = []
-        for series in self.tracked_series():
-            base = dict(sorted(series.labels.items()))
-            for t, value, peak in series.points:
-                lines.append(
-                    json.dumps(
-                        {
-                            "labels": base,
-                            "metric": series.metric,
-                            "peak": round(peak, 6),
-                            "t_virtual_ms": round(t, 6),
-                            "value": round(value, 6),
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                )
-        return "\n".join(lines) + ("\n" if lines else "")
 
     def render_text(self) -> str:
         """Compact operator view: one line per series with its last

@@ -13,7 +13,8 @@ shard is a serial lane with a bounded FIFO queue; a submitted request is
    :class:`~repro.errors.ProxyThrottledError` 1013 with a
    ``retry_after_ms`` hint); a full shard queue then tries, in order,
    to **evict** a strictly lower-priority queued request (priority-
-   aware shedding), to **absorb** the request into the shared overflow
+   aware shedding; the victim moves to the overflow buffer while that
+   has room), to **absorb** the request into the shared overflow
    buffer (queue-based load leveling — it drains into whichever lane
    idles first), and only then **sheds** with
    :class:`~repro.errors.ProxyOverloadError` 1012.  Both errors carry
@@ -409,15 +410,19 @@ class Dispatcher:
     def _admit_over_capacity(self, request: _Request, shard: _Shard) -> bool:
         """The admission ladder for a full shard queue: evict a lower-
         priority occupant, else absorb into the overflow buffer (which
-        may itself evict).  Returns False when the request must shed."""
+        may itself evict).  Returns False when the request must shed.
+
+        An evicted occupant was admitted, so it moves to the overflow
+        buffer while that has room and sheds only when it has none."""
         if self._admission is None and self._overflow is None:
             return False
         victim = self._eviction_victim(shard, request.priority)
         if victim is not None:
             shard.queue.remove(victim)
-            self._shed_request(
-                victim, shard=shard, reason="evicted", outcome=None
-            )
+            if not self._offer_overflow(victim):
+                self._shed_request(
+                    victim, shard=shard, reason="evicted", outcome=None
+                )
             request.shard_index = shard.index
             shard.queue.append(request)
             self._depth_gauges[shard.index].set(len(shard.queue))
@@ -426,22 +431,29 @@ class Dispatcher:
                 self._inflight[request.coalesce_key] = request
             self._pump(shard)
             return True
-        if self._overflow is not None:
-            accepted, displaced = self._overflow.offer(request)
-            if accepted:
-                if displaced is not None:
-                    self._shed_request(
-                        displaced, shard=None, reason="evicted", outcome=None
-                    )
-                self._outcomes["absorbed"].inc()
-                self.metrics.counter(
-                    "admission.absorbed", source=self.platform
-                ).inc()
-                self._buffer_gauge.set(len(self._overflow))
-                if request.coalesce_key is not None:
-                    self._inflight[request.coalesce_key] = request
-                return True
+        if self._offer_overflow(request):
+            self._outcomes["absorbed"].inc()
+            self.metrics.counter(
+                "admission.absorbed", source=self.platform
+            ).inc()
+            if request.coalesce_key is not None:
+                self._inflight[request.coalesce_key] = request
+            return True
         return False
+
+    def _offer_overflow(self, request: _Request) -> bool:
+        """Buffer ``request`` if the overflow buffer takes it; a lower-
+        class occupant it displaces sheds."""
+        if self._overflow is None:
+            return False
+        accepted, displaced = self._overflow.offer(request)
+        if accepted:
+            if displaced is not None:
+                self._shed_request(
+                    displaced, shard=None, reason="evicted", outcome=None
+                )
+            self._buffer_gauge.set(len(self._overflow))
+        return accepted
 
     @staticmethod
     def _eviction_victim(shard: _Shard, priority: int) -> Optional[_Request]:

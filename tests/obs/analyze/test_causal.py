@@ -161,6 +161,72 @@ class TestViolationsSurface:
         assert "lww_causality_inversion" in text
 
 
+
+def sourced(source, span_id, name, *, parent_id=None, attributes=None):
+    """A span record as a fleet pipeline exports it: tagged with the
+    ``source`` of the tracer that recorded it."""
+    return {
+        "name": name, "source": source, "trace_id": 1, "span_id": span_id,
+        "parent_id": parent_id, "start_virtual_ms": 0.0,
+        "end_virtual_ms": 0.0, "status": "ok",
+        "attributes": attributes or {}, "events": [],
+    }
+
+
+class TestMultiSourceExports:
+    """Trace and span ids are per-tracer counters, so the tracers of one
+    fleet export reuse the same ``trace_id:span_id`` refs."""
+
+    def test_reused_refs_stay_distinct_nodes(self):
+        records = [
+            sourced("agent-1", 1, "dispatch:get"),
+            sourced("agent-1", 2, "binding:get", parent_id=1),
+            sourced("agent-2", 2, "dispatch:get"),
+            sourced("agent-2", 1, "binding:get", parent_id=2),
+        ]
+        assert CausalReport.from_records(records).to_dict()["graph"] == {
+            "nodes": 4, "edges": 2, "cross_region_edges": 0, "acyclic": True,
+        }
+
+    def test_origin_resolves_within_the_carrying_source(self):
+        # An invalidate whose origin span descends from it closes a
+        # cycle, but only when both spans come from the same tracer.
+        def records(write_source):
+            return [
+                sourced(write_source, 1, "write:t", parent_id=2),
+                sourced("runtime", 2, "invalidate:c",
+                        attributes={"causal.origin": "1:1"}),
+            ]
+
+        assert not CausalReport.from_records(records("runtime")).acyclic
+        assert CausalReport.from_records(records("agent-1")).acyclic
+
+    def test_fleet_pipeline_export_keeps_every_span(self):
+        from repro.apps.workforce.fleet import (
+            build_fleet,
+            launch_fleet_on_runtime,
+        )
+        from repro.obs.pipeline import PipelineConfig
+
+        fleet = build_fleet(
+            4, runtime=True, observability=True,
+            distrib=DistribConfig(regions=REGIONS, seed=1),
+            pipeline=PipelineConfig(
+                default_rate=1.0, seed=1, span_capacity=100_000
+            ),
+        )
+        launch_fleet_on_runtime(fleet, reports=3, period_ms=20_000.0)
+        fleet.runtime.drain()
+        records = parse_jsonl(fleet.pipeline.export_jsonl())
+        assert len({record["source"] for record in records}) == 5
+        report = CausalReport.from_records(records)
+        graph = report.to_dict()["graph"]
+        assert graph["nodes"] == len(records)
+        assert graph["acyclic"]
+        for parent, child, kind in report.edges:
+            assert parent in report.nodes and parent[0] == child[0]
+
+
 # One scripted operation against a traced tier:
 #   ("put", key ordinal, value, region ordinal)
 #   ("cache_put", key ordinal, value, region ordinal)

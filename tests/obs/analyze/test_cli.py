@@ -357,44 +357,6 @@ def distrib_trace_path(tmp_path):
     return path
 
 
-class TestDistribCommand:
-    def test_text_output(self, distrib_trace_path, capsys):
-        assert main(["distrib", str(distrib_trace_path)]) == 0
-        out = capsys.readouterr().out
-        assert "2 replication applies, 1 dedup suppressions, 1 saga names" in out
-        assert "reports/eu-west" in out
-        assert "mean=300.0ms max=350.0ms" in out
-        assert "sweeps=1 merges=4" in out
-        assert "cuts=1 heals=1" in out
-        assert "network.request" in out
-        assert "completed=1 compensated=0" in out
-
-    def test_json_and_out_file(self, distrib_trace_path, tmp_path, capsys):
-        out_path = tmp_path / "distrib.json"
-        assert main([
-            "distrib", str(distrib_trace_path),
-            "--json", "--out", str(out_path),
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == json.loads(out_path.read_text(encoding="utf-8"))
-        assert payload["replication"] == {
-            "reports/eu-west": {"count": 2, "mean_ms": 300.0, "max_ms": 350.0}
-        }
-        assert payload["gossip"] == {"reports": {"sweeps": 1, "merges": 4}}
-        assert payload["partitions"] == {
-            "ap-south|eu-west": {"cuts": 1, "heals": 1}
-        }
-        assert payload["dedup_by_store"] == {"network": 1}
-        assert payload["dedup_by_site"] == {"network.request": 1}
-        assert payload["sagas"] == {"report": {"completed": 1}}
-
-    def test_quiet_trace_says_so(self, trace_path, capsys):
-        # a trace with no distrib activity is a valid (quiet) report
-        assert main(["distrib", str(trace_path)]) == 0
-        out = capsys.readouterr().out
-        assert "no distrib activity in this trace" in out
-
-
 @pytest.fixture
 def causal_trace_path(tmp_path):
     """A write, its replication apply, and a dedup suppression."""
@@ -480,3 +442,49 @@ class TestCausalCommand:
         out = capsys.readouterr().out
         assert "VIOLATIONS: 1" in out
         assert "lww_causality_inversion" in out
+
+    def test_distrib_tables_text(self, distrib_trace_path, capsys):
+        assert main(["causal", str(distrib_trace_path)]) == 0
+        out = capsys.readouterr().out
+        assert "replicate=2" in out and "dedup=1" in out
+        assert "reports/eu-west" in out
+        assert "count=2 mean_ms=300.0 max_ms=350.0" in out
+        assert "sweeps=1 merges=4" in out
+        assert "cuts=1 heals=1" in out
+        assert "dedup by store: network=1" in out
+        assert "dedup by site: network.request=1" in out
+        assert "completed=1 compensated=0 failed_steps=0" in out
+
+    def test_distrib_tables_json_and_out_file(
+        self, distrib_trace_path, tmp_path, capsys
+    ):
+        out_path = tmp_path / "causal.json"
+        assert main([
+            "causal", str(distrib_trace_path),
+            "--json", "--out", str(out_path),
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == json.loads(out_path.read_text(encoding="utf-8"))
+        assert payload["replication"] == {
+            "reports/eu-west": {"count": 2, "mean_ms": 300.0, "max_ms": 350.0}
+        }
+        assert payload["gossip"] == {"reports": {"sweeps": 1, "merges": 4}}
+        assert payload["partitions"] == {
+            "ap-south|eu-west": {"cuts": 1, "heals": 1}
+        }
+        assert payload["dedup_by_store"] == {"network": 1}
+        assert payload["dedup_by_site"] == {"network.request": 1}
+        assert payload["saga_outcomes"] == {
+            "report": {"completed": 1, "compensated": 0, "failed_steps": 0}
+        }
+
+    def test_quiet_trace_has_empty_tier_tables(self, trace_path, capsys):
+        # a trace with no distrib activity is a valid (quiet) report
+        assert main(["causal", str(trace_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key in ("replication", "gossip", "partitions",
+                    "dedup_by_store", "dedup_by_site", "saga_outcomes"):
+            assert payload[key] == {}
+        assert main(["causal", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        assert "gossip:" not in out and "dedup by" not in out

@@ -1,5 +1,7 @@
 """Overhead accounting: folding span trees into per-layer self-time."""
 
+import json
+
 import pytest
 
 from repro.obs import Observability, Tracer, export_jsonl
@@ -7,7 +9,6 @@ from repro.obs.analyze.overhead import (
     OverheadProfile,
     collapsed_stacks,
     parse_jsonl,
-    records_to_jsonl,
     render_profile_text,
     top_spans_text,
 )
@@ -136,7 +137,10 @@ class TestSerialization:
     def test_jsonl_round_trip_byte_identical(self, tracer, clock):
         make_invocation(tracer, clock)
         payload = export_jsonl(tracer.finished_spans())
-        assert records_to_jsonl(parse_jsonl(payload)) == payload
+        assert "".join(
+            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+            for record in parse_jsonl(payload)
+        ) == payload
 
     def test_profile_json_deterministic(self, tracer, clock):
         make_invocation(tracer, clock)

@@ -1,15 +1,14 @@
-"""Exporter behaviour: deterministic JSONL, file append, text rendering."""
+"""Exporter behaviour: deterministic JSONL and text rendering."""
 
 import json
 
 import pytest
 
 from repro.obs import (
-    InMemoryExporter,
-    JsonlFileExporter,
     MetricsRegistry,
     Tracer,
     export_jsonl,
+    parse_jsonl,
     render_metrics_text,
     render_span_tree,
 )
@@ -62,56 +61,12 @@ class TestJsonl:
         assert len(errored) == 1
         assert "offline" in errored[0]["error"]
 
-
-class TestInMemoryExporter:
-    def test_collects_dicts(self, trace):
-        exporter = InMemoryExporter()
-        batch = exporter.export(trace.finished_spans())
-        assert exporter.exported == batch
-        assert batch[0]["name"] == "dispatch:get"
-        assert batch[0]["attributes"] == {"interface": "Http"}
-
-
-class TestJsonlFileExporter:
-    def test_appends_batches(self, trace, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        exporter = JsonlFileExporter(path)
-        spans = trace.finished_spans()
-        assert exporter.export(spans[:1]) == 1
-        assert exporter.export(spans[1:]) == 2
-        exporter.close()
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert json.loads(lines[0])["name"] == "dispatch:get"  # start order
-
-    def test_flushes_after_each_batch(self, trace, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        exporter = JsonlFileExporter(path)
-        exporter.export(trace.finished_spans())
-        # Readable before close: the handle flushes per batch.
-        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
-        exporter.close()
-        exporter.close()  # idempotent
-
-    def test_context_manager_closes(self, trace, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        with JsonlFileExporter(path) as exporter:
-            exporter.export(trace.finished_spans())
-        assert len(path.read_text().splitlines()) == 3
-        # Reopening after close appends rather than truncating.
-        with JsonlFileExporter(path) as exporter:
-            exporter.export(trace.finished_spans()[:1])
-        assert len(path.read_text().splitlines()) == 4
-
-    def test_utf8_attributes_survive(self, tmp_path):
+    def test_utf8_attributes_survive(self):
         clock = SimulatedClock()
         tracer = Tracer(clock)
         with tracer.span("dispatch:send", text="नमस्ते"):
             clock.advance(1.0)
-        path = tmp_path / "spans.jsonl"
-        with JsonlFileExporter(path) as exporter:
-            exporter.export(tracer.finished_spans())
-        record = json.loads(path.read_text(encoding="utf-8"))
+        (record,) = parse_jsonl(export_jsonl(tracer.finished_spans()))
         assert record["attributes"]["text"] == "नमस्ते"
 
 
@@ -147,7 +102,10 @@ class TestTextRendering:
         assert "dispatch:post" in rendered
 
     def test_jsonl_parse_reserialize_byte_identical(self, trace):
-        from repro.obs import parse_jsonl, records_to_jsonl
-
+        # parse_jsonl keeps every field, so re-serializing the records
+        # the way export_jsonl does gives back the same bytes.
         payload = export_jsonl(trace.finished_spans())
-        assert records_to_jsonl(parse_jsonl(payload)) == payload
+        assert "".join(
+            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+            for record in parse_jsonl(payload)
+        ) == payload

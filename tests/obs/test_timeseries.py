@@ -1,7 +1,5 @@
 """Unit tests for the virtual-clock metric time-series sampler."""
 
-import json
-
 import pytest
 
 from repro.obs import MetricsRegistry, TimeSeriesSampler
@@ -114,7 +112,7 @@ class TestSampling:
 
 
 class TestExport:
-    def test_jsonl_is_sorted_and_deterministic(self):
+    def test_series_are_sorted_and_deterministic(self):
         def run():
             clock, metrics, sampler = make_sampler()
             for name in ("b", "a"):
@@ -122,15 +120,15 @@ class TestExport:
             sampler.track("g")
             clock.advance(1.0)
             sampler.tick()
-            return sampler.export_jsonl()
+            return [
+                (series.metric, series.labels, list(series.points))
+                for series in sampler.tracked_series()
+            ]
 
         first, second = run(), run()
         assert first == second
-        lines = [json.loads(line) for line in first.splitlines()]
-        assert [line["labels"]["source"] for line in lines] == ["a", "b"]
-        assert all(
-            list(line) == sorted(line) for line in lines
-        )  # keys sorted per record
+        assert [labels["source"] for _, labels, _ in first] == ["a", "b"]
+        assert first[0][2] == [(1.0, 1.0, 1.0)]
 
     def test_render_text_lists_series(self):
         clock, metrics, sampler = make_sampler()
@@ -141,7 +139,3 @@ class TestExport:
         text = sampler.render_text()
         assert "g{source=p}" in text
         assert "last=3@5.0ms" in text
-
-    def test_to_dict_schema(self):
-        _, _, sampler = make_sampler()
-        assert sampler.to_dict()["schema"] == "repro.obs.timeseries/v1"

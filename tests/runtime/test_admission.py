@@ -223,6 +223,66 @@ class TestPriorityShedding:
         assert report.error is None
         assert d.outcome_counts()["shed"] == 0  # eviction, not a door shed
 
+    def test_evicted_victim_moves_to_a_free_buffer(self, world):
+        runtime = make_runtime(
+            world,
+            shards=1,
+            queue_depth=2,
+            admission=plain_admission(overflow_capacity=4),
+        )
+        d = runtime.dispatcher("p")
+        order = []
+
+        def work(name):
+            return lambda: (order.append(name), world.clock.advance(10.0))
+
+        polls = [d.submit("get", work(f"get{i}")) for i in range(2)]
+        report = d.submit("post", work("post"))
+        # The post still takes the newest get's queue slot, but that get
+        # was admitted: it waits in the empty buffer instead of shedding.
+        assert len(d.overflow) == 1
+        assert d.shed_count == 0
+        runtime.drain()
+        assert all(f.error is None for f in polls + [report])
+        assert order == ["get0", "post", "get1"]
+        assert d.outcome_counts()["admitted"] == 3
+
+    def test_evicted_victim_sheds_when_the_buffer_is_full(self, world):
+        runtime = make_runtime(
+            world,
+            shards=1,
+            queue_depth=1,
+            admission=plain_admission(overflow_capacity=1),
+        )
+        d = runtime.dispatcher("p")
+        polls = [d.submit("get", charge(world, 10.0)) for _ in range(2)]
+        # Queue [get#0], buffer [get#1]: the buffer holds nothing below
+        # the victim's class, so the evicted get sheds.
+        report = d.submit("post", charge(world, 10.0))
+        assert isinstance(polls[0].error, ProxyOverloadError)
+        assert polls[0].error.context["reason"] == "evicted"
+        runtime.drain()
+        assert polls[1].error is None and report.error is None
+
+    def test_evicted_victim_displaces_a_lower_class_from_the_buffer(self, world):
+        runtime = make_runtime(
+            world,
+            shards=1,
+            queue_depth=1,
+            admission=plain_admission(overflow_capacity=1),
+        )
+        d = runtime.dispatcher("p")
+        report = d.submit("post", charge(world, 10.0))
+        poll = d.submit("get", charge(world, 10.0))  # absorbed
+        # Queue [post], buffer [get]: the alert evicts the post, which
+        # takes the full buffer's slot from the lower-class get.
+        alert = d.submit("sendTextMessage", charge(world, 1.0))
+        assert isinstance(poll.error, ProxyOverloadError)
+        assert poll.error.context["reason"] == "evicted"
+        assert poll.error.context["shard"] == -1
+        runtime.drain()
+        assert report.error is None and alert.error is None
+
     def test_equal_class_sheds_incoming(self, world):
         runtime = make_runtime(
             world, shards=1, queue_depth=1, admission=plain_admission()
