@@ -9,9 +9,11 @@ shard lanes overlap in virtual time, so makespan ≈ total work / shards —
 this uniform load; the floor leaves room for less convenient workloads).
 
 Queue latency percentiles come from the dispatcher's own
-``runtime.queue_wait_ms`` histogram (streaming P² estimates), i.e. the
-same series operators would watch in production — the benchmark doubles
-as a check that the instrumentation tells the truth about queueing.
+``runtime.queue_wait_ms`` histogram (interpolated from its buckets and
+clamped to the observed min and max), i.e. the same series operators
+would watch in production — the benchmark doubles as a check that the
+instrumentation tells the truth about queueing: each shard count's p99
+must equal the exact p99 of its uniform schedule.
 
 Since the concurrency-observability layer landed, every load run also
 exports its trace and folds it back through the shard-timeline and
@@ -146,6 +148,12 @@ def test_concurrency_scaling_summary():
         assert len(r["utilization"]) == shards
         for fraction in r["utilization"].values():
             assert fraction == pytest.approx(1.0)
+    # Each lane runs its REQUESTS/K requests back to back, so the waits
+    # are 0, 10, ... ms; the nearest-rank p99 of 64 waits is the longest.
+    for shards, r in results.items():
+        assert r["queue_wait"]["p99"] == pytest.approx(
+            (REQUESTS // shards - 1) * SERVICE_MS
+        )
     # The acceptance floor: ≥3× throughput at 8 shards vs 1.
     speedup = results[1]["makespan_ms"] / results[8]["makespan_ms"]
     assert speedup >= 3.0, f"8-shard speedup only {speedup:.2f}x"

@@ -40,7 +40,6 @@ from repro.obs.report import (
     chaos_summary,
     fault_report,
     instrumentation_points,
-    registry_report,
     resilience_report,
 )
 from repro.obs.span import Span, SpanEvent
@@ -231,7 +230,6 @@ __all__ = [
     "load_profile",
     "parse_jsonl",
     "quantile_label",
-    "registry_report",
     "render_causal_text",
     "render_flight_text",
     "render_health_text",

@@ -94,7 +94,8 @@ def render_metrics_text(registry: MetricsRegistry) -> str:
     """Flat, sorted, human-readable metric dump.
 
     Every series states its kind; histograms additionally render their
-    streaming percentiles and the cumulative bucket line.
+    percentiles (interpolated from the buckets, clamped to the observed
+    min and max) and the cumulative bucket line.
     """
     lines: List[str] = []
     for instrument in registry.collect():

@@ -18,7 +18,7 @@ import bisect
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.quantiles import DEFAULT_QUANTILES, StreamingPercentiles
+from repro.obs.quantiles import DEFAULT_QUANTILES, quantile_label
 
 #: Default histogram bucket upper bounds (milliseconds-flavoured).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -70,15 +70,15 @@ class Histogram:
     """Fixed-bucket histogram (cumulative counts, like Prometheus).
 
     ``bucket_counts[i]`` counts observations ``<= bounds[i]``; a final
-    implicit +Inf bucket (``overflow``) catches the rest.  Alongside the
-    buckets, a P² marker set per default quantile
-    (:mod:`repro.obs.quantiles`) streams p50/p95/p99 estimates without
-    storing samples.
+    implicit +Inf bucket (``overflow``) catches the rest.  ``observe``
+    only counts: percentiles are interpolated from the buckets when they
+    are read (:meth:`quantile`), clamped to the observed ``min`` and
+    ``max`` (±inf while empty).
     """
 
     __slots__ = (
         "name", "labels", "bounds", "bucket_counts", "overflow", "count", "sum",
-        "_percentiles",
+        "min", "max",
     )
 
     def __init__(
@@ -96,9 +96,11 @@ class Histogram:
         self.overflow = 0
         self.count = 0
         self.sum = 0.0
-        self._percentiles = StreamingPercentiles(DEFAULT_QUANTILES)
+        self.min = float("inf")
+        self.max = float("-inf")
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float) -> int:
+        """Count ``value``; returns its bucket index (``len(bounds)`` is +Inf)."""
         index = bisect.bisect_left(self.bounds, value)
         if index < len(self.bounds):
             self.bucket_counts[index] += 1
@@ -106,19 +108,48 @@ class Histogram:
             self.overflow += 1
         self.count += 1
         self.sum += value
-        self._percentiles.observe(value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        return index
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def percentiles(self) -> Dict[str, float]:
-        """Streaming P² estimates, e.g. ``{"p50": ..., "p95": ..., "p99": ...}``."""
-        return self._percentiles.as_dict()
-
     def quantile(self, q: float) -> float:
-        """One tracked quantile's current estimate."""
-        return self._percentiles.value(q)
+        """The bucket-interpolated estimate of quantile ``q`` (0.0 when empty).
+
+        The bucket holding the nearest-rank order statistic is found
+        exactly; within it the estimate is linear, and the +Inf bucket
+        interpolates up to the observed maximum.  The result is clamped
+        to the observed ``[min, max]``, so a point mass reads exactly.
+        """
+        if not 0.0 < q < 1.0:
+            raise ConfigurationError(f"quantile must be in (0, 1), got {q}")
+        if not self.count:
+            return 0.0
+        rank = q * self.count
+        running = 0
+        lower = 0.0
+        for bound, bucket_count in zip(self.bounds, self.bucket_counts):
+            if bucket_count:
+                running += bucket_count
+                if running >= rank:
+                    fraction = (rank - (running - bucket_count)) / bucket_count
+                    # ``min``: rounding may not carry past the bucket.
+                    estimate = min(lower + (bound - lower) * fraction, bound)
+                    break
+            lower = bound
+        else:
+            fraction = (rank - running) / self.overflow
+            estimate = lower + (self.max - lower) * fraction
+        return min(max(estimate, self.min), self.max)
+
+    def percentiles(self) -> Dict[str, float]:
+        """``{"p50": ..., "p95": ..., "p99": ...}`` from :meth:`quantile`."""
+        return {quantile_label(q): self.quantile(q) for q in DEFAULT_QUANTILES}
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, +Inf last."""

@@ -1,9 +1,10 @@
 """Streaming RED rollups: rate / errors / duration, with exemplars.
 
 One :class:`RollupSeries` per ``(op, platform, region, tenant)`` key
-streams request counts, error counts, a fixed-bucket duration histogram
-and P² percentiles — O(1) memory per series, O(config) series total
-(the key bound collapses excess keys into one ``other=true`` series).
+streams request counts, error counts and a fixed-bucket duration
+histogram whose percentiles are read from its buckets — O(1) memory per
+series, O(config) series total (the key bound collapses excess keys
+into one ``other=true`` series).
 
 Rollups are fed from **every** completed trace *before* the sampling
 decision, which is the pipeline's core accounting guarantee: rollup
@@ -16,11 +17,9 @@ bucket straight back to a retained trace.
 
 from __future__ import annotations
 
-import bisect
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
-from repro.obs.quantiles import DEFAULT_QUANTILES, quantile_label
+from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
 #: Rollup key: (op, platform, region, tenant).
 RollupKey = Tuple[str, str, str, str]
@@ -29,20 +28,19 @@ RollupKey = Tuple[str, str, str, str]
 UNKNOWN = "-"
 
 
-class RollupSeries:
-    """RED accumulation for one rollup key.
+class RollupSeries(Histogram):
+    """RED accumulation for one rollup key: a duration histogram.
 
-    Unlike the registry's :class:`~repro.obs.metrics.Histogram`, no P²
-    estimators stream alongside the buckets — the rollup path runs per
-    completed trace on the invocation hot path, so percentiles are
-    interpolated from the bucket counts at *read* time instead
-    (``histogram_quantile`` style: exact bucket, linear within it).
+    Buckets, count, sum, min, max and the read-time percentiles are the
+    registry :class:`~repro.obs.metrics.Histogram`'s own.  A series adds
+    the error count, the latest kept trace per bucket (its exemplar) and
+    the observed window, so its ``observe`` also takes the trace's error
+    flag and end time.
     """
 
     __slots__ = (
         "op", "platform", "region", "tenant", "collapsed",
-        "bounds", "bucket_counts", "overflow", "count", "errors", "sum",
-        "max", "exemplars", "first_ms", "last_ms",
+        "errors", "exemplars", "first_ms", "last_ms",
     )
 
     def __init__(
@@ -54,13 +52,14 @@ class RollupSeries:
     ) -> None:
         self.op, self.platform, self.region, self.tenant = key
         self.collapsed = collapsed
-        self.bounds = tuple(float(b) for b in bounds)
-        self.bucket_counts = [0] * len(self.bounds)
-        self.overflow = 0
-        self.count = 0
+        labels = (
+            {"other": "true"}
+            if collapsed
+            else {"op": self.op, "platform": self.platform,
+                  "region": self.region, "tenant": self.tenant}
+        )
+        super().__init__("obs.rollup", labels, bounds)
         self.errors = 0
-        self.sum = 0.0
-        self.max = 0.0
         #: Latest kept trace ref per bucket; index ``len(bounds)`` is +Inf.
         self.exemplars: List[Optional[str]] = [None] * (len(self.bounds) + 1)
         self.first_ms: Optional[float] = None
@@ -74,19 +73,11 @@ class RollupSeries:
         t_ms: float,
         exemplar: Optional[str] = None,
     ) -> None:
-        index = bisect.bisect_left(self.bounds, duration_ms)
-        if index < len(self.bounds):
-            self.bucket_counts[index] += 1
-        else:
-            self.overflow += 1
+        index = Histogram.observe(self, duration_ms)
         if exemplar is not None:
-            self.exemplars[min(index, len(self.bounds))] = exemplar
-        self.count += 1
+            self.exemplars[index] = exemplar
         if error:
             self.errors += 1
-        self.sum += duration_ms
-        if duration_ms > self.max:
-            self.max = duration_ms
         if self.first_ms is None:
             self.first_ms = t_ms
         self.last_ms = t_ms
@@ -111,51 +102,9 @@ class RollupSeries:
             return float(self.count)
         return self.count / (window_ms / 1_000.0)
 
-    def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile estimate (0.0 when empty; the
-        overflow bucket interpolates up to the observed maximum)."""
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        running = 0
-        lower = 0.0
-        for bound, bucket_count in zip(self.bounds, self.bucket_counts):
-            if bucket_count:
-                running += bucket_count
-                if running >= rank:
-                    fraction = (rank - (running - bucket_count)) / bucket_count
-                    return min(lower + (bound - lower) * fraction, self.max)
-            lower = bound
-        if self.overflow:
-            fraction = (rank - running) / self.overflow
-            return lower + (max(self.max, lower) - lower) * fraction
-        return min(lower, self.max)
-
-    def percentiles(self) -> Dict[str, float]:
-        return {quantile_label(q): self.quantile(q) for q in DEFAULT_QUANTILES}
-
     def to_dict(self) -> Dict[str, Any]:
-        labels = {
-            "op": self.op,
-            "platform": self.platform,
-            "region": self.region,
-            "tenant": self.tenant,
-        }
-        if self.collapsed:
-            labels = {"other": "true"}
-        buckets = []
-        running = 0
-        for bound, bucket_count, exemplar in zip(
-            self.bounds, self.bucket_counts, self.exemplars
-        ):
-            running += bucket_count
-            buckets.append({"le": bound, "count": running, "exemplar": exemplar})
-        buckets.append(
-            {"le": "+Inf", "count": running + self.overflow,
-             "exemplar": self.exemplars[-1]}
-        )
         return {
-            "labels": labels,
+            "labels": dict(self.labels),
             "count": self.count,
             "errors": self.errors,
             "error_ratio": round(self.error_ratio, 6),
@@ -165,7 +114,13 @@ class RollupSeries:
                 label: round(value, 6)
                 for label, value in self.percentiles().items()
             },
-            "buckets": buckets,
+            "buckets": [
+                {"le": "+Inf" if bound == float("inf") else bound,
+                 "count": running, "exemplar": exemplar}
+                for (bound, running), exemplar in zip(
+                    self.cumulative(), self.exemplars
+                )
+            ],
         }
 
 

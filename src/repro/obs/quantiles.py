@@ -1,11 +1,12 @@
 """Streaming quantile estimation: the P² algorithm.
 
-The analytics layer needs p50/p95/p99 of invocation latency without
-storing samples — the fleet scenarios run millions of virtual
-invocations and the registry must stay O(1) per series.  The P²
-(piecewise-parabolic) estimator of Jain & Chlamtac (CACM 1985) keeps
-five markers per tracked quantile and updates them in constant time per
-observation.
+The consumers without buckets — the overhead profile, the causal
+report and the sampler's slow-trace rule — need latency quantiles
+without storing samples.  The P² (piecewise-parabolic) estimator of
+Jain & Chlamtac (CACM 1985) keeps five markers per tracked quantile and
+updates them in constant time per observation.  Histograms, which have
+buckets, read their percentiles from them instead
+(:meth:`repro.obs.metrics.Histogram.quantile`).
 
 Determinism contract: the estimate is a pure function of the
 observation *sequence* — no randomness, no clocks — so two
@@ -67,11 +68,11 @@ class P2Quantile:
                 self._desired = [0.0, 2.0 * q, 4.0 * q, 2.0 + 2.0 * q, 4.0]
             return
 
-        # The hot path of every histogram: the cell search, the position
-        # and desired-position updates are unrolled and the parabolic and
-        # linear predictions inlined.  Every float operation is the one
-        # the textbook loop form performs, in the same order, so the
-        # markers stay bit-identical to it.
+        # The hot path of the sampler's slow rule: the cell search, the
+        # position and desired-position updates are unrolled and the
+        # parabolic and linear predictions inlined.  Every float
+        # operation is the one the textbook loop form performs, in the
+        # same order, so the markers stay bit-identical to it.
         h, n, ns = self._heights, self._positions, self._desired
         # Locate the cell the new observation falls into, stretching the
         # extreme markers when it lands outside them; every marker above

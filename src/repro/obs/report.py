@@ -95,24 +95,6 @@ def chaos_summary(injector, proxies: Iterable) -> Dict[str, Any]:
     }
 
 
-def registry_report(registry) -> Dict[str, Any]:
-    """A full metrics snapshot plus derived resilience totals.
-
-    The snapshot half is the raw registry dump; the totals half gives
-    the cross-runtime sums the dashboards chart, zeroed when the
-    registry has no resilience series yet.
-    """
-    totals = {
-        field: int(registry.total(f"resilience.{field}"))
-        for field in RESILIENCE_FIELDS
-    }
-    return {
-        "resilience_totals": totals,
-        "faults_injected": int(registry.total("faults.injected")),
-        "metrics": registry.snapshot(),
-    }
-
-
 def instrumentation_points(descriptor) -> List[Dict[str, Any]]:
     """The span names one proxy's invocations can produce, per method.
 

@@ -97,16 +97,17 @@ class TestHistogram:
         with pytest.raises(ConfigurationError):
             registry.histogram("bad", buckets=())
 
-    def test_streaming_percentiles(self, registry):
-        histogram = registry.histogram("latency", buckets=(100.0,))
-        for value in (1.0, 2.0, 3.0, 4.0):
+    def test_percentiles_interpolate_buckets(self, registry):
+        histogram = registry.histogram("latency", buckets=(10.0, 20.0, 100.0))
+        for value in (12.0, 14.0, 16.0, 18.0, 50.0):
             histogram.observe(value)
-        # Under five samples the P² markers hold exact order statistics
-        # (nearest-rank, so the median of {1,2,3,4} is 2).
-        assert histogram.quantile(0.5) == pytest.approx(2.0)
-        percentiles = histogram.percentiles()
-        assert set(percentiles) == {"p50", "p95", "p99"}
-        assert percentiles["p99"] == pytest.approx(4.0)
+        # p50's rank 2.5 falls in (10, 20], which holds four samples:
+        # 10 + 10 * 2.5/4.  p95 and p99 fall in (20, 100], where the
+        # interpolations 80 and 96 are clamped to the maximum, 50.
+        assert histogram.quantile(0.5) == 16.25
+        assert histogram.percentiles() == {"p50": 16.25, "p95": 50.0, "p99": 50.0}
+        with pytest.raises(ConfigurationError):
+            histogram.quantile(1.0)
 
     def test_percentiles_in_snapshot(self, registry):
         histogram = registry.histogram("latency", buckets=(10.0,))

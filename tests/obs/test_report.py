@@ -5,14 +5,12 @@ import pytest
 from repro.core.proxies import standard_registry
 from repro.core.resilience import ResiliencePolicy, ResilienceRuntime
 from repro.faults import FaultInjector, FaultPlan
-from repro.obs import MetricsRegistry
 from repro.obs.report import (
     RESILIENCE_FIELDS,
     breaker_report,
     chaos_summary,
     fault_report,
     instrumentation_points,
-    registry_report,
     resilience_report,
     zeroed_resilience_stats,
 )
@@ -72,12 +70,6 @@ class TestEmptyRunGuards:
         assert summary["resilience"]["total"] == zeroed_resilience_stats()
         assert summary["breakers"] == {}
 
-    def test_registry_report_of_fresh_registry(self):
-        report = registry_report(MetricsRegistry())
-        assert report["resilience_totals"] == zeroed_resilience_stats()
-        assert report["faults_injected"] == 0
-        assert report["metrics"] == {}
-
 
 class TestPopulatedReports:
     def test_resilience_report_sums_runtimes(self):
@@ -90,21 +82,6 @@ class TestPopulatedReports:
         assert report["b"]["attempts"] == 2
         assert report["total"]["attempts"] == 3
         assert report["total"]["successes"] == 1
-
-    def test_registry_report_reads_shared_series(self):
-        from repro.obs import Observability
-
-        hub = Observability.disabled()
-        runtime = ResilienceRuntime(
-            ResiliencePolicy(),
-            Scheduler(SimulatedClock()),
-            label="shared",
-            observability=hub,
-        )
-        runtime.stats.inc("attempts", 5)
-        report = registry_report(hub.metrics)
-        assert report["resilience_totals"]["attempts"] == 5
-        assert "resilience.attempts" in report["metrics"]
 
 
 class TestInstrumentationPoints:
