@@ -50,13 +50,18 @@ class Battery:
         """Charge ``amount_mwh`` against ``operation`` (floors at empty)."""
         if amount_mwh < 0:
             raise ValueError("drain amount cannot be negative")
-        self.level_mwh = max(0.0, self.level_mwh - amount_mwh)
-        self._drain_by_op[operation] = (
-            self._drain_by_op.get(operation, 0.0) + amount_mwh
-        )
-        if self.is_low and not self._low_signalled:
+        # One pass per GPS fix: ``max(0.0, level)``, :attr:`fraction` and
+        # :attr:`is_low`, inline.
+        level = self.level_mwh - amount_mwh
+        if not level > 0.0:
+            level = 0.0
+        self.level_mwh = level
+        by_op = self._drain_by_op
+        by_op[operation] = by_op.get(operation, 0.0) + amount_mwh
+        fraction = level / self.capacity_mwh
+        if fraction <= self.low_threshold_fraction and not self._low_signalled:
             self._low_signalled = True
-            self.on_low.emit(self.fraction)
+            self.on_low.emit(fraction)
 
     def recharge(self) -> None:
         """Restore to full and re-arm the low-battery signal."""

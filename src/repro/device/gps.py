@@ -10,10 +10,11 @@ wobble around ground truth.
 
 from __future__ import annotations
 
+import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 
@@ -21,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
 from repro.util.clock import ScheduledTask, Scheduler
 from repro.util.events import EventBus
-from repro.util.geo import GeoPoint, interpolate
+from repro.util.geo import GeoPoint
 
 #: Topic on which fixes are published.
 TOPIC_FIX = "gps.fix"
@@ -53,12 +54,17 @@ class Trajectory:
     Before the first waypoint the position holds at the first point; after
     the last it holds at the last point — so a parked agent is just a
     single-waypoint trajectory.  Leg start times, spans and speeds are
-    computed once, so a query finds its leg by bisection.
+    computed once, so a query finds its leg by one bisection.
     """
 
     def __init__(self, waypoints: Sequence[Waypoint]) -> None:
         if not waypoints:
             raise ConfigurationError("trajectory needs at least one waypoint")
+        for waypoint in waypoints:
+            if not math.isfinite(waypoint.t_ms):
+                raise ConfigurationError(
+                    f"waypoint time must be finite, got {waypoint.t_ms}"
+                )
         ordered = sorted(waypoints, key=lambda w: w.t_ms)
         self._spans: List[float] = []
         self._speeds: List[float] = []
@@ -68,12 +74,19 @@ class Trajectory:
                     f"duplicate waypoint time {later.t_ms}"
                 )
             span = later.t_ms - earlier.t_ms
+            if math.isinf(span):
+                raise ConfigurationError(
+                    f"leg from {earlier.t_ms} to {later.t_ms} overflows a float"
+                )
             duration_s = span / 1000.0
             distance = earlier.point.distance_to_m(later.point)
             self._spans.append(span)
             self._speeds.append(distance / duration_s if duration_s > 0 else 0.0)
         self._waypoints: List[Waypoint] = list(ordered)
         self._times = [w.t_ms for w in ordered]
+        self._coords = [
+            (w.point.latitude, w.point.longitude, w.point.altitude) for w in ordered
+        ]
 
     @property
     def waypoints(self) -> List[Waypoint]:
@@ -87,29 +100,50 @@ class Trajectory:
     def end_ms(self) -> float:
         return self._waypoints[-1].t_ms
 
-    def position_at(self, t_ms: float) -> GeoPoint:
-        """Ground-truth position at virtual time ``t_ms``.
+    def sample(self, t_ms: float) -> Tuple[float, float, float, float]:
+        """Ground truth at ``t_ms`` as ``(latitude, longitude, altitude,
+        speed_mps)``, from one leg lookup.
 
-        At an interior waypoint's instant the earlier leg answers, with
-        fraction 1.0."""
-        pts = self._waypoints
+        Position comes from the first leg whose closed interval holds
+        ``t_ms``, so at an interior waypoint's instant the earlier leg
+        answers with fraction 1.0.  Speed is that of the leg with ``t_ms``
+        in ``[t_k, t_k+1)``, and 0 outside the trajectory.
+        """
         times = self._times
-        if t_ms <= times[0]:
-            return pts[0].point
-        if t_ms >= times[-1]:
-            return pts[-1].point
-        leg = bisect_left(times, t_ms) - 1  # first leg with t in [t_k, t_k+1]
-        earlier = pts[leg]
-        fraction = (t_ms - earlier.t_ms) / self._spans[leg]
-        return interpolate(earlier.point, pts[leg + 1].point, fraction)
+        leg = bisect_left(times, t_ms)  # times[leg - 1] < t_ms <= times[leg]
+        if leg == 0:
+            latitude, longitude, altitude = self._coords[0]
+            if t_ms < times[0]:
+                return latitude, longitude, altitude, 0.0
+            if t_ms == times[0]:
+                speed = self._speeds[0] if self._speeds else 0.0
+                return latitude, longitude, altitude, speed
+            raise ValueError(f"trajectory time {t_ms} is not a number")
+        last = len(times) - 1
+        if leg > last or (leg == last and t_ms == times[last]):
+            latitude, longitude, altitude = self._coords[last]
+            return latitude, longitude, altitude, 0.0
+        earlier = leg - 1
+        fraction = (t_ms - times[earlier]) / self._spans[earlier]
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction {fraction} out of [0, 1]")
+        lat1, lon1, alt1 = self._coords[earlier]
+        lat2, lon2, alt2 = self._coords[leg]
+        return (
+            lat1 + (lat2 - lat1) * fraction,
+            lon1 + (lon2 - lon1) * fraction,
+            alt1 + (alt2 - alt1) * fraction,
+            self._speeds[leg if t_ms == times[leg] else earlier],
+        )
+
+    def position_at(self, t_ms: float) -> GeoPoint:
+        """Ground-truth position at virtual time ``t_ms`` (see :meth:`sample`)."""
+        latitude, longitude, altitude, _ = self.sample(t_ms)
+        return GeoPoint(latitude, longitude, altitude)
 
     def speed_at(self, t_ms: float) -> float:
-        """Ground-truth speed in metres/second at ``t_ms``: that of the
-        leg with ``t_ms`` in ``[t_k, t_k+1)``."""
-        times = self._times
-        if t_ms < times[0] or t_ms >= times[-1]:
-            return 0.0
-        return self._speeds[bisect_right(times, t_ms) - 1]
+        """Ground-truth speed in metres/second at ``t_ms`` (see :meth:`sample`)."""
+        return self.sample(t_ms)[3]
 
 
 class GpsReceiver:
@@ -131,6 +165,10 @@ class GpsReceiver:
         Reported (and injected) 1-sigma horizontal error.
     seed:
         Seed for the accuracy-noise RNG.
+    injector:
+        The device's fault injector.  A fix consults it only when its plan
+        has a ``gps.fix`` rule: a plan is frozen, and a site without a rule
+        draws nothing and never faults.
     """
 
     def __init__(
@@ -145,10 +183,19 @@ class GpsReceiver:
         seed: Optional[int] = 0,
         injector: Optional["FaultInjector"] = None,
     ) -> None:
-        if fix_interval_ms <= 0:
-            raise ConfigurationError("fix interval must be positive")
-        if time_to_first_fix_ms < 0:
-            raise ConfigurationError("time to first fix cannot be negative")
+        if not (math.isfinite(fix_interval_ms) and fix_interval_ms > 0):
+            raise ConfigurationError(
+                f"fix interval must be positive and finite, got {fix_interval_ms}"
+            )
+        if not (math.isfinite(time_to_first_fix_ms) and time_to_first_fix_ms >= 0):
+            raise ConfigurationError(
+                "time to first fix must be non-negative and finite, "
+                f"got {time_to_first_fix_ms}"
+            )
+        if not (math.isfinite(accuracy_m) and accuracy_m >= 0):
+            raise ConfigurationError(
+                f"accuracy must be non-negative and finite, got {accuracy_m}"
+            )
         self._scheduler = scheduler
         self._bus = bus
         self._trajectory = trajectory
@@ -159,7 +206,12 @@ class GpsReceiver:
         self._powered = False
         self._fix_task: Optional[ScheduledTask] = None
         self._last_fix: Optional[GpsFix] = None
-        self._faults = injector
+        #: The injector, kept only when a fix has a rule to consult.
+        self._faults = (
+            injector
+            if injector is not None and injector.plan.rules_for("gps.fix")
+            else None
+        )
         #: Fault-plane observability: fixes dropped / served stale so far.
         self.lost_fixes = 0
         self.stale_fixes = 0
@@ -179,6 +231,8 @@ class GpsReceiver:
 
     def set_trajectory(self, trajectory: Trajectory) -> None:
         """Swap the ground-truth path (takes effect at the next fix)."""
+        if trajectory is None:  # a powered receiver would fail at its next tick
+            raise ConfigurationError("set_trajectory needs a trajectory")
         self._trajectory = trajectory
 
     def power_on(self) -> None:
@@ -224,25 +278,21 @@ class GpsReceiver:
                 else:  # "lost" — or stale with nothing to replay
                     self.lost_fixes += 1
                 return
-        truth = self.ground_truth()
-        noisy = GeoPoint(
-            latitude=truth.latitude
-            + self._meters_to_lat_deg(self._rng.gauss(0.0, self._accuracy_m)),
-            longitude=truth.longitude
-            + self._meters_to_lat_deg(self._rng.gauss(0.0, self._accuracy_m)),
-            altitude=truth.altitude,
-        )
         now = self._scheduler.clock.now_ms
+        latitude, longitude, altitude, speed = self._trajectory.sample(now)
+        gauss = self._rng.gauss
+        accuracy = self._accuracy_m
+        # Noise in metres to degrees: 1 degree of latitude is ~111.2 km,
+        # close enough for noise injection.  Latitude draws first.
         fix = GpsFix(
-            point=noisy,
-            timestamp_ms=now,
-            accuracy_m=self._accuracy_m,
-            speed_mps=self._trajectory.speed_at(now) if self._trajectory else 0.0,
+            GeoPoint(
+                latitude + gauss(0.0, accuracy) / 111_200.0,
+                longitude + gauss(0.0, accuracy) / 111_200.0,
+                altitude,
+            ),
+            now,
+            accuracy,
+            speed,
         )
         self._last_fix = fix
         self._bus.publish(TOPIC_FIX, fix)
-
-    @staticmethod
-    def _meters_to_lat_deg(meters: float) -> float:
-        # 1 degree of latitude is ~111.2 km; close enough for noise injection.
-        return meters / 111_200.0

@@ -387,7 +387,8 @@ class LocationProviderStatics:
             self._gps_subscribed = True
 
     def _on_fix(self, topic: str, fix: GpsFix) -> None:
-        location = S60Location.from_fix(fix)
+        # Built on the first entry only: most fixes fire no registration.
+        location: Optional[S60Location] = None
         for registration in list(self._proximity):
             distance = haversine_m(
                 fix.point.latitude,
@@ -399,6 +400,8 @@ class LocationProviderStatics:
                 registration.fired = True
                 # JSR-179: one-shot — remove before delivering.
                 self._proximity.remove(registration)
+                if location is None:
+                    location = S60Location.from_fix(fix)
                 registration.listener.proximity_event(
                     registration.coordinates, location
                 )

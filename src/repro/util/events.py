@@ -8,9 +8,9 @@ virtual clock.
 
 from __future__ import annotations
 
-import fnmatch
 import itertools
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from typing import Any, Callable, List, Tuple
 
 Handler = Callable[[str, Any], None]
@@ -34,7 +34,7 @@ class Subscription:
 
     def matches(self, topic: str) -> bool:
         if self.glob:
-            return fnmatch.fnmatchcase(topic, self.topic_pattern)
+            return fnmatchcase(topic, self.topic_pattern)
         return topic == self.topic_pattern
 
     def unsubscribe(self) -> None:
@@ -78,7 +78,12 @@ class EventBus:
         """
         delivered = 0
         for sub in self._subs:
-            if sub.active and sub.matches(topic):
+            # :meth:`Subscription.matches`, inline: this runs per GPS fix.
+            if sub.active and (
+                fnmatchcase(topic, sub.topic_pattern)
+                if sub.glob
+                else topic == sub.topic_pattern
+            ):
                 sub.handler(topic, payload)
                 delivered += 1
         return delivered

@@ -60,3 +60,38 @@ class TestBattery:
     def test_level_clamped_to_capacity(self):
         battery = Battery(capacity_mwh=100.0, level_mwh=500.0)
         assert battery.level_mwh == 100.0
+
+
+class TestLowSignalEdges:
+    """The once-only low signal at the two edges of the inlined drain."""
+
+    def test_fires_once_when_a_drain_lands_exactly_on_the_threshold(self):
+        battery = Battery(
+            capacity_mwh=100.0, level_mwh=100.0, low_threshold_fraction=0.25
+        )
+        fired = []
+        battery.on_low.connect(fired.append)
+        battery.drain("gps.fix", 50.0)
+        battery.drain("radio", 25.0)  # 25 / 100 == 0.25 exactly
+        assert fired == [0.25]
+        battery.drain("gps.fix", 0.5)
+        battery.drain("radio", 0.0)
+        assert fired == [0.25]
+        assert battery.level_mwh == 24.5
+        assert battery.drain_report() == {"gps.fix": 50.5, "radio": 25.0}
+
+    def test_fires_once_when_a_drain_floors_the_level_at_zero(self):
+        battery = Battery(
+            capacity_mwh=100.0, level_mwh=100.0, low_threshold_fraction=0.15
+        )
+        fired = []
+        battery.on_low.connect(fired.append)
+        battery.drain("radio", 250.0)
+        assert fired == [0.0]
+        assert battery.level_mwh == 0.0 and battery.is_empty
+        battery.drain("radio", 10.0)
+        battery.drain("gps.fix", 0.25)
+        assert fired == [0.0]
+        assert battery.level_mwh == 0.0
+        # The report sums what was asked, not what the floor let through.
+        assert battery.drain_report() == {"radio": 260.0, "gps.fix": 0.25}

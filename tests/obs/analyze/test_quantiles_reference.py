@@ -1,9 +1,11 @@
 """P² against its loop-form reference: bit-identical markers on any stream.
 
-``P2Quantile.observe`` is unrolled and inlined for the histogram hot
-path.  ``LoopP2`` below is the textbook loop form it replaced, kept as
-the reference: both must hold exactly equal (``==``, not approximately)
-heights, positions, desired positions and estimates after every stream.
+``P2Quantile.observe`` is unrolled and inlined.  Registry histograms
+read their percentiles from buckets, so its users are the sampler's
+slow rule, ``OverheadProfile`` and ``CausalReport``.  ``LoopP2`` below
+is the textbook loop form it replaced, kept as the reference: both
+must hold exactly equal (``==``, not approximately) heights, positions,
+desired positions and estimates after every stream.
 """
 
 import random

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.device.device import MobileDevice
+from repro.device.gps import TOPIC_FIX
 from repro.platforms.s60.exceptions import (
     IllegalArgumentException,
     LocationException,
@@ -161,6 +162,29 @@ class TestProximityListeners:
         platform.location_provider.add_proximity_listener(listener, SITE, 500.0)
         platform.run_for(200_000.0)
         assert len(listener.events) == 1  # only the single entry
+
+    def test_entry_delivers_the_entering_fix(self, platform, device):
+        """Registrations that fire on one fix share one Location built
+        from that fix."""
+        fixes = []
+        device.bus.subscribe(TOPIC_FIX, lambda topic, fix: fixes.append(fix))
+        first, second = RecordingListener(), RecordingListener()
+        provider = platform.location_provider
+        provider.add_proximity_listener(first, SITE, 500.0)
+        provider.add_proximity_listener(second, SITE, 500.0)
+        platform.run_for(200_000.0)
+        assert len(first.events) == len(second.events) == 1
+        location = first.events[0]
+        assert second.events[0] is location
+        (fix,) = [f for f in fixes if f.timestamp_ms == location.get_timestamp()]
+        coordinates = location.get_qualified_coordinates()
+        assert (
+            coordinates.get_latitude(),
+            coordinates.get_longitude(),
+            coordinates.get_altitude(),
+        ) == (fix.point.latitude, fix.point.longitude, fix.point.altitude)
+        assert location.get_speed() == fix.speed_mps
+        assert location.is_valid()
 
     def test_monitoring_state_callbacks(self, platform):
         listener = RecordingListener()
