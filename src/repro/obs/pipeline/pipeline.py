@@ -12,31 +12,25 @@ through on their way out of a tracer.  Per completed trace it:
    evaluation sees every trace even when the tracer itself retains
    nothing).
 
-The same pipeline runs offline: ``ingest_records`` replays an exported
-JSONL trace through identical logic, which is what the
-``python -m repro.obs health`` console does.
+Live, each attached tracer gets one open-trace buffer, and a trace is
+decided when its root finishes.  The same pipeline runs offline:
+``ingest_records`` replays an exported JSONL trace through the same
+decision, which is what the ``python -m repro.obs health`` console
+does.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.pipeline.config import PipelineConfig, op_class
-from repro.obs.pipeline.records import (
-    SpanLike,
-    record_from_span,
-    span_attributes,
-    span_duration_ms,
-    span_name,
-    span_parent_id,
-    span_status,
-    span_trace_id,
-)
+from repro.obs.pipeline.records import SpanLike, record_from_span
 from repro.obs.pipeline.retention import SpanRetention
-from repro.obs.pipeline.rollup import UNKNOWN, RedRollups, RollupKey
+from repro.obs.pipeline.rollup import UNKNOWN, RedRollups
 from repro.obs.pipeline.sampler import RULE_SLOW, TailRules, anomaly_rules, head_keep
+from repro.obs.span import Span
 
 PIPELINE_SCHEMA = "repro.obs.pipeline/v1"
 
@@ -44,12 +38,15 @@ PIPELINE_SCHEMA = "repro.obs.pipeline/v1"
 TraceObserver = Callable[[Optional[str], List[SpanLike]], None]
 
 
-class TraceDecision(NamedTuple):
-    """The sampling outcome for one completed trace."""
+class _TraceBuffer:
+    """The open trace of one attached tracer: the spans it has finished
+    since its last root did."""
 
-    kept: bool
-    head: bool
-    rules: Tuple[str, ...]
+    __slots__ = ("source", "spans")
+
+    def __init__(self, source: Optional[str]) -> None:
+        self.source = source
+        self.spans: List[Span] = []
 
 
 def trace_ref(source: Optional[str], trace_id: int) -> str:
@@ -59,7 +56,7 @@ def trace_ref(source: Optional[str], trace_id: int) -> str:
 
 class TelemetryPipeline:
     """See the module docstring.  One pipeline may serve many tracers
-    (a fleet attaches every agent's), disambiguated by ``source``."""
+    (a fleet attaches every agent's), each tagged by its ``source``."""
 
     def __init__(
         self,
@@ -78,8 +75,8 @@ class TelemetryPipeline:
         )
         self.retention = SpanRetention(self.config.span_capacity)
         self.tail = TailRules(min_count=self.config.slow_trace_min_count)
-        #: Open traces: (source, trace_id) -> spans seen so far.
-        self._buffers: Dict[Tuple[Optional[str], int], List[SpanLike]] = {}
+        #: One open-trace buffer per attached tracer.
+        self._buffers: List[_TraceBuffer] = []
         self._observers: List[TraceObserver] = []
         # Eager counters so accounting reads zero instead of absent.
         counter = self.metrics.counter
@@ -98,50 +95,71 @@ class TelemetryPipeline:
     def attach(self, tracer, *, source: Optional[str] = None) -> None:
         """Subscribe to a tracer's finished spans.
 
-        With ``config.streaming`` the tracer is flipped out of retention:
-        this ring becomes the only span storage and tracer memory stays
-        O(deepest trace).
+        ``source`` tags the tracer's retained records and seeds its head
+        decisions.  Each attached tracer gets its own open-trace buffer,
+        so tracers whose trace ids collide never mix, even under one
+        ``source``.  With ``config.streaming`` the tracer is flipped out
+        of retention: this ring becomes the only span storage and
+        tracer memory stays O(deepest trace).
         """
         if not getattr(tracer, "enabled", False):
             return
-        tracer.add_sink(functools.partial(self.record_span, source=source))
+        buffer = _TraceBuffer(source)
+        self._buffers.append(buffer)
+        tracer.add_sink(functools.partial(self.record_span, buffer))
         if self.config.streaming:
             tracer.set_retention(False)
 
-    def record_span(self, span: SpanLike, *, source: Optional[str] = None) -> None:
+    def record_span(self, buffer: _TraceBuffer, span: Span) -> None:
         """The live sink: buffer until the trace's root finishes.
 
-        Sinks fire in completion order, so the root (``parent_id is
-        None``) is always the last span of its trace to arrive.  This is
-        the per-span hot path, hence the inlined shape branch.
+        One tracer's traces never interleave on its single span stack
+        and sinks fire in completion order, so the root (``parent_id is
+        None``) is the last span of its trace to arrive, and everything
+        in the buffer belongs to it.
         """
-        if isinstance(span, dict):
-            trace_id = span["trace_id"]
-            parent_id = span.get("parent_id")
-        else:
-            trace_id = span.trace_id
-            parent_id = span.parent_id
-        key = (source, trace_id)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = self._buffers[key] = []
-        buffer.append(span)
-        if parent_id is None:
-            del self._buffers[key]
-            self._complete(source, trace_id, buffer)
+        spans = buffer.spans
+        spans.append(span)
+        if span.parent_id is None:
+            buffer.spans = []
+            start = span.start_virtual_ms
+            self._decide(
+                buffer.source,
+                span.trace_id,
+                spans,
+                span.name,
+                start,
+                span.end_virtual_ms - start,
+                span.status,
+                span.attributes,
+            )
 
     def ingest_records(self, records: Iterable[Dict[str, Any]]) -> int:
         """Offline replay of exported span records (JSONL order: start
         order, roots first).  Groups by ``(source, trace_id)`` and runs
-        each trace through the same completion path as the live sink.
-        Returns the number of traces processed.
+        each trace through the same decision as the live sink.  Returns
+        the number of traces processed.
         """
         groups: Dict[Tuple[Optional[str], int], List[SpanLike]] = {}
         for record in records:
             key = (record.get("source"), record["trace_id"])
             groups.setdefault(key, []).append(record)
         for (source, trace_id), spans in groups.items():
-            self._complete(source, trace_id, spans)
+            root = next(
+                (span for span in spans if span.get("parent_id") is None), spans[0]
+            )
+            start = root.get("start_virtual_ms") or 0.0
+            end = root.get("end_virtual_ms")
+            self._decide(
+                source,
+                trace_id,
+                spans,
+                root["name"],
+                start,
+                (end - start) if end is not None else 0.0,
+                root.get("status", "ok"),
+                root.get("attributes") or {},
+            )
         return len(groups)
 
     def add_observer(self, observer: TraceObserver) -> None:
@@ -151,31 +169,27 @@ class TelemetryPipeline:
 
     # -- the decision path ---------------------------------------------------
 
-    def _complete(
+    def _decide(
         self,
         source: Optional[str],
         trace_id: int,
         spans: List[SpanLike],
-    ) -> TraceDecision:
-        root = next(
-            (span for span in spans if span_parent_id(span) is None), spans[0]
-        )
-        op = op_class(span_name(root))
-        duration = span_duration_ms(root)
-        error = span_status(root) != "ok"
-        attributes = span_attributes(root)
-        start = (
-            (root.get("start_virtual_ms") or 0.0)
-            if isinstance(root, dict)
-            else root.start_virtual_ms
-        )
-
+        name: str,
+        start: float,
+        duration: float,
+        status: str,
+        attributes: Dict[str, Any],
+    ) -> None:
+        """Sample, roll up, notify and retain one completed trace, given
+        its spans and its root's fields (the one path for live and
+        offline traces)."""
+        op = op_class(name)
         rules = anomaly_rules(spans)
-        if self.tail.is_slow(op, duration):
+        if self.tail.judge(op, duration):
             rules.append(RULE_SLOW)
-        self.tail.observe(op, duration)
 
-        head = head_keep(self.config.seed, source, trace_id, self.config.rate_for(op))
+        config = self.config
+        head = head_keep(config.seed, source, trace_id, config.rate_for(op))
         kept = head or bool(rules)
 
         self._c_spans.inc(len(spans))
@@ -185,19 +199,17 @@ class TelemetryPipeline:
         if head:
             self._c_head_kept.inc()
 
-        rollup_key: RollupKey = (
-            op,
-            str(attributes.get("platform", UNKNOWN)),
-            str(attributes.get("region", UNKNOWN)),
-            str(attributes.get("tenant", UNKNOWN)),
-        )
-        end = start + duration
         self.rollups.observe(
-            rollup_key,
+            (
+                op,
+                str(attributes.get("platform", UNKNOWN)),
+                str(attributes.get("region", UNKNOWN)),
+                str(attributes.get("tenant", UNKNOWN)),
+            ),
             duration,
-            error=error,
-            t_ms=end,
-            exemplar=trace_ref(source, trace_id) if kept else None,
+            status != "ok",
+            start + duration,
+            trace_ref(source, trace_id) if kept else None,
         )
 
         for observer in self._observers:
@@ -219,14 +231,13 @@ class TelemetryPipeline:
         else:
             self._c_traces_out.inc()
             self._c_sampled_out.inc(len(spans))
-        return TraceDecision(kept, head, tuple(rules))
 
     # -- reading -------------------------------------------------------------
 
     @property
     def open_traces(self) -> int:
         """Traces buffered but not yet completed (root still open)."""
-        return len(self._buffers)
+        return sum(1 for buffer in self._buffers if buffer.spans)
 
     @property
     def dropped_spans(self) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Histogram, MetricsRegistry
 
 #: Rollup key: (op, platform, region, tenant).
 RollupKey = Tuple[str, str, str, str]
@@ -68,7 +68,6 @@ class RollupSeries(Histogram):
     def observe(
         self,
         duration_ms: float,
-        *,
         error: bool,
         t_ms: float,
         exemplar: Optional[str] = None,
@@ -146,13 +145,15 @@ class RedRollups:
         self._metrics = metrics
         self._series: Dict[RollupKey, RollupSeries] = {}
         self._collapsed: Optional[RollupSeries] = None
+        #: The registry's overflow counter, resolved on the first
+        #: collapse (so the series appears only once the bound is hit).
+        self._overflow: Optional[Counter] = None
         self.collapsed_observations = 0
 
     def observe(
         self,
         key: RollupKey,
         duration_ms: float,
-        *,
         error: bool,
         t_ms: float,
         exemplar: Optional[str] = None,
@@ -162,9 +163,11 @@ class RedRollups:
             if len(self._series) >= self.max_series:
                 self.collapsed_observations += 1
                 if self._metrics is not None:
-                    self._metrics.counter(
-                        "obs.cardinality_overflow", metric="obs.rollup"
-                    ).inc()
+                    if self._overflow is None:
+                        self._overflow = self._metrics.counter(
+                            "obs.cardinality_overflow", metric="obs.rollup"
+                        )
+                    self._overflow.inc()
                 if self._collapsed is None:
                     self._collapsed = RollupSeries(
                         ("other", "other", "other", "other"),
@@ -174,7 +177,7 @@ class RedRollups:
                 series = self._collapsed
             else:
                 series = self._series[key] = RollupSeries(key, bounds=self.bounds)
-        series.observe(duration_ms, error=error, t_ms=t_ms, exemplar=exemplar)
+        series.observe(duration_ms, error, t_ms, exemplar)
         return series
 
     # -- reading -------------------------------------------------------------

@@ -55,19 +55,19 @@ def head_keep(seed: int, source: Optional[str], trace_id: int, rate: float) -> b
 
 
 def anomaly_rules(spans: Sequence[SpanLike]) -> List[str]:
-    """Tail-keep rules the trace trips, deduplicated, in rule order.
+    """Tail-keep rules the trace trips, deduplicated, in the order they
+    are first found.
 
     ``breaker.transition`` events count as ``breaker.open`` when the
     transition lands in the open state — the resilience runtime emits
     transitions, not a dedicated open event.
 
     This runs for *every* completed trace (it is what makes sampling
-    safe), so the scan branches once per span on its shape and skips
-    event handling entirely for the event-free common case instead of
-    going through the generic ``records`` accessors.
+    safe), so the scan branches once per span on its shape, and it
+    allocates nothing until a span has events or a non-``ok`` status:
+    a clean trace gets back a fresh empty list.
     """
-    rules: List[str] = []
-    seen = set()
+    rules: Optional[List[str]] = None
     for span in spans:
         if isinstance(span, dict):
             status = span.get("status", "ok")
@@ -75,9 +75,11 @@ def anomaly_rules(spans: Sequence[SpanLike]) -> List[str]:
         else:
             status = span.status
             events = span.events
-        if status != "ok" and RULE_ERROR not in seen:
-            seen.add(RULE_ERROR)
-            rules.append(RULE_ERROR)
+        if status != "ok":
+            if rules is None:
+                rules = [RULE_ERROR]
+            elif RULE_ERROR not in rules:
+                rules.append(RULE_ERROR)
         if not events:
             continue
         for event in events:
@@ -96,10 +98,11 @@ def anomaly_rules(spans: Sequence[SpanLike]) -> List[str]:
                 rule = "breaker.open"
             else:
                 continue
-            if rule not in seen:
-                seen.add(rule)
+            if rules is None:
+                rules = [rule]
+            elif rule not in rules:
                 rules.append(rule)
-    return rules
+    return [] if rules is None else rules
 
 
 class TailRules:
@@ -117,6 +120,21 @@ class TailRules:
     def __init__(self, *, min_count: int = 32) -> None:
         self.min_count = min_count
         self._p99: Dict[str, P2Quantile] = {}
+
+    def judge(self, op: str, duration_ms: float) -> bool:
+        """:meth:`is_slow`, then :meth:`observe`, with one lookup: the
+        pipeline's per-trace call."""
+        estimator = self._p99.get(op)
+        if estimator is None:
+            estimator = self._p99[op] = P2Quantile(0.99)
+            slow = False
+        else:
+            slow = (
+                estimator.count >= self.min_count
+                and duration_ms > estimator.value
+            )
+        estimator.observe(duration_ms)
+        return slow
 
     def is_slow(self, op: str, duration_ms: float) -> bool:
         estimator = self._p99.get(op)

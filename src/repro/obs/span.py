@@ -24,14 +24,26 @@ STATUS_ERROR = "error"
 
 #: Attribute value types exported as-is; anything else is ``repr``'d.
 _SCALARS = (str, int, float, bool, type(None))
+#: The same types matched exactly, for the common all-scalar case.
+_SCALAR_TYPES = frozenset(_SCALARS)
 
 
 def _clean_attributes(attributes: Dict[str, Any]) -> Dict[str, Any]:
-    """Attributes must be JSON-representable scalars (exporters rely on it)."""
-    return {
-        key: value if isinstance(value, _SCALARS) else repr(value)
-        for key, value in attributes.items()
-    }
+    """Attributes must be JSON-representable scalars (exporters rely on it).
+
+    When every value's exact type is a scalar the caller's dict is
+    returned as it is, so every caller must pass a fresh dict it owns
+    (a ``**attributes`` parameter).  Otherwise scalar instances, an
+    ``IntEnum`` or a ``str`` subclass included, are kept as they are and
+    anything else is ``repr``'d into a new dict.
+    """
+    for value in attributes.values():
+        if type(value) not in _SCALAR_TYPES:
+            return {
+                key: value if isinstance(value, _SCALARS) else repr(value)
+                for key, value in attributes.items()
+            }
+    return attributes
 
 
 @dataclass

@@ -121,9 +121,10 @@ class Tracer:
         self._trace_ids = itertools.count(1)
         self._sinks: List[Any] = []
         #: Streaming mode (``retain=False``): spans flow to sinks and are
-        #: discarded once their trace completes — the telemetry pipeline's
-        #: bounded ring becomes the only retention, keeping the tracer
-        #: O(deepest trace) instead of O(run length).
+        #: never indexed — the telemetry pipeline's bounded ring becomes
+        #: the only retention, keeping the tracer O(deepest trace)
+        #: instead of O(run length).  A span is retained when the tracer
+        #: was retaining as it opened.
         self._retain = retain
         # Read-path indices: children by parent id, roots and finished
         # spans in completion order, plus memoized snapshot lists so the
@@ -156,15 +157,16 @@ class Tracer:
             next(self._span_ids),
             parent.span_id if parent is not None else None,
             clock.now_ms if clock is not None else 0.0,
-            attributes=_clean_attributes(attributes) if attributes else {},
+            attributes=_clean_attributes(attributes) if attributes else attributes,
         )
-        self._spans.append(span)
         stack.append(span)
-        self._spans_cache = None
-        if parent is not None:
-            self._children.setdefault(parent.span_id, []).append(span)
-        else:
-            self._roots.append(span)
+        if self._retain:
+            self._spans.append(span)
+            self._spans_cache = None
+            if parent is not None:
+                self._children.setdefault(parent.span_id, []).append(span)
+            else:
+                self._roots.append(span)
         return span
 
     def add_sink(self, sink) -> None:
@@ -183,20 +185,19 @@ class Tracer:
             top = stack.pop()
             clock = self._clock
             top.end_virtual_ms = clock.now_ms if clock is not None else 0.0
-            self._finished_cache = None
+            if self._spans:
+                # Only a retained span can change the finished-span
+                # snapshot (even one opened before a flip to streaming),
+                # and nothing is retained while ``_spans`` is empty.
+                self._finished_cache = None
             if self._sinks:
                 for sink in self._sinks:
                     sink(top)
-            if top.parent_id is None and not self._retain:
-                # Streaming mode: the trace just completed and every sink
-                # has seen it — drop the whole tree (traces never
-                # interleave on the single span stack, so everything
-                # recorded since the root opened belongs to it).
-                self._spans.clear()
-                self._children.clear()
-                self._roots.clear()
-                self._spans_cache = None
-                self._finished_cache = None
+            if top.parent_id is None and not self._retain and self._spans:
+                # Streaming mode: a trace just completed and every sink
+                # has seen it.  Only spans opened before the flip to
+                # streaming were indexed; drop them now.
+                self._clear_indices()
             if top is span:
                 return
         raise ValueError(f"span {span.name!r} is not open on this tracer")
@@ -233,14 +234,16 @@ class Tracer:
 
     def set_retention(self, retain: bool) -> None:
         """Flip streaming mode (the telemetry pipeline does this when it
-        attaches with ``streaming=True``).  Takes effect at the next
-        trace completion; already-retained spans stay readable."""
+        attaches with ``streaming=True``).  Spans opened from now on are
+        indexed only when ``retain`` is true; spans retained before a
+        flip to streaming stay readable until the next trace completes,
+        and are then cleared."""
         self._retain = retain
 
     @property
     def spans(self) -> List[Span]:
-        """Every span started so far, in start order (memoized — the
-        snapshot list is rebuilt only after new spans arrive)."""
+        """Every retained span started so far, in start order (memoized
+        — the snapshot list is rebuilt only after new spans arrive)."""
         if self._spans_cache is None:
             self._spans_cache = list(self._spans)
         return self._spans_cache
@@ -266,6 +269,9 @@ class Tracer:
         depends on the construction point, not on resets)."""
         if self._stack:
             raise ValueError("cannot reset while spans are open")
+        self._clear_indices()
+
+    def _clear_indices(self) -> None:
         self._spans.clear()
         self._children.clear()
         self._roots.clear()

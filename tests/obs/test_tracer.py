@@ -1,8 +1,11 @@
 """Tracer unit behaviour: nesting, events, errors, determinism knobs."""
 
+import enum
+
 import pytest
 
 from repro.obs import NOOP_TRACER, Observability, Tracer
+from repro.obs.span import _clean_attributes
 from repro.util.clock import SimulatedClock
 
 pytestmark = pytest.mark.obs
@@ -199,6 +202,90 @@ class TestReading:
         tracer.end_span(span)
         tracer.reset()
         assert tracer.spans == []
+
+
+class TestStreaming:
+    """``retain=False``: spans reach the sinks and no read index.  A span
+    is retained when the tracer was retaining as it opened; what was
+    retained before a flip to streaming is cleared at the next trace
+    completion."""
+
+    def test_streaming_tracer_indexes_nothing(self, clock):
+        tracer = Tracer(clock, retain=False)
+        ended = []
+        tracer.add_sink(lambda span: ended.append(span.name))
+        with tracer.span("root") as root:
+            with tracer.span("child"):
+                assert tracer.spans == []
+                assert tracer.roots() == []
+                assert tracer.children_of(root) == []
+            assert tracer.finished_spans() == []
+        assert ended == ["child", "root"]
+        assert tracer.spans == []
+        assert tracer.finished_spans() == []
+
+    def test_flip_keeps_what_was_retained_until_the_next_completion(self, tracer):
+        with tracer.span("done") as done:
+            with tracer.span("done.child"):
+                pass
+        root = tracer.start_span("open")
+        tracer.set_retention(False)
+        child = tracer.start_span("open.child")
+        assert [span.name for span in tracer.spans] == ["done", "done.child", "open"]
+        assert [span.name for span in tracer.roots()] == ["done", "open"]
+        assert [span.name for span in tracer.children_of(done)] == ["done.child"]
+        assert tracer.children_of(root) == []
+        tracer.end_span(child)
+        assert [span.name for span in tracer.finished_spans()] == [
+            "done", "done.child",
+        ]
+        tracer.end_span(root)
+        assert tracer.spans == []
+        assert tracer.roots() == []
+        assert tracer.children_of(done) == []
+        assert tracer.finished_spans() == []
+        with tracer.span("later"):
+            pass
+        assert tracer.spans == []
+
+    def test_finished_spans_see_a_span_open_across_the_flip(self, tracer):
+        root = tracer.start_span("root")
+        child = tracer.start_span("child")
+        assert tracer.finished_spans() == []  # memoized while both are open
+        tracer.set_retention(False)
+        tracer.end_span(child)
+        assert tracer.finished_spans() == [child]
+        tracer.end_span(root)
+        assert tracer.finished_spans() == []
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
+
+
+class _Tag(str):
+    pass
+
+
+class TestCleanAttributes:
+    def test_all_scalar_dict_is_returned_as_it_is(self):
+        attributes = {"text": "a", "count": 2, "ratio": 0.5, "flag": True, "none": None}
+        assert _clean_attributes(attributes) is attributes
+
+    def test_non_scalars_are_repred_into_a_new_dict(self):
+        attributes = {"count": 2, "items": [1, 2]}
+        cleaned = _clean_attributes(attributes)
+        assert cleaned == {"count": 2, "items": "[1, 2]"}
+        assert attributes == {"count": 2, "items": [1, 2]}
+
+    def test_scalar_subclasses_are_kept_as_they_are(self, tracer, clock):
+        tag = _Tag("north")
+        with tracer.span("op", level=_Level.HIGH, tag=tag) as span:
+            tracer.event("seen", level=_Level.HIGH, items=(1,))
+        assert span.attributes["level"] is _Level.HIGH
+        assert span.attributes["tag"] is tag
+        assert span.events[0].attributes == {"level": _Level.HIGH, "items": "(1,)"}
+        assert span.events[0].attributes["level"] is _Level.HIGH
 
 
 class TestNoopTracer:
