@@ -10,6 +10,7 @@ type names the syntactic plane offers per language.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
@@ -40,6 +41,10 @@ class Dimension:
                 raise ValueError(
                     f"{self.name}: expected a number, got {type(value).__name__}"
                 )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(
+                    f"{self.name}: expected a finite number, got {value}"
+                )
             if self.minimum is not None and value < self.minimum:
                 raise ValueError(
                     f"{self.name}: {value} below minimum {self.minimum}"
@@ -67,11 +72,12 @@ class Dimension:
 
         ``reference`` must raise exactly when :meth:`validate` would (it
         is :meth:`validate` or a wrapper that also admits ``None``).  The
-        returned check accepts an exact ``int`` or ``float`` within the
-        bounds (an exact ``str``, an exact ``bool``) on the spot and hands
-        every other value — bools posing as numbers, subclasses,
-        out-of-range values, ``None`` — to ``reference``, so every verdict
-        and every message still comes from :meth:`validate`.
+        returned check accepts an exact, finite ``int`` or ``float`` within
+        the bounds (an exact ``str``, an exact ``bool``) on the spot and
+        hands every other value — bools posing as numbers, subclasses,
+        out-of-range values, NaN and infinities, ``None`` — to
+        ``reference``, so every verdict and every message still comes from
+        :meth:`validate`.
         """
         python_type = self.python_type
         if python_type is object:
@@ -83,16 +89,15 @@ class Dimension:
                     reference(value)
 
             return check_exact
-        # A missing bound is an infinite one: no exact number lies past it.
-        minimum = -math.inf if self.minimum is None else self.minimum
-        maximum = math.inf if self.maximum is None else self.maximum
+        # A missing bound is the largest finite float, so infinities fail
+        # the chain below; NaN fails every comparison.
+        minimum = -sys.float_info.max if self.minimum is None else self.minimum
+        maximum = sys.float_info.max if self.maximum is None else self.maximum
 
         def check_number(value: Any) -> None:
             kind = type(value)
-            if (
-                (kind is not float and kind is not int)
-                or value < minimum
-                or value > maximum
+            if (kind is not float and kind is not int) or not (
+                minimum <= value <= maximum
             ):
                 reference(value)
 

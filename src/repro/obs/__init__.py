@@ -34,6 +34,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    quantile_label,
 )
 from repro.obs.report import (
     breaker_report,
@@ -44,7 +45,6 @@ from repro.obs.report import (
 )
 from repro.obs.span import Span, SpanEvent
 from repro.obs.tracer import NOOP_TRACER, NoopTracer, Tracer
-from repro.obs.quantiles import P2Quantile, StreamingPercentiles, quantile_label
 from repro.obs.flight import FlightRecorder, render_flight_text
 from repro.obs.timeline import ShardTimelines
 from repro.obs.timeseries import TimeSeries, TimeSeriesSampler
@@ -204,7 +204,6 @@ __all__ = [
     "Observability",
     "OperationProfile",
     "OverheadProfile",
-    "P2Quantile",
     "PipelineConfig",
     "ProfileDiff",
     "RedRollups",
@@ -215,7 +214,6 @@ __all__ = [
     "Span",
     "SpanEvent",
     "SpanRetention",
-    "StreamingPercentiles",
     "TelemetryPipeline",
     "TimeSeries",
     "TimeSeriesSampler",

@@ -8,10 +8,9 @@ native call (Figure 10) — directly from traces:
 * :mod:`repro.obs.analyze.overhead` — folds each ``dispatch:*`` span
   tree into exclusive self-time per layer (dispatch / resilience /
   binding / bridge / substrate) and aggregates per
-  operation × platform, with collapsed-stack (flamegraph) and top-N
-  text views;
-* :mod:`repro.obs.quantiles` (re-exported) — the P² streaming
-  percentile engine behind every latency figure;
+  operation × platform, with exact nearest-rank latency percentiles
+  (:func:`repro.obs.metrics.nearest_rank`) and collapsed-stack
+  (flamegraph) and top-N text views;
 * :mod:`repro.obs.analyze.slo` — declarative latency/error-budget SLOs
   evaluated over sliding virtual-time windows;
 * :mod:`repro.obs.analyze.diff` — profile diff and the perf-regression
@@ -23,7 +22,7 @@ native call (Figure 10) — directly from traces:
   breakdown folded from the admission plane's span events (see
   ``docs/ADMISSION.md``);
 * :mod:`repro.obs.analyze.causal` — the one cross-region analyzer:
-  the happens-before graph, write→visibility latency percentiles,
+  the happens-before graph, exact write→visibility latency percentiles,
   gossip convergence paths, saga decomposition, the causality-violation
   audit and the replication-lag / gossip / partition / dedup / saga
   tables folded from the distributed tier's spans and events (see
@@ -67,12 +66,6 @@ from repro.obs.analyze.overhead import (
     top_spans_text,
 )
 from repro.obs.analyze.slo import SloEngine, SloSpec, SloStatus
-from repro.obs.quantiles import (
-    DEFAULT_QUANTILES,
-    P2Quantile,
-    StreamingPercentiles,
-    quantile_label,
-)
 
 __all__ = [
     "AdmissionReport",
@@ -80,23 +73,19 @@ __all__ = [
     "CRITICAL_PATH_SCHEMA",
     "CausalReport",
     "CriticalPath",
-    "DEFAULT_QUANTILES",
     "LAYERS",
     "LayerDelta",
     "PathStep",
     "OperationProfile",
     "OverheadProfile",
-    "P2Quantile",
     "ProfileDiff",
     "SloEngine",
     "SloSpec",
     "SloStatus",
-    "StreamingPercentiles",
     "collapsed_stacks",
     "diff_profiles",
     "load_profile",
     "parse_jsonl",
-    "quantile_label",
     "render_admission_text",
     "render_causal_text",
     "render_profile_text",

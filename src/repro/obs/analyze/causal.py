@@ -18,7 +18,7 @@ same pass:
 * **Visibility latency** — for every write (identified by its
   ``table/key/version`` stamp) the virtual time each region first saw
   it, via replication apply or gossip merge; folded into per
-  ``(table, region)`` P² percentiles and per-write convergence windows
+  ``(table, region)`` exact percentiles and per-write convergence windows
   whose sorted visibility steps tile the window exactly.
 * **Saga decomposition** — each ``saga:`` span tree split into step
   time, compensation time and replication wait (how long the saga's
@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.obs.quantiles import StreamingPercentiles
+from repro.obs.metrics import DEFAULT_QUANTILES, nearest_rank, quantile_label
 
 __all__ = ["CAUSAL_SCHEMA", "CausalReport", "render_causal_text"]
 
@@ -125,8 +125,9 @@ class CausalReport:
         self.acyclic = True
         #: write label → :class:`_Write`.
         self.writes: Dict[str, _Write] = {}
-        #: "table/region" → streaming percentiles over visibility lag.
-        self.visibility: Dict[str, StreamingPercentiles] = {}
+        #: "table/region" → visibility lag of every write the region
+        #: saw, in the order the regions first saw them.
+        self.visibility: Dict[str, List[float]] = {}
         #: Regions observed anywhere in the trace.
         self.regions: Set[str] = set()
         #: hop kind → count (replicate/gossip/invalidate/flush/...).
@@ -277,10 +278,9 @@ class CausalReport:
         before = write.visible.get(region)
         write.saw(region, t_ms, via)
         if before is None:
-            lag_ms = t_ms - write.t_ms
-            self.visibility.setdefault(
-                f"{table}/{region}", StreamingPercentiles()
-            ).observe(lag_ms)
+            self.visibility.setdefault(f"{table}/{region}", []).append(
+                t_ms - write.t_ms
+            )
 
     def _saga_outcome(self, saga: str) -> Dict[str, int]:
         return self.saga_outcomes.setdefault(
@@ -427,8 +427,8 @@ class CausalReport:
             "hops": dict(sorted(self.hops.items())),
             "writes": self.write_count,
             "visibility": {
-                key: _percentile_dict(stats)
-                for key, stats in sorted(self.visibility.items())
+                key: {**_lag_stats(lags), **_exact_percentiles(lags)}
+                for key, lags in sorted(self.visibility.items())
             },
             "convergence": {
                 "writes": len(entries),
@@ -444,11 +444,7 @@ class CausalReport:
             "dedup_chains": dict(sorted(self.dedup_chains.items())),
             "violations": self.violations,
             "replication": {
-                key: {
-                    "count": len(lags),
-                    "mean_ms": round(sum(lags) / len(lags), 6),
-                    "max_ms": round(max(lags), 6),
-                }
+                key: _lag_stats(lags)
                 for key, lags in sorted(self.replication.items())
             },
             "gossip": _sorted_tables(self.gossip),
@@ -480,15 +476,31 @@ def _sorted_tables(
     return {key: dict(entry) for key, entry in sorted(tables.items())}
 
 
-def _percentile_dict(stats: StreamingPercentiles) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
-        "count": stats.count,
-        "mean_ms": round(stats.mean, 6),
-        "max_ms": round(stats.max, 6),
+def _lag_stats(lags: List[float]) -> Dict[str, Any]:
+    """Count, mean and max of a non-empty lag list.
+
+    The mean adds the lags up in observation order with a loop, not
+    ``sum()``: since Python 3.12 ``sum()`` of floats is compensated and
+    can differ in the last bit, which would tie the report's bytes to
+    the interpreter.
+    """
+    total = 0.0
+    for lag in lags:
+        total += lag
+    return {
+        "count": len(lags),
+        "mean_ms": round(total / len(lags), 6),
+        "max_ms": round(max(lags), 6),
     }
-    for label, value in stats.as_dict().items():
-        out[f"{label}_ms"] = round(value, 6)
-    return out
+
+
+def _exact_percentiles(lags: List[float]) -> Dict[str, float]:
+    """``{"p50_ms": ..., "p95_ms": ..., "p99_ms": ...}``, nearest rank."""
+    ordered = sorted(lags)
+    return {
+        f"{quantile_label(q)}_ms": round(nearest_rank(ordered, q), 6)
+        for q in DEFAULT_QUANTILES
+    }
 
 
 def render_causal_text(report: CausalReport) -> str:

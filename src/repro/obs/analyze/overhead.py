@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.quantiles import StreamingPercentiles
+from repro.obs.metrics import DEFAULT_QUANTILES, nearest_rank, quantile_label
 from repro.obs.span import Span
 
 #: The layer vocabulary, in stack order.  ``substrate`` is the native
@@ -113,7 +113,7 @@ class OperationProfile:
 
     __slots__ = (
         "operation", "platform", "invocations", "errors",
-        "layer_self_ms", "layer_spans", "total_ms", "latency",
+        "layer_self_ms", "layer_spans", "total_ms", "latencies",
     )
 
     def __init__(self, operation: str, platform: str) -> None:
@@ -124,7 +124,9 @@ class OperationProfile:
         self.layer_self_ms: Dict[str, float] = {layer: 0.0 for layer in LAYERS}
         self.layer_spans: Dict[str, int] = {layer: 0 for layer in LAYERS}
         self.total_ms = 0.0
-        self.latency = StreamingPercentiles()
+        #: Every folded tree total, in fold order (empty on a profile
+        #: loaded with :meth:`OverheadProfile.from_dict`).
+        self.latencies: List[float] = []
 
     @property
     def native_ms(self) -> float:
@@ -145,6 +147,19 @@ class OperationProfile:
             return 0.0
         return self.layer_self_ms.get(layer, 0.0) / self.invocations
 
+    def latency_ms(self) -> Dict[str, float]:
+        """Mean, max and exact p50/p95/p99 of the tree totals (all 0.0
+        on a loaded profile, which keeps no totals)."""
+        ordered = sorted(self.latencies)
+        return {
+            "mean": self.total_ms / len(ordered) if ordered else 0.0,
+            "max": ordered[-1] if ordered else 0.0,
+            **{
+                quantile_label(q): nearest_rank(ordered, q)
+                for q in DEFAULT_QUANTILES
+            },
+        }
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "operation": self.operation,
@@ -162,12 +177,8 @@ class OperationProfile:
             "middleware_ms": round(self.middleware_ms, 6),
             "total_ms": round(self.total_ms, 6),
             "latency_ms": {
-                "mean": round(self.latency.mean, 6),
-                "max": round(self.latency.max, 6),
-                **{
-                    label: round(value, 6)
-                    for label, value in self.latency.as_dict().items()
-                },
+                label: round(value, 6)
+                for label, value in self.latency_ms().items()
             },
         }
 
@@ -251,9 +262,9 @@ class OverheadProfile:
         # On the WebView path the root is the bridge crossing and the
         # dispatch span sits beneath it — bill the whole tree, root
         # included, to the dispatched operation.
-        tree_total = _duration(root)
+        tree_total = float(_duration(root))
         entry.total_ms += tree_total
-        entry.latency.observe(tree_total)
+        entry.latencies.append(tree_total)
 
         stack = [root]
         while stack:
@@ -299,7 +310,7 @@ class OverheadProfile:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "OverheadProfile":
         """Rehydrate a saved profile (layer totals and counts only; the
-        percentile streams are summarized, not replayable).  A document
+        tree totals behind the latency fields are not saved).  A document
         folded in any time domain but ``virtual`` is rejected, so the
         regression gate never compares layers across domains."""
         if payload.get("schema") != PROFILE_SCHEMA:
@@ -349,16 +360,16 @@ def render_profile_text(profile: OverheadProfile) -> str:
     rows = []
     for entry in profile.sorted_operations():
         n = entry.invocations or 1
-        percentiles = entry.latency.as_dict()
+        latency = entry.latency_ms()
         rows.append(
             [entry.operation, entry.platform, str(entry.invocations)]
             + [f"{entry.per_invocation(layer):.3f}" for layer in LAYERS]
             + [
                 f"{entry.middleware_ms / n:.3f}",
                 f"{entry.native_ms / n:.3f}",
-                f"{percentiles.get('p50', 0.0):.3f}",
-                f"{percentiles.get('p95', 0.0):.3f}",
-                f"{percentiles.get('p99', 0.0):.3f}",
+                f"{latency['p50']:.3f}",
+                f"{latency['p95']:.3f}",
+                f"{latency['p99']:.3f}",
             ]
         )
     if not rows:

@@ -7,6 +7,11 @@ and the substrate instrumentation.  Instruments are identified by
 instrument, so call sites never need to cache handles (though hot paths
 may, cheaply).
 
+Percentiles have one rank definition, the nearest-rank order
+statistic (:func:`nearest_rank`).  Live streams read it from histogram
+buckets (:meth:`Histogram.quantile`); offline reports that hold every
+sample read it exactly.
+
 Everything is deterministic: no timestamps, no randomness; a snapshot
 is a pure function of the increments that produced it, serialized in
 sorted order.
@@ -15,10 +20,13 @@ sorted order.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+import math
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.quantiles import DEFAULT_QUANTILES, quantile_label
+
+#: The quantiles every latency stream reports.
+DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
 #: Default histogram bucket upper bounds (milliseconds-flavoured).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -27,6 +35,26 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 LabelsKey = Tuple[Tuple[str, str], ...]
+
+
+def quantile_label(q: float) -> str:
+    """``0.5 -> "p50"``, ``0.99 -> "p99"``, ``0.999 -> "p99.9"``."""
+    scaled = q * 100.0
+    if abs(scaled - round(scaled)) < 1e-9:
+        return f"p{int(round(scaled))}"
+    return f"p{scaled:g}"
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The exact quantile ``q`` of a sorted sequence (0.0 when empty).
+
+    The nearest-rank order statistic: the ``k``-th smallest value for
+    the smallest ``k >= q * len(ordered)``, the rank
+    :meth:`Histogram.quantile` locates among its buckets.
+    """
+    if not ordered:
+        return 0.0
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 def _labels_key(labels: Dict[str, Any]) -> LabelsKey:

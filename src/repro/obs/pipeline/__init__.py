@@ -10,8 +10,8 @@ guaranteeing that **every anomaly is captured**:
   sampling per trace id (rate configurable per op class) plus the
   tail-based keep rules that always retain anomalous traces (error
   status, ``queue.shed`` / ``queue.throttled``, breaker opens,
-  ``slo.breach``, ``causal.violation``, or a duration above the
-  streaming P² p99);
+  ``slo.breach``, ``causal.violation``, or a duration above the op
+  class's p99, read from its histogram's buckets);
 * :mod:`~repro.obs.pipeline.rollup` — streaming RED rollups
   (rate/errors/duration) keyed by ``(op, platform, region, tenant)``
   with exemplar trace ids attached to histogram buckets, fed from

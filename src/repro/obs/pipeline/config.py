@@ -58,11 +58,12 @@ class PipelineConfig:
         When set, installed on the attached :class:`MetricsRegistry` as
         its ``max_series_per_metric`` label-cardinality guard.
     slow_trace_min_count:
-        Observations an op class must accumulate before the streaming
-        P² p99 slow-trace tail rule arms (too few samples would make
-        the estimate — and keep decisions — noise).
+        Observations an op class must accumulate before the bucketed
+        p99 slow-trace tail rule arms (too few samples would make the
+        estimate — and keep decisions — noise).
     buckets:
-        Rollup duration-histogram bucket bounds (virtual milliseconds).
+        Bucket bounds (virtual milliseconds) of the rollup duration
+        histograms and of the slow-trace rule's per-op-class histograms.
     """
 
     default_rate: float = 1.0
@@ -88,9 +89,7 @@ class PipelineConfig:
         if self.max_metric_series is not None and self.max_metric_series < 1:
             raise ConfigurationError("max_metric_series must be >= 1")
         if self.slow_trace_min_count < 5:
-            raise ConfigurationError(
-                "slow_trace_min_count must be >= 5 (P² needs five markers)"
-            )
+            raise ConfigurationError("slow_trace_min_count must be >= 5")
         object.__setattr__(self, "rates", dict(self.rates))
 
     def rate_for(self, op: str) -> float:

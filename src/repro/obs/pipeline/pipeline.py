@@ -74,7 +74,9 @@ class TelemetryPipeline:
             metrics=self.metrics,
         )
         self.retention = SpanRetention(self.config.span_capacity)
-        self.tail = TailRules(min_count=self.config.slow_trace_min_count)
+        self.tail = TailRules(
+            min_count=self.config.slow_trace_min_count, buckets=self.config.buckets
+        )
         #: One open-trace buffer per attached tracer.
         self._buffers: List[_TraceBuffer] = []
         self._observers: List[TraceObserver] = []

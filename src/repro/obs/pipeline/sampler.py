@@ -8,18 +8,18 @@ deterministic (same seed, same traffic, same keeps), unlike
 Tail rules decide *after the trace completes* and exist to make
 sampling safe: a trace exhibiting any anomaly — error status, queue
 shed/throttle, breaker open, SLO breach, causal violation, or a
-duration above the op class's streaming P² p99 — is always kept no
-matter what the head decision said.  The chaos suite asserts zero
+duration above the op class's bucketed p99 — is always kept no matter
+what the head decision said.  The chaos suite asserts zero
 tail-rule misses at 1% head sampling.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 from repro.obs.pipeline.records import SpanLike
-from repro.obs.quantiles import P2Quantile
 
 #: Event names whose presence anywhere in a trace forces retention.
 ANOMALY_EVENTS = frozenset(
@@ -106,52 +106,49 @@ def anomaly_rules(spans: Sequence[SpanLike]) -> List[str]:
 
 
 class TailRules:
-    """The stateful slow-trace rule: per-op-class streaming P² p99.
+    """The stateful slow-trace rule: per-op-class bucketed p99.
 
     Event/error anomalies are stateless (:func:`anomaly_rules`); the
-    latency rule needs history.  Each op class streams its root
-    durations through one P² estimator and, once ``min_count``
-    observations have armed it, any duration strictly above the current
-    p99 estimate is kept.  Check-then-observe: a trace is judged against
-    the threshold built from the traffic *before* it, so the decision
-    sequence is deterministic and independent of the keep outcomes.
+    latency rule needs history.  Each op class counts its root
+    durations in one :class:`~repro.obs.metrics.Histogram` and, once
+    ``min_count`` observations have armed it, any duration strictly
+    above the histogram's p99 is kept.  The p99 is clamped to the
+    observed ``[min, max]``, so traffic that always takes the same time
+    trips the rule only with a new maximum.  Check-then-observe: a trace
+    is judged against the threshold built from the traffic *before* it,
+    so the decision sequence is deterministic and independent of the
+    keep outcomes.  The histograms are the rule's own, registered in no
+    :class:`~repro.obs.metrics.MetricsRegistry`.
     """
 
-    def __init__(self, *, min_count: int = 32) -> None:
+    def __init__(
+        self, *, min_count: int = 32, buckets: Tuple[float, ...] = DEFAULT_BUCKETS
+    ) -> None:
         self.min_count = min_count
-        self._p99: Dict[str, P2Quantile] = {}
+        self.buckets = buckets
+        self._histograms: Dict[str, Histogram] = {}
 
     def judge(self, op: str, duration_ms: float) -> bool:
-        """:meth:`is_slow`, then :meth:`observe`, with one lookup: the
+        """Whether ``duration_ms`` is slow for ``op``, then count it: the
         pipeline's per-trace call."""
-        estimator = self._p99.get(op)
-        if estimator is None:
-            estimator = self._p99[op] = P2Quantile(0.99)
+        histogram = self._histograms.get(op)
+        if histogram is None:
+            histogram = self._histograms[op] = Histogram(
+                RULE_SLOW, {"op": op}, self.buckets
+            )
             slow = False
         else:
             slow = (
-                estimator.count >= self.min_count
-                and duration_ms > estimator.value
+                histogram.count >= self.min_count
+                and duration_ms > histogram.quantile(0.99)
             )
-        estimator.observe(duration_ms)
+        histogram.observe(duration_ms)
         return slow
 
-    def is_slow(self, op: str, duration_ms: float) -> bool:
-        estimator = self._p99.get(op)
-        if estimator is None or estimator.count < self.min_count:
-            return False
-        return duration_ms > estimator.value
-
-    def observe(self, op: str, duration_ms: float) -> None:
-        estimator = self._p99.get(op)
-        if estimator is None:
-            estimator = self._p99[op] = P2Quantile(0.99)
-        estimator.observe(duration_ms)
-
     def threshold(self, op: str) -> Optional[float]:
-        """The current p99 estimate for an op class (``None`` before the
-        rule arms)."""
-        estimator = self._p99.get(op)
-        if estimator is None or estimator.count < self.min_count:
+        """The current p99 for an op class (``None`` before the rule
+        arms)."""
+        histogram = self._histograms.get(op)
+        if histogram is None or histogram.count < self.min_count:
             return None
-        return estimator.value
+        return histogram.quantile(0.99)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import quantile_label
 from repro.obs.span import Span
 
 TIMELINE_SCHEMA = "repro.obs.timeline/v1"
@@ -156,7 +157,7 @@ class ShardLane:
         """Time-weighted queue-depth percentiles over the lane's
         observed window (ending at ``t_end``)."""
         steps = self.depth_steps()
-        out = {f"p{int(q * 100)}": 0.0 for q in DEPTH_PERCENTILES}
+        out = {quantile_label(q): 0.0 for q in DEPTH_PERCENTILES}
         if not steps:
             return out
         #: (depth, dwell_ms) — how long the lane sat at each depth.
@@ -177,7 +178,7 @@ class ShardLane:
                 if cumulative >= target - 1e-12:
                     value = float(depth)
                     break
-            out[f"p{int(q * 100)}"] = value
+            out[quantile_label(q)] = value
         return out
 
 

@@ -6,10 +6,12 @@ message of :meth:`ParameterSpec.validate_value` on any value.  It must
 also decide an exact in-range number (an exact ``str``, an exact
 ``bool``) on the spot, without consulting the reference: that is the
 whole of its speed-up, and a bound test made one ulp too strict shows
-up there, not in the verdicts.
+up there, not in the verdicts.  NaN and the infinities are never
+decided on the spot: the reference rejects them.
 """
 
 import math
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -82,12 +84,13 @@ def _verdict(check, value):
 
 
 def _decided_on_the_spot(parameter, value) -> bool:
-    """Whether the compiled check must accept ``value`` by itself."""
+    """Whether the compiled check must accept ``value`` by itself: only
+    a finite number counts, so a missing bound is the largest float."""
     dimension = STANDARD_DIMENSIONS.get(parameter.dimension)
     kind = dimension.python_type
     if kind in (int, float):
-        low = -math.inf if dimension.minimum is None else dimension.minimum
-        high = math.inf if dimension.maximum is None else dimension.maximum
+        low = -sys.float_info.max if dimension.minimum is None else dimension.minimum
+        high = sys.float_info.max if dimension.maximum is None else dimension.maximum
         return type(value) in (int, float) and low <= value <= high
     return kind is object or type(value) is kind
 

@@ -8,6 +8,7 @@ it.  The cases are enumerated from the shipped descriptors, so a new
 operation or binding is covered without editing this file.
 """
 
+import math
 import re
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.proxies import create_proxy, standard_registry
 from repro.core.proxy.callbacks import HttpResponseListener, ProximityListener
 from repro.core.proxy.datatypes import CallHandle
 from repro.device.network import HttpResponse
+from repro.errors import ProxyInvalidArgumentError
 from repro.obs import Observability
 from repro.platforms.android.calendar_provider import READ_CALENDAR, WRITE_CALENDAR
 from repro.platforms.android.contacts import READ_CONTACTS, WRITE_CONTACTS
@@ -194,3 +196,29 @@ def test_one_dispatch_span_with_a_resilience_child(
     assert dispatch.attributes["platform"] == platform
     children = [child.name for child in tracer.children_of(dispatch)]
     assert f"resilience:{operation}" in children
+
+
+#: ``(interface, operation, argument index, value)``: a NaN or infinite
+#: number in a numeric dimension, each of which the semantic plane must
+#: reject before any platform sees it.
+NON_FINITE = [
+    ("Location", "addProximityAlert", 0, math.nan),  # latitude
+    ("Location", "addProximityAlert", 3, math.nan),  # radius
+    ("Location", "addProximityAlert", 3, math.inf),  # radius
+    ("Location", "addProximityAlert", 4, math.inf),  # expiration
+    ("Calendar", "addEvent", 1, math.nan),  # start
+    ("Calendar", "addEvent", 2, math.inf),  # end
+]
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+@pytest.mark.parametrize(("interface", "operation", "index", "value"), NON_FINITE)
+def test_non_finite_numbers_are_invalid_arguments(
+    worlds, platform, interface, operation, index, value
+):
+    _, make = worlds[platform]
+    arguments = list(ARGUMENTS[operation])
+    arguments[index] = value
+    with pytest.raises(ProxyInvalidArgumentError) as raised:
+        getattr(make(interface), _python_name(operation))(*arguments)
+    assert raised.value.error_code == 1003

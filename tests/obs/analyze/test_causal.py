@@ -64,6 +64,33 @@ class TestFoldingRules:
         assert data["graph"]["cross_region_edges"] >= 1
         assert report.acyclic
 
+    def test_visibility_percentiles_are_exact(self):
+        """Twelve 250 ms lags, then 400, 250, 250 and 900 ms: the
+        nearest-rank p95 of sixteen lags is the largest."""
+        lags = [250.0] * 12 + [400.0, 250.0, 250.0, 900.0]
+        records = []
+        for index, lag in enumerate(lags):
+            stamp = {"table": "t", "key": f"k{index}", "version": "1"}
+            start = 1_000.0 * index
+            records += [
+                {
+                    "name": "write:t", "trace_id": index, "span_id": 1,
+                    "start_virtual_ms": start, "end_virtual_ms": start,
+                    "attributes": {**stamp, "region": "ap-south"},
+                },
+                {
+                    "name": "replicate:t", "trace_id": index, "span_id": 2,
+                    "start_virtual_ms": start, "end_virtual_ms": start + lag,
+                    "attributes": {**stamp, "region": "eu-west", "lag_ms": lag},
+                },
+            ]
+        report = CausalReport.from_records(records)
+        assert report.to_dict()["visibility"]["t/eu-west"] == {
+            "count": 16, "mean_ms": 300.0, "max_ms": 900.0,
+            "p50_ms": 250.0, "p95_ms": 900.0, "p99_ms": 900.0,
+        }
+        assert "p95=900.0ms" in render_causal_text(report)
+
     def test_dedup_chain_joins(self):
         records = [
             {

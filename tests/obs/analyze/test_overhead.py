@@ -65,7 +65,18 @@ class TestFold:
         entry = profile.operations[("getLocation", "android")]
         assert entry.invocations == 3
         assert entry.per_invocation("substrate") == pytest.approx(20.0)
-        assert entry.latency.as_dict()["p50"] == pytest.approx(23.0)
+        assert entry.latency_ms()["p50"] == pytest.approx(23.0)
+
+    def test_exact_percentiles_over_twenty_invocations(self, tracer, clock):
+        """Tree totals 4..23 ms: the nearest-rank p95 and p99 are the
+        19th and 20th smallest."""
+        for native in range(1, 21):
+            make_invocation(tracer, clock, native_ms=float(native))
+        profile = OverheadProfile.from_spans(tracer.finished_spans())
+        latency = profile.to_dict()["operations"][0]["latency_ms"]
+        assert latency == {
+            "mean": 13.5, "max": 23.0, "p50": 13.0, "p95": 22.0, "p99": 23.0,
+        }
 
     def test_error_dispatch_counted(self, tracer, clock):
         make_invocation(tracer, clock)

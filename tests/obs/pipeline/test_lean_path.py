@@ -6,10 +6,10 @@ decision the offline path also uses.  :class:`ReferencePipeline` keeps
 the earlier live path as the reference: a ``(source, trace_id)``-keyed
 buffer dict fed by a keyword ``source=`` sink, and a completion step
 that searches for the root and reads it through shape-generic
-accessors, with its own copy of the anomaly scan and the slow rule's
-separate check and observe.  Driven by the same live tracers, both
-must agree on accounting, rollups, retained bytes, slow-rule thresholds
-and what observers see.
+accessors, with its own copy of the anomaly scan.  Its slow rule is
+the shipped :class:`~repro.obs.pipeline.sampler.TailRules`.  Driven by
+the same live tracers, both must agree on accounting, rollups, retained
+bytes, slow-rule thresholds and what observers see.
 """
 
 import functools
@@ -134,9 +134,8 @@ class ReferencePipeline(TelemetryPipeline):
             else root.start_virtual_ms
         )
         rules = _reference_anomaly_rules(spans)
-        if self.tail.is_slow(op, duration):
+        if self.tail.judge(op, duration):
             rules.append(RULE_SLOW)
-        self.tail.observe(op, duration)
         head = head_keep(self.config.seed, source, trace_id, self.config.rate_for(op))
         kept = head or bool(rules)
         self._c_spans.inc(len(spans))

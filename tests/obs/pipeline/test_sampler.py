@@ -1,9 +1,18 @@
-"""Sampling decisions: seeded head hash, tail keep rules, P² slow rule."""
+"""Sampling decisions: seeded head hash, tail keep rules, bucketed slow rule."""
+
+import math
 
 import pytest
 
-from repro.obs.pipeline import ANOMALY_EVENTS, TailRules, anomaly_rules, head_keep
-from repro.obs.pipeline.sampler import RULE_ERROR
+from repro.obs.pipeline import (
+    ANOMALY_EVENTS,
+    PipelineConfig,
+    TailRules,
+    TelemetryPipeline,
+    anomaly_rules,
+    head_keep,
+)
+from repro.obs.pipeline.sampler import RULE_ERROR, RULE_SLOW
 from repro.obs.span import Span
 
 pytestmark = [pytest.mark.obs, pytest.mark.pipeline]
@@ -84,22 +93,74 @@ class TestAnomalyRules:
 class TestTailRules:
     def test_unarmed_below_min_count(self):
         tail = TailRules(min_count=5)
-        for _ in range(4):
-            assert not tail.is_slow("op", 1_000.0)
-            tail.observe("op", 1.0)
-        assert tail.threshold("op") is None
+        for power in range(5):
+            assert tail.threshold("op") is None
+            # Each duration is a new maximum: slow, were the rule armed.
+            assert not tail.judge("op", 10.0**power)
+        assert tail.threshold("op") is not None
+        assert tail.judge("op", 1e6)
 
     def test_armed_flags_outliers(self):
         tail = TailRules(min_count=5)
         for _ in range(50):
-            tail.observe("op", 10.0)
-        assert tail.threshold("op") is not None
-        assert tail.is_slow("op", 1_000.0)
-        assert not tail.is_slow("op", 5.0)
+            assert not tail.judge("op", 10.0)
+        assert tail.threshold("op") == 10.0
+        assert not tail.judge("op", 5.0)
+        assert tail.judge("op", 1_000.0)
 
     def test_op_classes_are_independent(self):
         tail = TailRules(min_count=5)
         for _ in range(50):
-            tail.observe("fast", 1.0)
-        assert tail.is_slow("fast", 100.0)
-        assert not tail.is_slow("slow", 100.0)  # never observed → unarmed
+            tail.judge("fast", 1.0)
+        assert tail.judge("fast", 100.0)
+        assert not tail.judge("slow", 100.0)  # first of its class → unarmed
+
+    def test_judge_compares_against_the_threshold(self):
+        durations = [float(value) for value in range(1, 101)]
+        below, above = TailRules(), TailRules()
+        for duration in durations:
+            below.judge("op", duration)
+            above.judge("op", duration)
+        threshold = below.threshold("op")
+        assert threshold == above.threshold("op")
+        assert durations[0] < threshold < durations[-1]
+        assert not below.judge("op", threshold)
+        assert above.judge("op", math.nextafter(threshold, math.inf))
+
+    def test_a_point_mass_with_float_jitter_trips_only_on_a_new_maximum(self):
+        """Every ``addProximityAlert`` root of a seed-1 ``fleet_distrib``
+        fleet lasts 53.6 ms to within a few ulps.  The p99 is clamped
+        to the observed maximum, so only the first longer root is slow."""
+        tail = TailRules(min_count=32)
+        for _ in range(40):
+            assert not tail.judge("addProximityAlert", 53.59999999999991)
+        flags = [
+            tail.judge("addProximityAlert", 53.600000000000364) for _ in range(10)
+        ]
+        assert flags == [True] + [False] * 9
+
+    def test_the_rule_uses_the_pipeline_buckets_outside_its_registry(self):
+        buckets = (10.0, 100.0)
+        durations = [float(n * n) for n in range(1, 21)]
+        pipeline = TelemetryPipeline(
+            PipelineConfig(slow_trace_min_count=5, buckets=buckets)
+        )
+        pipeline.ingest_records(
+            {
+                "name": "dispatch:op",
+                "trace_id": trace_id,
+                "span_id": 1,
+                "parent_id": None,
+                "start_virtual_ms": 0.0,
+                "end_virtual_ms": duration,
+            }
+            for trace_id, duration in enumerate(durations, 1)
+        )
+        custom = TailRules(min_count=5, buckets=buckets)
+        default = TailRules(min_count=5)
+        for duration in durations:
+            custom.judge("op", duration)
+            default.judge("op", duration)
+        assert pipeline.tail.threshold("op") == custom.threshold("op") == 394.0
+        assert default.threshold("op") == 400.0
+        assert pipeline.metrics.kind_of(RULE_SLOW) is None

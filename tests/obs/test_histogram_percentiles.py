@@ -1,22 +1,27 @@
 """Bucket-interpolated percentiles, the one scheme of every histogram.
 
 ``Histogram.quantile`` finds the bucket that holds the nearest-rank
-order statistic, interpolates linearly within it and clamps the result
-to the observed ``[min, max]``; ``RollupSeries`` inherits it.  These
+order statistic (``nearest_rank``, what the offline reports read
+exactly), interpolates linearly within it and clamps the result to the
+observed ``[min, max]``; ``RollupSeries`` inherits it.  These
 properties pin that contract on arbitrary non-negative streams and
 bucket layouts.
 """
 
 import bisect
-import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    DEFAULT_QUANTILES,
+    Histogram,
+    nearest_rank,
+    quantile_label,
+)
 from repro.obs.pipeline.rollup import RollupSeries
-from repro.obs.quantiles import DEFAULT_QUANTILES
 
 pytestmark = pytest.mark.obs
 
@@ -51,6 +56,26 @@ def _histogram(bounds, values):
     return histogram
 
 
+def test_quantile_labels():
+    assert [quantile_label(q) for q in DEFAULT_QUANTILES] == list(LABELS)
+    assert quantile_label(0.5) == "p50"
+    assert quantile_label(0.99) == "p99"
+    assert quantile_label(0.999) == "p99.9"
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=values_strategy, q=quantile_strategy)
+def test_nearest_rank_is_the_first_value_to_reach_rank_qn(values, q):
+    exact = nearest_rank(sorted(values), q)
+    assert exact in values
+    assert sum(value <= exact for value in values) >= q * len(values)
+    assert sum(value < exact for value in values) < q * len(values)
+
+
+def test_nearest_rank_of_nothing_is_zero():
+    assert nearest_rank([], 0.5) == 0.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(bounds=bounds_strategy, values=values_strategy, q=quantile_strategy)
 # The rank reaches exactly the end of the first bucket.
@@ -65,7 +90,7 @@ def test_estimate_lies_in_the_order_statistics_bucket(bounds, values, q):
     histogram = _histogram(bounds, values)
     estimate = histogram.quantile(q)
     ordered = sorted(values)
-    exact = ordered[math.ceil(q * len(values)) - 1]
+    exact = nearest_rank(ordered, q)
     index = bisect.bisect_left(histogram.bounds, exact)
     low = histogram.bounds[index - 1] if index else 0.0
     high = histogram.bounds[index] if index < len(bounds) else ordered[-1]
