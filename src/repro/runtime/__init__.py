@@ -16,7 +16,8 @@ virtual-time substrate without giving up reproducibility:
 Determinism contract (see ``docs/CONCURRENCY.md``): given the same seed
 and workload, two runs produce byte-identical trace exports.  Everything
 is single-threaded; concurrency is *modelled* — shard lanes overlap in
-virtual time via :meth:`SimulatedClock.capture_charge` — never raced.
+virtual time because each rewinds the shared clock after its execution
+(:meth:`SimulatedClock.rewind`) — never raced.
 """
 
 from __future__ import annotations
@@ -177,21 +178,25 @@ class ConcurrencyRuntime:
                     sampler=self.observability.sampler,
                     observability=self.observability,
                 )
+                # Control ticks visit platforms in name order: fix it here,
+                # not on every tick.
+                self._autoscalers = dict(sorted(self._autoscalers.items()))
         return dispatcher
 
     def dispatchers(self) -> Dict[str, Dispatcher]:
         return dict(self._dispatchers)
 
     def autoscalers(self) -> Dict[str, ShardAutoscaler]:
-        """Per-platform shard autoscalers (empty when admission is off)."""
+        """Per-platform shard autoscalers in platform-name order (empty
+        when admission is off)."""
         return dict(self._autoscalers)
 
     def evaluate_autoscalers(self) -> None:
-        """One control tick for every attached autoscaler (called at
-        drain instants; safe to call ad hoc in tests)."""
+        """One control tick for every attached autoscaler, in platform-name
+        order (called at drain instants; safe to call ad hoc in tests)."""
         now = self.scheduler.clock.now_ms
-        for platform in sorted(self._autoscalers):
-            self._autoscalers[platform].evaluate(now)
+        for scaler in self._autoscalers.values():
+            scaler.evaluate(now)
 
     def submit(
         self,
@@ -326,41 +331,45 @@ class ConcurrencyRuntime:
     def run_for(self, delta_ms: float) -> int:
         return self.scheduler.run_for(delta_ms)
 
-    @property
-    def quiescent(self) -> bool:
-        """Every task finished (or parked on an externally-settled future,
-        which only the caller can move); every dispatcher lane idle."""
-        tasks = self.tasks
-        if tasks.settled_count != len(tasks.tasks):
-            return False
-        return all(d.idle for d in self._dispatchers.values())
-
     def drain(self) -> int:
         """Advance virtual time until the runtime is quiescent.
 
         Unlike ``Scheduler.drain`` this tolerates periodic substrate
         timers (GPS polling etc.): it stops on *runtime* quiescence —
-        all shard lanes drained, all tasks done — not on an empty heap.
-        Each pass runs the world up to the earliest heap deadline or
-        lane horizon and checks quiescence again.  A drain that would
-        run past :data:`DRAIN_LIMIT_MS` of virtual time raises
-        ``RuntimeError``: some task never settles.  Returns callbacks
-        executed.
+        every task finished or parked on an externally-settled future
+        (which only the caller can move), every dispatcher idle — not on
+        an empty heap.  Each pass evaluates the autoscalers, sweeps the
+        dispatchers once for quiescence and the earliest lane horizon,
+        and runs the world up to that horizon or the earliest heap
+        deadline.  A drain that would run past :data:`DRAIN_LIMIT_MS` of
+        virtual time raises ``RuntimeError``: some task never settles.
+        Returns callbacks executed.
         """
         scheduler = self.scheduler
         clock = scheduler.clock
+        tasks = self.tasks
         limit_ms = clock.now_ms + DRAIN_LIMIT_MS
         executed = 0
         while True:
+            # The first submit creates a dispatcher and its autoscaler
+            # inside a drain, so both sets are read on every pass.
             if self._autoscalers:
                 self.evaluate_autoscalers()
-            if self.quiescent:
-                return executed
-            target = scheduler.next_deadline_ms()
+            quiescent = tasks.settled_count == len(tasks.tasks)
+            earliest = None
             for dispatcher in self._dispatchers.values():
                 horizon = dispatcher.next_event_ms()
-                if horizon is not None and (target is None or horizon < target):
-                    target = horizon
+                if horizon is not None:
+                    quiescent = False
+                    if earliest is None or horizon < earliest:
+                        earliest = horizon
+                elif quiescent and (dispatcher.unsettled or dispatcher.overflow):
+                    quiescent = False  # not idle: see Dispatcher.idle
+            if quiescent:
+                return executed
+            target = scheduler.next_deadline_ms()
+            if earliest is not None and (target is None or earliest < target):
+                target = earliest
             if target is None:
                 return executed  # nothing scheduled can move the state
             if target > limit_ms:

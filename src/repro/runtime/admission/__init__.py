@@ -31,6 +31,7 @@ See ``docs/ADMISSION.md`` for the operator view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -105,6 +106,14 @@ class AdmissionConfig:
     storm_threshold: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("overflow_capacity", "storm_threshold"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
+        if not math.isfinite(self.storm_window_ms):
+            raise ConfigurationError(
+                f"storm_window_ms must be finite, got {self.storm_window_ms!r}"
+            )
         if self.overflow_capacity < 0:
             raise ConfigurationError("overflow_capacity must be >= 0")
         if self.storm_window_ms < 0:

@@ -28,6 +28,7 @@ runs resize identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -55,6 +56,21 @@ class AutoscalerConfig:
     step: int = 1
 
     def __post_init__(self) -> None:
+        # A fractional count reaches Dispatcher.resize's slices, and a NaN
+        # compares false everywhere, silently disabling its branch.
+        for name in ("min_shards", "max_shards", "hysteresis_ticks", "step"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
+        for name in (
+            "scale_up_depth",
+            "scale_down_depth",
+            "scale_down_utilization",
+            "cooldown_ms",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.min_shards < 1:
             raise ConfigurationError("min_shards must be >= 1")
         if self.max_shards < self.min_shards:
@@ -113,8 +129,6 @@ class ShardAutoscaler:
         """Per-lane queue depth from the installed sampler's series
         (last recorded value per live shard), or ``None`` when the
         sampler has no matching series yet."""
-        if self._sampler is None:
-            return None
         live = self.dispatcher.shards
         depths: Dict[int, float] = {}
         for series in self._sampler.tracked_series():
@@ -133,25 +147,23 @@ class ShardAutoscaler:
             return None
         return [depths.get(index, 0.0) for index in range(live)]
 
-    def signal(self) -> Dict[str, float]:
-        """The current control inputs: mean depth per lane, utilization."""
-        depths = self._sampled_depths()
-        if depths is None:
-            depths = [float(d) for d in self.dispatcher.queue_depths()]
-        lanes = max(1, self.dispatcher.shards)
-        return {
-            "mean_depth": sum(depths) / lanes,
-            "utilization": self.dispatcher.busy_lane_count() / lanes,
-        }
-
     # -- control -------------------------------------------------------------
 
     def evaluate(self, now_ms: float) -> Optional[int]:
-        """One control tick; returns the new shard count on a resize."""
+        """One control tick; returns the new shard count on a resize.
+
+        The signal is the mean queued requests per lane (the sampler's
+        series when one is installed and has them, the live queues
+        otherwise) and the share of lanes queued or mid-execution."""
         config = self.config
-        inputs = self.signal()
-        mean_depth = inputs["mean_depth"]
-        utilization = inputs["utilization"]
+        dispatcher = self.dispatcher
+        lanes = dispatcher.shards
+        queued, busy = dispatcher.lane_load()
+        depths = None if self._sampler is None else self._sampled_depths()
+        # The queued total is an exact integer, so dividing it gives the
+        # float that dividing the per-lane float sum gives.
+        mean_depth = (queued if depths is None else sum(depths)) / lanes
+        utilization = busy / lanes
         if mean_depth >= config.scale_up_depth:
             self._up_streak += 1
             self._down_streak = 0
@@ -170,7 +182,7 @@ class ShardAutoscaler:
         )
         if in_cooldown:
             return None
-        current = self.dispatcher.shards
+        current = lanes
         target = current
         if self._up_streak >= config.hysteresis_ticks:
             target = min(config.max_shards, current + config.step)

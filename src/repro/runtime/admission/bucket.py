@@ -15,6 +15,7 @@ which is what error 1013 carries back to the resilience plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +37,12 @@ class TokenBucketConfig:
     initial: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # A NaN rate refills every bucket to full; a NaN capacity rejects
+        # every take with a NaN retry_after_ms.
+        for name in ("rate_per_s", "capacity"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.rate_per_s <= 0:
             raise ConfigurationError(
                 f"rate_per_s must be > 0, got {self.rate_per_s}"

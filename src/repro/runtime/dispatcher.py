@@ -23,9 +23,10 @@ shard is a serial lane with a bounded FIFO queue; a submitted request is
    events, and every submission lands in exactly one
    ``runtime.outcome`` bucket;
 3. **executed on the shard's lane** — the shard runs the request's thunk
-   under :meth:`SimulatedClock.capture_charge`, so the substrate's
-   synchronous virtual-time charge lands on the shard's private
-   ``busy_until`` horizon instead of serialising the shared clock.
+   on the shared clock, then rolls the clock back to the lane's start
+   with :meth:`SimulatedClock.rewind`, so the substrate's synchronous
+   virtual-time charge lands on the shard's private ``busy_until``
+   horizon instead of serialising the shared clock.
    K shards therefore overlap in virtual time: makespan ≈ total work / K,
    which is exactly what ``benchmarks/bench_concurrency.py`` measures.
 
@@ -50,10 +51,9 @@ sequence numbers.  No wall clock, no unseeded randomness.
 from __future__ import annotations
 
 import collections
-import contextlib
 import itertools
 import zlib
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProxyError, ProxyOverloadError
 from repro.runtime.admission import (
@@ -174,7 +174,7 @@ class Dispatcher:
         #: Requests executed on a lane whose ``_settle`` has not run yet.
         #: The ``runtime.inflight`` gauge counts them too, but every
         #: dispatcher of one platform on one registry shares that gauge.
-        self._unsettled = 0
+        self.unsettled = 0
         self._seq = itertools.count()
         self._rr = itertools.count()
         self._obs = observability
@@ -255,18 +255,13 @@ class Dispatcher:
         A lane's horizon alone is not enough: a scheduler callback may
         charge the shared clock past ``busy_until_ms`` before that
         request's settle callback runs."""
-        if self._unsettled or (
-            self._overflow is not None and len(self._overflow)
-        ):
+        if self.unsettled or self._overflow:
             return False
-        now = self._clock.now_ms
-        return all(
-            not shard.queue and shard.busy_until_ms <= now
-            for shard in self._shards
-        )
+        return self.next_event_ms() is None
 
     def next_event_ms(self) -> Optional[float]:
-        """Earliest lane horizon still ahead of now (drain aid)."""
+        """Earliest horizon of a lane still queued or busy, or ``None``
+        when every lane is idle (drain aid)."""
         now = self._clock.now_ms
         earliest = None
         for shard in self._shards:
@@ -277,20 +272,21 @@ class Dispatcher:
                 earliest = horizon
         return earliest
 
-    def queue_depths(self) -> List[int]:
-        return [len(shard.queue) for shard in self._shards]
-
     def executed_per_shard(self) -> List[int]:
         return [shard.executed for shard in self._shards]
 
-    def busy_lane_count(self) -> int:
-        """Lanes currently queued or mid-execution (autoscaler signal)."""
+    def lane_load(self) -> Tuple[int, int]:
+        """Queued requests and busy lanes (queued or mid-execution), in
+        one pass over the lanes: the autoscaler's live signal."""
         now = self._clock.now_ms
-        return sum(
-            1
-            for shard in self._shards
-            if shard.queue or shard.busy_until_ms > now
-        )
+        queued = busy = 0
+        for shard in self._shards:
+            if shard.queue:
+                queued += len(shard.queue)
+                busy += 1
+            elif shard.busy_until_ms > now:
+                busy += 1
+        return queued, busy
 
     @property
     def shed_count(self) -> int:
@@ -668,7 +664,7 @@ class Dispatcher:
             self._buffer_gauge.set(len(self._overflow))
         self._depth_gauges[shard.index].set(len(shard.queue))
         self._inflight_gauge.add(1)
-        self._unsettled += 1
+        self.unsettled += 1
         start = self._clock.now_ms
         request.start_ms = start
         wait_ms = start - request.submit_ms
@@ -676,25 +672,27 @@ class Dispatcher:
         result: Any = None
         error: Optional[ProxyError] = None
         tracer = request.tracer
-        if tracer is not None and tracer.enabled:
-            span_cm = tracer.span(
-                f"queue:{request.operation}",
-                platform=self.platform,
-                shard=shard.index,
-                wait_ms=wait_ms,
-                tenant=request.tenant,
-            )
-        else:
-            span_cm = contextlib.nullcontext()
-        with self._clock.capture_charge() as capture:
-            try:
-                with span_cm:
+        # The queue span closes inside the charged interval; the rewind
+        # runs last, also for an error that is not a ProxyError.
+        try:
+            if tracer is not None and tracer.enabled:
+                with tracer.span(
+                    f"queue:{request.operation}",
+                    platform=self.platform,
+                    shard=shard.index,
+                    wait_ms=wait_ms,
+                    tenant=request.tenant,
+                ):
                     result = request.thunk()
-            except ProxyError as exc:
-                error = exc
-        request.charge_ms = capture.charge_ms
-        self._service.observe(request.charge_ms)
-        shard.busy_until_ms = start + request.charge_ms
+            else:
+                result = request.thunk()
+        except ProxyError as exc:
+            error = exc
+        finally:
+            charge_ms = self._clock.rewind(start)
+        request.charge_ms = charge_ms
+        self._service.observe(charge_ms)
+        shard.busy_until_ms = start + charge_ms
         shard.executed += 1
         self._scheduler.call_at(
             shard.busy_until_ms,
@@ -717,7 +715,7 @@ class Dispatcher:
             del self._inflight[request.coalesce_key]
         futures = [request.future] + request.attached
         self._inflight_gauge.add(-1)
-        self._unsettled -= 1
+        self.unsettled -= 1
         if error is not None:
             self._failed.inc(len(futures))
             for future in futures:

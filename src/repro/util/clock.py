@@ -12,10 +12,9 @@ paper's evaluation.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ClockError
 
@@ -67,41 +66,31 @@ class SimulatedClock:
         self._now_ms = float(when_ms)
         return self._now_ms
 
-    @contextlib.contextmanager
-    def capture_charge(self) -> Iterator["ChargeCapture"]:
-        """Measure the virtual time charged inside the block, then roll
-        the clock back to the block's start.
+    def rewind(self, start_ms: float) -> float:
+        """Roll the clock back to ``start_ms``, an instant it has already
+        reached, and return the virtual time charged since then.
 
         This is the concurrency runtime's parallel-lane facility: a
-        worker shard executes a request (whose substrate charges advance
-        this clock synchronously), reads the captured charge, and replays
-        it on the shard's own lane — so K shards overlap in virtual time
-        instead of serialising on the shared clock.  Tasks scheduled by
-        side effects during the block keep their as-executed instants,
-        which are always at or after the block's start, so causality on
-        the scheduler heap is preserved.
-
-        Captures may nest; each level rolls back to its own start.
+        worker shard notes the instant, executes a request (whose
+        substrate charges advance this clock synchronously), rewinds, and
+        replays the returned charge on the shard's own lane — so K shards
+        overlap in virtual time instead of serialising on the shared
+        clock.  Tasks scheduled by side effects during the execution keep
+        their as-executed instants, which are never before ``start_ms``,
+        so causality on the scheduler heap is preserved.  Executions may
+        nest; each rewinds to its own start.
         """
-        start = self._now_ms
-        capture = ChargeCapture()
-        try:
-            yield capture
-        finally:
-            capture.charge_ms = self._now_ms - start
-            self._now_ms = start
+        now_ms = self._now_ms
+        if not start_ms <= now_ms:
+            raise ClockError(
+                f"cannot rewind clock from {now_ms} to {start_ms!r}; the "
+                "instant must not be after now"
+            )
+        self._now_ms = start_ms
+        return now_ms - start_ms
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimulatedClock(now_ms={self._now_ms:.3f})"
-
-
-class ChargeCapture:
-    """Result box for :meth:`SimulatedClock.capture_charge`."""
-
-    __slots__ = ("charge_ms",)
-
-    def __init__(self) -> None:
-        self.charge_ms = 0.0
 
 
 class ScheduledTask:

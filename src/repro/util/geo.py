@@ -80,14 +80,3 @@ def destination_point(
     )
     lon2 = (math.degrees(lam2) + 540.0) % 360.0 - 180.0
     return GeoPoint(math.degrees(phi2), lon2)
-
-
-def interpolate(p1: GeoPoint, p2: GeoPoint, fraction: float) -> GeoPoint:
-    """Linear interpolation between two points (fine for short legs)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction {fraction} out of [0, 1]")
-    return GeoPoint(
-        p1.latitude + (p2.latitude - p1.latitude) * fraction,
-        p1.longitude + (p2.longitude - p1.longitude) * fraction,
-        p1.altitude + (p2.altitude - p1.altitude) * fraction,
-    )

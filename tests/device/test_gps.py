@@ -18,7 +18,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_SITES, FaultPlan, FaultRule
 from repro.util.clock import Scheduler, SimulatedClock
 from repro.util.events import EventBus
-from repro.util.geo import GeoPoint, destination_point, interpolate
+from repro.util.geo import GeoPoint, destination_point
 
 
 def _line_trajectory():
@@ -231,9 +231,12 @@ def _reference_position(trajectory, t_ms):
         return pts[-1].point
     for earlier, later in zip(pts, pts[1:]):
         if earlier.t_ms <= t_ms <= later.t_ms:
-            span = later.t_ms - earlier.t_ms
-            return interpolate(
-                earlier.point, later.point, (t_ms - earlier.t_ms) / span
+            fraction = (t_ms - earlier.t_ms) / (later.t_ms - earlier.t_ms)
+            p1, p2 = earlier.point, later.point
+            return GeoPoint(
+                p1.latitude + (p2.latitude - p1.latitude) * fraction,
+                p1.longitude + (p2.longitude - p1.longitude) * fraction,
+                p1.altitude + (p2.altitude - p1.altitude) * fraction,
             )
     raise AssertionError("unreachable")
 

@@ -54,6 +54,64 @@ def plain_admission(**overrides):
     return AdmissionConfig(**config)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestConfigsRejectValuesTheyCannotRun:
+    """Settings reach these configs from outside the program (a scenario
+    recording's untyped mapping), so a NaN, an infinity or a fractional
+    count fails at construction instead of deep inside a drain."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("min_shards", 1.5),  # its first scale-down slices with it
+            ("max_shards", 8.0),
+            ("step", 1.5),
+            ("hysteresis_ticks", 2.0),
+            ("min_shards", True),
+            ("scale_up_depth", NAN),  # never scales up
+            ("scale_up_depth", INF),
+            ("scale_down_depth", NAN),
+            ("scale_down_depth", -INF),
+            ("scale_down_utilization", NAN),
+            ("cooldown_ms", NAN),  # turns the cooldown off
+            ("cooldown_ms", INF),
+        ],
+    )
+    def test_autoscaler_config(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            AutoscalerConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rate_per_s", NAN),  # refills to full: never throttles
+            ("rate_per_s", INF),
+            ("capacity", NAN),  # every take rejected with a NaN hint
+            ("capacity", INF),
+        ],
+    )
+    def test_token_bucket_config(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TokenBucketConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("storm_window_ms", NAN),
+            ("storm_window_ms", INF),
+            ("overflow_capacity", 1.5),
+            ("overflow_capacity", True),
+            ("storm_threshold", 2.5),
+        ],
+    )
+    def test_admission_config(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            AdmissionConfig(**{field: value})
+
+
 class TestTokenBucket:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -415,14 +473,21 @@ class TestResize:
             runtime.dispatcher("p").resize(0)
 
     def test_busy_lane_count(self, world):
+        """``lane_load()`` is (queued requests, busy lanes): a lane is
+        busy while it has a queue or its horizon lies after now."""
         runtime = make_runtime(world, shards=2, queue_depth=4)
         d = runtime.dispatcher("p")
-        assert d.busy_lane_count() == 0
-        d.submit("work", charge(world, 10.0))
+        assert d.lane_load() == (0, 0)
+        d.submit("work", charge(world, 10.0), key="a")
+        d.submit("work", charge(world, 10.0), key="a")
+        assert d.lane_load() == (2, 1)  # queued, nothing executed yet
         world.run_for(1.0)
-        assert d.busy_lane_count() == 1
+        assert d.lane_load() == (1, 1)  # one mid-execution, one queued
+        world.run_for(9.0)
+        assert d.lane_load() == (0, 1)  # the second runs until 20 ms
         runtime.drain()
-        assert d.busy_lane_count() == 0
+        assert world.clock.now_ms == 20.0
+        assert d.lane_load() == (0, 0)  # a horizon at now is not busy
 
 
 class TestAutoscaler:

@@ -213,6 +213,44 @@ class TestQueueSpans:
         assert starts == [0.0, 0.0]  # genuinely parallel in virtual time
 
 
+class TestLaneExecution:
+    def test_proxy_error_settles_after_the_charged_interval(self, world):
+        hub = Observability()
+        runtime = make_runtime(world, shards=1, observability=hub)
+
+        def failing():
+            world.clock.advance(40.0)
+            raise ProxyTransientError("flaky")
+
+        future = runtime.submit("p", "work", failing, tracer=hub.tracer)
+        world.run_for(0.0)
+        assert world.clock.now_ms == 0.0  # the lane rewound the clock
+        assert not future.done()
+        runtime.drain()
+        assert world.clock.now_ms == 40.0
+        assert isinstance(future.error, ProxyTransientError)
+        (span,) = hub.tracer.finished_spans()
+        assert span.duration_virtual_ms == 40.0
+        assert span.status == "error"
+
+    def test_other_errors_propagate_after_the_rewind(self, world):
+        hub = Observability()
+        runtime = make_runtime(world, shards=1, observability=hub)
+
+        def broken():
+            world.clock.advance(25.0)
+            raise KeyError("not a proxy error")
+
+        runtime.submit("p", "work", broken, tracer=hub.tracer)
+        with pytest.raises(KeyError):
+            world.run_for(0.0)
+        assert world.clock.now_ms == 0.0
+        # The queue span closed inside the charged interval.
+        (span,) = hub.tracer.finished_spans()
+        assert span.end_virtual_ms == 25.0
+        assert span.status == "error"
+
+
 class TestDeterminism:
     def test_identical_runs_identical_shard_layout(self):
         def run():

@@ -192,3 +192,79 @@ class TestAdmissionStorms:
         fleet.run_for(RUN_MS)
         controller = fleet.runtime.dispatcher("android").admission
         assert set(controller.buckets()) >= {"agent-1", "agent-2"}
+
+
+class TestControlDecisionsPinned:
+    """The autoscaler's decisions on one seeded fleet, pinned.
+
+    The repository benchmark's ``fleet_runtime`` digest covers report
+    counts, outcomes and ``now_ms`` only, so a change to the control
+    path that moves a resize or an evaluation would not show there.
+    This fleet has that workload's admission shape (per-agent buckets of
+    10 tokens/s, overflow 64, 2–8 shards, queue depth 128) and resizes
+    in both directions; every value below was recorded before the
+    control path was made single-pass."""
+
+    #: (t_ms, from, to, direction, mean_depth, utilization) per resize.
+    RESIZES = [
+        (3623.5, 2, 3, "up", 14.5, 1.0),
+        (4643.2, 3, 4, "up", 4.0, 1.0),
+        (5643.2, 4, 3, "down", 0.0, 0.0),
+        (7790.5, 3, 2, "down", 0.333333, 0.333333),
+        (9214.4, 2, 3, "up", 5.0, 1.0),
+        (11114.5, 3, 2, "down", 0.333333, 0.333333),
+        (13130.0, 2, 3, "up", 4.0, 1.0),
+        (15592.0, 3, 2, "down", 0.333333, 0.333333),
+        (16661.0, 2, 3, "up", 4.0, 1.0),
+        (17785.0, 3, 2, "down", 0.333333, 0.333333),
+    ]
+
+    def test_fleet_resizes_and_evaluations(self):
+        from unittest import mock
+
+        from repro.runtime import (
+            AdmissionConfig,
+            AutoscalerConfig,
+            ShardAutoscaler,
+            TokenBucketConfig,
+        )
+
+        evaluations = []
+        evaluate = ShardAutoscaler.evaluate
+
+        def counted(scaler, now_ms):
+            evaluations.append(now_ms)
+            return evaluate(scaler, now_ms)
+
+        with mock.patch.object(ShardAutoscaler, "evaluate", counted):
+            fleet = build_fleet(
+                30,
+                runtime=True,
+                queue_depth=128,
+                runtime_seed=1,
+                admission=AdmissionConfig(
+                    bucket=TokenBucketConfig(rate_per_s=10.0, capacity=10.0),
+                    overflow_capacity=64,
+                    autoscaler=AutoscalerConfig(min_shards=2, max_shards=8),
+                ),
+            )
+            launch_fleet_on_runtime(fleet, reports=6, period_ms=2_000.0)
+            fleet.runtime.drain()
+        runtime = fleet.runtime
+        scaler = runtime.autoscalers()["android"]
+        assert [tuple(r.values()) for r in scaler.resizes] == self.RESIZES
+        assert len(evaluations) == 1121
+        assert runtime.dispatcher("android").outcome_counts() == {
+            "admitted": 304,
+            "coalesced": 138,
+            "throttled": 0,
+            "absorbed": 0,
+            "shed": 0,
+        }
+        assert runtime.scheduler.clock.now_ms == 18085.0
+        wait = runtime.observability.metrics.histogram(
+            "runtime.queue_wait_ms", source="android"
+        )
+        assert wait.bucket_counts == [53, 0, 0, 0, 12, 22, 16, 97, 74, 20, 10, 0, 0, 0]
+        assert wait.overflow == 0
+        assert all(agent.task.state == "done" for agent in fleet.agents)

@@ -41,6 +41,24 @@ class TestSimulatedClock:
         clock = SimulatedClock(1_500.0)
         assert clock.now_s() == 1.5
 
+    def test_rewind_returns_the_charge(self):
+        clock = SimulatedClock(100.0)
+        start = clock.now_ms
+        clock.advance(30.0)
+        inner = clock.now_ms
+        clock.advance(12.5)
+        assert clock.rewind(inner) == 12.5  # nested: back to its own start
+        assert clock.now_ms == 130.0
+        assert clock.rewind(start) == 30.0
+        assert clock.now_ms == 100.0
+
+    @pytest.mark.parametrize("start_ms", [100.5, float("nan"), float("inf")])
+    def test_rewind_never_moves_forward(self, start_ms):
+        clock = SimulatedClock(100.0)
+        with pytest.raises(ClockError):
+            clock.rewind(start_ms)
+        assert clock.now_ms == 100.0
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=20))
     def test_advance_is_cumulative(self, deltas):
         clock = SimulatedClock()

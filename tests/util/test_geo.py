@@ -10,7 +10,6 @@ from repro.util.geo import (
     bearing_deg,
     destination_point,
     haversine_m,
-    interpolate,
 )
 
 #: Strategies for valid coordinates (away from the poles, where bearing
@@ -90,31 +89,3 @@ class TestBearing:
     def test_in_range(self, lat1, lon1, lat2, lon2):
         bearing = bearing_deg(lat1, lon1, lat2, lon2)
         assert 0.0 <= bearing < 360.0
-
-
-class TestInterpolate:
-    def test_endpoints(self):
-        a = GeoPoint(0.0, 0.0, 0.0)
-        b = GeoPoint(10.0, 20.0, 100.0)
-        assert interpolate(a, b, 0.0) == a
-        assert interpolate(a, b, 1.0) == b
-
-    def test_midpoint(self):
-        a = GeoPoint(0.0, 0.0, 0.0)
-        b = GeoPoint(10.0, 20.0, 100.0)
-        mid = interpolate(a, b, 0.5)
-        assert mid.latitude == pytest.approx(5.0)
-        assert mid.longitude == pytest.approx(10.0)
-        assert mid.altitude == pytest.approx(50.0)
-
-    def test_out_of_range_rejected(self):
-        a = GeoPoint(0.0, 0.0)
-        with pytest.raises(ValueError):
-            interpolate(a, a, 1.5)
-
-    @given(lat, lon, lat, lon, st.floats(min_value=0.0, max_value=1.0))
-    def test_interpolated_point_between_bounds(self, lat1, lon1, lat2, lon2, f):
-        a, b = GeoPoint(lat1, lon1), GeoPoint(lat2, lon2)
-        mid = interpolate(a, b, f)
-        assert min(lat1, lat2) - 1e-9 <= mid.latitude <= max(lat1, lat2) + 1e-9
-        assert min(lon1, lon2) - 1e-9 <= mid.longitude <= max(lon1, lon2) + 1e-9
