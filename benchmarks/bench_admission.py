@@ -111,8 +111,6 @@ def run_scenario(shape: str, *, admission_on: bool, seed: int = 0):
     """Drive one load shape through one dispatcher; returns the stats."""
     scheduler = Scheduler(SimulatedClock())
     hub = Observability()
-    sampler = hub.install_sampler()
-    sampler.track("runtime.queue_depth")
     config = (
         _admission_config(throttled=(shape == "diurnal"))
         if admission_on

@@ -3,8 +3,7 @@
 They quantify the paper's *complexity* argument: the with-proxy
 application is smaller (LoC), touches a narrower platform API surface,
 and concentrates its business logic rather than scattering it across
-callback plumbing.  The runtime aggregation of a chaos run's counters
-lives in :mod:`repro.obs.report`.
+callback plumbing.
 """
 
 from __future__ import annotations

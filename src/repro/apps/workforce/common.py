@@ -17,8 +17,6 @@ SERVER_HOST = "workforce.example.com"
 PATH_REPORT_LOCATION = "/api/location"
 PATH_LOG_EVENT = "/api/event"
 PATH_POLL_ASSIGNMENT = "/api/assignment/poll"
-PATH_CREATE_ASSIGNMENT = "/api/assignment/create"
-PATH_COMPLETE_ASSIGNMENT = "/api/assignment/complete"
 
 #: The one idempotent GET: a stable service descriptor every agent polls.
 #: Safe to coalesce — the body is a pure function of deployment config,
@@ -64,7 +62,7 @@ class Assignment:
     agent_id: str
     site_id: str
     description: str
-    status: str = "pending"  # pending | assigned | completed
+    status: str = "pending"  # pending | assigned
 
 
 def encode(payload: Dict) -> str:

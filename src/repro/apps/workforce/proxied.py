@@ -11,13 +11,10 @@ from __future__ import annotations
 from typing import List
 
 from repro.apps.workforce.common import (
-    PATH_COMPLETE_ASSIGNMENT,
     PATH_LOG_EVENT,
-    PATH_POLL_ASSIGNMENT,
     PATH_REPORT_LOCATION,
     SERVER_HOST,
     WorkforceConfig,
-    decode,
     encode,
 )
 from repro.core.proxies import create_proxy
@@ -124,47 +121,6 @@ class WorkforceLogic(ProximityListener):
             self.sms.send_text_message(self.config.agent.supervisor_number, text)
         except ProxyError:
             self.activity_events.append("sms-failed")
-
-
-class AssignmentClient:
-    """Device-side assignment lifecycle over the uniform HTTP proxy.
-
-    Kept separate from :class:`WorkforceLogic` so the evaluation compares
-    like-for-like: the native variants implement only the tracking core,
-    and so does the measured ``WorkforceLogic`` class.  Attach one of
-    these to any logic instance (``logic.assignments``).
-    """
-
-    def __init__(self, logic: "WorkforceLogic") -> None:
-        self._logic = logic
-
-    def poll(self):
-        """Ask the server for the next pending assignment.
-
-        Returns a dict with ``assignment``/``site``/``description`` keys,
-        or ``None`` when nothing is queued.
-        """
-        logic = self._logic
-        result = logic.http.post(
-            f"http://{SERVER_HOST}{PATH_POLL_ASSIGNMENT}",
-            encode({"agent": logic.config.agent.agent_id}),
-        )
-        body = decode(result.body)
-        if not result.ok or not body.get("assignment"):
-            return None
-        logic.activity_events.append(f"assigned:{body['assignment']}")
-        return body
-
-    def complete(self, assignment_id: str) -> bool:
-        """Report an assignment finished; returns whether the server agreed."""
-        logic = self._logic
-        result = logic.http.post(
-            f"http://{SERVER_HOST}{PATH_COMPLETE_ASSIGNMENT}",
-            encode({"assignment": assignment_id}),
-        )
-        if result.ok:
-            logic.activity_events.append(f"completed:{assignment_id}")
-        return result.ok
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from typing import Dict, List, Optional
 
 from repro.apps.workforce.common import (
     Assignment,
-    PATH_COMPLETE_ASSIGNMENT,
-    PATH_CREATE_ASSIGNMENT,
     PATH_LOG_EVENT,
     PATH_POLL_ASSIGNMENT,
     PATH_REPORT_LOCATION,
@@ -60,8 +58,6 @@ class WorkforceServer:
         server.route("POST", PATH_REPORT_LOCATION, self._on_report_location)
         server.route("POST", PATH_LOG_EVENT, self._on_log_event)
         server.route("POST", PATH_POLL_ASSIGNMENT, self._on_poll_assignment)
-        server.route("POST", PATH_CREATE_ASSIGNMENT, self._on_create_assignment)
-        server.route("POST", PATH_COMPLETE_ASSIGNMENT, self._on_complete_assignment)
         server.route("GET", PATH_STATUS, self._on_status)
         #: GET requests served (the coalescing benchmarks diff this
         #: against submissions to show the saved round trips).
@@ -76,9 +72,6 @@ class WorkforceServer:
         if agent_id is None:
             return list(self._activity)
         return [record for record in self._activity if record.agent_id == agent_id]
-
-    def assignment(self, assignment_id: str) -> Optional[Assignment]:
-        return self._assignments.get(assignment_id)
 
     def assignments_for(self, agent_id: str) -> List[Assignment]:
         return [a for a in self._assignments.values() if a.agent_id == agent_id]
@@ -146,14 +139,6 @@ class WorkforceServer:
                 )
         return HttpResponse(200, encode({"assignment": None}))
 
-    def _on_create_assignment(self, request: HttpRequest) -> HttpResponse:
-        body = decode(request.body)
-        required = ("agent", "site", "description")
-        if any(not body.get(key) for key in required):
-            return HttpResponse(400, encode({"error": "agent, site, description required"}))
-        assignment = self.dispatch(body["agent"], body["site"], body["description"])
-        return HttpResponse(200, encode({"assignment": assignment.assignment_id}))
-
     def _on_status(self, request: HttpRequest) -> HttpResponse:
         """Stable service descriptor — deliberately a pure function of
         deployment config so concurrent GETs may coalesce safely."""
@@ -161,11 +146,3 @@ class WorkforceServer:
         return HttpResponse(
             200, encode({"ok": True, "service": "workforce", "host": self.host})
         )
-
-    def _on_complete_assignment(self, request: HttpRequest) -> HttpResponse:
-        body = decode(request.body)
-        assignment = self._assignments.get(body.get("assignment", ""))
-        if assignment is None:
-            return HttpResponse(404, encode({"error": "unknown assignment"}))
-        assignment.status = "completed"
-        return HttpResponse(200, encode({"ok": True}))

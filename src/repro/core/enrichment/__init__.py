@@ -20,12 +20,6 @@ from repro.core.enrichment.security import (
     SecurityPolicy,
     SecuredProxy,
 )
-from repro.core.enrichment.rest import (
-    InMemoryRestService,
-    RestError,
-    RestResource,
-    RestResult,
-)
 
 __all__ = [
     "AccessDecision",
@@ -33,12 +27,8 @@ __all__ = [
     "AuditRecord",
     "CallRetryCoordinator",
     "FormattedPosition",
-    "InMemoryRestService",
     "LocationFormatEnrichment",
     "Principal",
-    "RestError",
-    "RestResource",
-    "RestResult",
     "RetryPolicy",
     "RetryReport",
     "SecuredProxy",

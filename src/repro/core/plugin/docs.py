@@ -8,11 +8,36 @@ that drives the runtime.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Dict, List
 
 from repro.core.descriptor.model import ProxyDescriptor
 from repro.core.descriptor.registry import ProxyRegistry
-from repro.obs.report import instrumentation_points
+
+
+def instrumentation_points(descriptor: ProxyDescriptor) -> List[Dict[str, Any]]:
+    """The span names one proxy's invocations can produce, per method.
+
+    Derived from the descriptor's semantic plane — the same structured
+    data that drives the runtime — so the documentation can never drift
+    from the dispatch instrumentation in ``MProxy._call``.
+    """
+    points: List[Dict[str, Any]] = []
+    for method in descriptor.semantic.methods:
+        points.append(
+            {
+                "method": method.name,
+                "spans": [
+                    f"dispatch:{method.name}",
+                    f"resilience:{method.name}",
+                    f"binding:{method.name}",
+                    "substrate:<native operation>",
+                ],
+                "metrics": [
+                    f'resilience.<field>{{runtime="{descriptor.interface}/<platform>"}}'
+                ],
+            }
+        )
+    return points
 
 
 def render_proxy_markdown(descriptor: ProxyDescriptor) -> str:

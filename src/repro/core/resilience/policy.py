@@ -106,13 +106,13 @@ STAT_FIELDS = (
 
 
 class ResilienceStats:
-    """Counters one runtime accumulates (reported via repro.obs.report).
+    """Counters one runtime accumulates.
 
     Since the observability plane landed these are a *view* over
     ``resilience.<field>{runtime=<label>}`` series in a
     :class:`~repro.obs.MetricsRegistry` — the same numbers appear in
-    registry snapshots, in :func:`~repro.obs.report.resilience_report`
-    and on this object's attributes.  A stats object created without a
+    registry snapshots, in :meth:`as_dict` and on this object's
+    attributes.  A stats object created without a
     registry (unit tests, hand-built runtimes) gets a private one.
     """
 

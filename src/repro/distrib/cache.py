@@ -4,7 +4,7 @@
 to a two-tier design.  Each region keeps an L1 slot map (value,
 cached-at stamp, backing version); misses read through to the backing
 :class:`~repro.distrib.replication.ReplicatedTable`, writes buffer in a
-write-behind queue flushed after ``write_behind_delay_ms``, and every
+write-behind queue flushed after :data:`WRITE_BEHIND_DELAY_MS`, and every
 write fans an invalidation out to the *other* regions' L1s after the
 inter-region delay — dropped when a partition cuts the pair, which is
 exactly when ``distrib.cache_stale_reads`` starts counting: a read
@@ -25,6 +25,13 @@ from repro.util.clock import Scheduler
 from repro.distrib.causal import CausalMonitor, CausalTracker, encode_vc
 from repro.distrib.config import DistribConfig
 from repro.distrib.replication import PartitionMap, ReplicatedTable
+
+#: Virtual delay before a buffered write is flushed to the backing table.
+WRITE_BEHIND_DELAY_MS = 500.0
+
+#: Maximum age of an L1 slot before a read falls through to the backing
+#: table.
+L1_STALENESS_MS = 5_000.0
 
 
 class _L1Slot:
@@ -91,9 +98,7 @@ class TieredCache:
         target = region if region is not None else self.config.home_region
         now = self._scheduler.clock.now_ms
         slot = self._l1[target].get(key)
-        if slot is not None and now - slot.cached_at_ms <= (
-            self.config.cache_staleness_ms
-        ):
+        if slot is not None and now - slot.cached_at_ms <= L1_STALENESS_MS:
             backing_version = self.backing.version_of(key, region=target)
             if backing_version is not None and (
                 slot.version is None or slot.version < backing_version
@@ -116,7 +121,7 @@ class TieredCache:
 
     def put(self, key: str, value: Any, *, region: Optional[str] = None) -> None:
         """Write into the region's L1 now; the backing write happens
-        ``write_behind_delay_ms`` later (coalescing rapid re-writes),
+        :data:`WRITE_BEHIND_DELAY_MS` later (coalescing rapid re-writes),
         and the other regions' L1 slots are invalidated after the
         inter-region delay."""
         target = region if region is not None else self.config.home_region
@@ -129,7 +134,7 @@ class TieredCache:
         self._pending[pending_key] = value
         if first_buffer:
             self._scheduler.call_later(
-                self.config.write_behind_delay_ms,
+                WRITE_BEHIND_DELAY_MS,
                 lambda: self._flush(target, key),
                 name=f"distrib:{self.name}:write-behind",
             )
@@ -255,15 +260,9 @@ class TieredLocationFixCache:
         *,
         label: str = "location",
         metrics=None,
-        staleness_ms: Optional[float] = None,
     ) -> None:
         self._tier = tier
         self._key = f"fix:{label}"
-        self.staleness_ms = (
-            staleness_ms
-            if staleness_ms is not None
-            else tier.config.cache_staleness_ms
-        )
         if metrics is None:
             from repro.obs import MetricsRegistry
 

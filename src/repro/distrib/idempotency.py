@@ -13,7 +13,6 @@ surfacing the suppression as ``distrib.dedup_hits`` metrics and a
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional
 
 from repro.util.idempotency import ChainContext, chain_context, current_chain
@@ -31,26 +30,23 @@ class IdempotencyStore:
 
     Single-node on purpose — it guards one substrate component
     (one ``SmsCenter``, one ``SimulatedNetwork``), which is where the
-    duplicate would happen.  ``capacity`` bounds memory with FIFO
-    eviction; ``None`` keeps every key for the run.
+    duplicate would happen.  Every key is kept for the run.
     """
 
     def __init__(
         self,
         metrics=None,
         *,
-        capacity: Optional[int] = None,
         label: str = "default",
         region: Optional[str] = None,
     ) -> None:
         self._metrics = metrics
-        self._capacity = capacity
         self.label = label
         #: Home region of the guarded component (distrib wiring); adds
         #: a ``region`` attribute to every ``distrib.dedup`` event so
         #: suppressions join the cross-region causal graph.
         self.region = region
-        self._results: "OrderedDict[str, Any]" = OrderedDict()
+        self._results: Dict[str, Any] = {}
 
     def bind_metrics(self, metrics) -> None:
         """Late-bind a metrics registry (device wiring convenience)."""
@@ -69,10 +65,6 @@ class IdempotencyStore:
     def record(self, key: str, result: Any = None) -> None:
         """Mark ``key`` applied with ``result`` as its replay value."""
         self._results[key] = result
-        if self._capacity is not None:
-            while len(self._results) > self._capacity:
-                self._results.popitem(last=False)
-                self._count("distrib.dedup_evicted")
 
     def execute(
         self, key: str, thunk: Callable[[], Any], **event_attrs: Any

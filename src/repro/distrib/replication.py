@@ -43,6 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: cannot happen within one table but keeps the type self-describing.
 Version = Tuple[int, str]
 
+#: Peers each region pulls from in one anti-entropy sweep.
+GOSSIP_FANOUT = 1
+
 
 @dataclass(frozen=True)
 class VersionedEntry:
@@ -343,8 +346,8 @@ class ReplicatedTable:
     # -- anti-entropy ---------------------------------------------------------
 
     def anti_entropy_sweep(self) -> int:
-        """One gossip round: every region pulls from ``gossip_fanout``
-        seeded-sampled peers, merging whatever is newer.  Returns the
+        """One gossip round: every region pulls from one seeded-sampled
+        peer (:data:`GOSSIP_FANOUT`), merging whatever is newer.  Returns the
         number of entries merged; partitions block the pull.
 
         The ``gossip:<table>`` span opens *before* the merges so each
@@ -369,8 +372,7 @@ class ReplicatedTable:
             peers = [peer for peer in regions if peer != region]
             if not peers:
                 continue
-            fanout = min(self.config.gossip_fanout, len(peers))
-            for peer in self._rng.sample(peers, fanout):
+            for peer in self._rng.sample(peers, GOSSIP_FANOUT):
                 if not self._partitions.connected(region, peer):
                     self._count("distrib.gossip_blocked", region=region)
                     continue

@@ -71,7 +71,6 @@ class DistribRuntime:
         self.monitor = CausalMonitor(observability=observability)
         self.idempotency = IdempotencyStore(
             observability.metrics if observability else None,
-            capacity=config.idempotency_capacity,
             label="distrib",
             region=config.home_region,
         )

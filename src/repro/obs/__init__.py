@@ -1,4 +1,4 @@
-"""The observability plane: tracing, metrics and run reports.
+"""The observability plane: tracing, metrics and trace analysis.
 
 One :class:`Observability` hub per device bundles:
 
@@ -35,13 +35,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     quantile_label,
-)
-from repro.obs.report import (
-    breaker_report,
-    chaos_summary,
-    fault_report,
-    instrumentation_points,
-    resilience_report,
 )
 from repro.obs.span import Span, SpanEvent
 from repro.obs.tracer import NOOP_TRACER, NoopTracer, Tracer
@@ -127,24 +120,22 @@ class Observability:
 
     # -- concurrency observability --------------------------------------------
 
-    def install_sampler(self, **kwargs) -> TimeSeriesSampler:
+    def install_sampler(self) -> TimeSeriesSampler:
         """Attach a :class:`~repro.obs.timeseries.TimeSeriesSampler`
         over this hub's registry (idempotent: returns the existing one).
         Runtime components call :meth:`tick` at their scheduling points;
         with no sampler installed a tick is one ``None`` check."""
         if self.sampler is None:
-            kwargs.setdefault("clock", self._clock)
-            self.sampler = TimeSeriesSampler(self.metrics, **kwargs)
+            self.sampler = TimeSeriesSampler(self.metrics, clock=self._clock)
             if self.flight is not None:
                 self.sampler.add_sink(self.flight.record_sample)
         return self.sampler
 
-    def install_flight_recorder(self, **kwargs) -> FlightRecorder:
+    def install_flight_recorder(self) -> FlightRecorder:
         """Attach a :class:`~repro.obs.flight.FlightRecorder` shadowing
         this hub's tracer (and sampler, when present).  Idempotent."""
         if self.flight is None:
-            kwargs.setdefault("clock", self._clock)
-            self.flight = FlightRecorder(**kwargs)
+            self.flight = FlightRecorder(clock=self._clock)
             self.flight.attach(self.tracer)
             if self.sampler is not None:
                 self.sampler.add_sink(self.flight.record_sample)
@@ -218,13 +209,9 @@ __all__ = [
     "TimeSeries",
     "TimeSeriesSampler",
     "Tracer",
-    "breaker_report",
-    "chaos_summary",
     "collapsed_stacks",
     "diff_profiles",
     "export_jsonl",
-    "fault_report",
-    "instrumentation_points",
     "load_profile",
     "parse_jsonl",
     "quantile_label",
@@ -234,6 +221,5 @@ __all__ = [
     "render_metrics_text",
     "render_profile_text",
     "render_span_tree",
-    "resilience_report",
     "top_spans_text",
 ]

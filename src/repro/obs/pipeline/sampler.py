@@ -16,7 +16,7 @@ tail-rule misses at 1% head sampling.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 from repro.obs.pipeline.records import SpanLike
@@ -121,11 +121,8 @@ class TailRules:
     :class:`~repro.obs.metrics.MetricsRegistry`.
     """
 
-    def __init__(
-        self, *, min_count: int = 32, buckets: Tuple[float, ...] = DEFAULT_BUCKETS
-    ) -> None:
+    def __init__(self, *, min_count: int = 32) -> None:
         self.min_count = min_count
-        self.buckets = buckets
         self._histograms: Dict[str, Histogram] = {}
 
     def judge(self, op: str, duration_ms: float) -> bool:
@@ -134,7 +131,7 @@ class TailRules:
         histogram = self._histograms.get(op)
         if histogram is None:
             histogram = self._histograms[op] = Histogram(
-                RULE_SLOW, {"op": op}, self.buckets
+                RULE_SLOW, {"op": op}, DEFAULT_BUCKETS
             )
             slow = False
         else:

@@ -30,8 +30,12 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram, MetricsRegistry, _labels_key
 
-#: A single sample: (t_virtual_ms, value, peak-at-or-before-this-instant).
+#: A single sample: (t_virtual_ms, value, peak-at-this-instant).
 Point = Tuple[float, float, float]
+
+#: Ring-buffer bound per series (oldest points evicted; the eviction
+#: count is kept as ``dropped``).
+CAPACITY = 512
 
 #: Tolerance for "the same virtual instant".
 _EPS = 1e-9
@@ -40,15 +44,14 @@ _EPS = 1e-9
 class TimeSeries:
     """One tracked metric series' bounded sample history."""
 
-    __slots__ = ("metric", "labels", "points", "dropped", "_carry_peak")
+    __slots__ = ("metric", "labels", "points", "dropped")
 
-    def __init__(self, metric: str, labels: Dict[str, str], capacity: int) -> None:
+    def __init__(self, metric: str, labels: Dict[str, str]) -> None:
         self.metric = metric
         self.labels = dict(labels)
-        self.points: Deque[Point] = collections.deque(maxlen=capacity)
+        self.points: Deque[Point] = collections.deque(maxlen=CAPACITY)
         #: Samples evicted by the ring bound (oldest-first).
         self.dropped = 0
-        self._carry_peak: Optional[float] = None
 
     def record(self, t_ms: float, value: float) -> bool:
         """Fold one observation in; returns True when a new point was
@@ -57,12 +60,9 @@ class TimeSeries:
             _, _, peak = self.points[-1]
             self.points[-1] = (t_ms, value, max(peak, value))
             return False
-        carry = self._carry_peak
-        self._carry_peak = None
-        peak = value if carry is None else max(carry, value)
-        if len(self.points) == self.points.maxlen:
+        if len(self.points) == CAPACITY:
             self.dropped += 1
-        self.points.append((t_ms, value, peak))
+        self.points.append((t_ms, value, value))
         return True
 
     def values(self) -> List[float]:
@@ -73,7 +73,8 @@ class TimeSeries:
 
 
 class TimeSeriesSampler:
-    """Samples selected registry series against the virtual clock.
+    """Samples selected registry series against the virtual clock, one
+    point per series per distinct virtual instant.
 
     Parameters
     ----------
@@ -82,32 +83,11 @@ class TimeSeriesSampler:
     clock:
         Virtual clock stamping samples; may be bound later
         (:meth:`bind_clock`) — until then samples stamp 0.0.
-    period_ms:
-        Minimum virtual time between appended points per series.  The
-        default 0.0 keeps one point per distinct virtual instant.  With
-        a coarser period, values seen between points still feed the next
-        point's ``peak``, so spikes are never silently dropped.
-    capacity:
-        Ring-buffer bound per series (oldest points evicted; the
-        eviction count is kept as ``dropped``).
     """
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry,
-        *,
-        clock=None,
-        period_ms: float = 0.0,
-        capacity: int = 512,
-    ) -> None:
-        if period_ms < 0:
-            raise ValueError(f"period_ms must be >= 0, got {period_ms}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, metrics: MetricsRegistry, *, clock=None) -> None:
         self._metrics = metrics
         self._clock = clock
-        self.period_ms = float(period_ms)
-        self.capacity = capacity
         #: (metric name, labels subset) selectors, in track order.
         self._selectors: List[Tuple[str, Dict[str, str]]] = []
         self._series: Dict[Tuple[str, Any], TimeSeries] = {}
@@ -157,7 +137,7 @@ class TimeSeriesSampler:
     def tick(self) -> int:
         """Sample every selected series at the current virtual instant;
         returns the number of points appended (in-place same-instant
-        updates and sub-period peak folds return 0)."""
+        updates return 0)."""
         now = self._now()
         appended = 0
         for metric, subset in self._selectors:
@@ -171,22 +151,9 @@ class TimeSeriesSampler:
                 series = self._series.get(key)
                 if series is None:
                     series = self._series[key] = TimeSeries(
-                        metric, instrument.labels, self.capacity
+                        metric, instrument.labels
                     )
                 value = self._value_of(instrument)
-                last = series.points[-1] if series.points else None
-                if (
-                    last is not None
-                    and now - last[0] > _EPS
-                    and now - last[0] < self.period_ms - _EPS
-                ):
-                    # Inside the sampling period: fold into the next
-                    # point's peak instead of appending.
-                    carry = series._carry_peak
-                    series._carry_peak = (
-                        value if carry is None else max(carry, value)
-                    )
-                    continue
                 if series.record(now, value):
                     appended += 1
                     for sink in self._sinks:

@@ -108,24 +108,19 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[SimulatedClock] = None,
-        *,
-        retain: bool = True,
-    ) -> None:
+    def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self._clock = clock
         self._spans: List[Span] = []
         self._stack: List[Span] = []
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._sinks: List[Any] = []
-        #: Streaming mode (``retain=False``): spans flow to sinks and are
-        #: never indexed — the telemetry pipeline's bounded ring becomes
-        #: the only retention, keeping the tracer O(deepest trace)
-        #: instead of O(run length).  A span is retained when the tracer
-        #: was retaining as it opened.
-        self._retain = retain
+        #: Streaming mode (``set_retention(False)``): spans flow to sinks
+        #: and are never indexed — the telemetry pipeline's bounded ring
+        #: becomes the only retention, keeping the tracer O(deepest
+        #: trace) instead of O(run length).  A span is retained when the
+        #: tracer was retaining as it opened.
+        self._retain = True
         # Read-path indices: children by parent id, roots and finished
         # spans in completion order, plus memoized snapshot lists so the
         # analyze/ modules never rescan ``_spans`` per call.
@@ -229,7 +224,7 @@ class Tracer:
     @property
     def retaining(self) -> bool:
         """Whether finished traces stay readable on the tracer (see
-        ``retain=``); streaming tracers only feed their sinks."""
+        :meth:`set_retention`); streaming tracers only feed their sinks."""
         return self._retain
 
     def set_retention(self, retain: bool) -> None:

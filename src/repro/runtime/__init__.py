@@ -76,8 +76,7 @@ class ConcurrencyRuntime:
     scheduler:
         The world's event scheduler (a fleet's, a scenario's).
     shards / queue_depth:
-        Defaults for every platform dispatcher; override per platform
-        with ``shards_per_platform``.
+        Lanes and per-lane queue bound of every platform dispatcher.
     seed:
         Seeds the cooperative scheduler's RNG (the only randomness
         workloads may use).
@@ -86,8 +85,6 @@ class ConcurrencyRuntime:
         to a disabled hub (live metrics, no-op tracer).  Per-request
         spans always go to the *submitting proxy's* tracer so queue
         spans join that proxy's span tree.
-    location_staleness_ms:
-        Window for :meth:`get_location` fix reuse.
     admission:
         Optional :class:`~repro.runtime.admission.AdmissionConfig`
         enabling the adaptive admission plane — token-bucket
@@ -117,8 +114,6 @@ class ConcurrencyRuntime:
         queue_depth: int = 32,
         seed: int = 0,
         observability: Optional[Observability] = None,
-        shards_per_platform: Optional[Dict[str, int]] = None,
-        location_staleness_ms: float = 5_000.0,
         admission: Optional[AdmissionConfig] = None,
         distrib: Optional["DistribConfig"] = None,
     ) -> None:
@@ -131,8 +126,6 @@ class ConcurrencyRuntime:
         self.default_shards = shards
         self.queue_depth = queue_depth
         self.seed = seed
-        self.shards_per_platform = dict(shards_per_platform or {})
-        self.location_staleness_ms = location_staleness_ms
         self.admission = admission
         self.tasks = CooperativeScheduler(
             scheduler, seed=seed, observability=self.observability
@@ -165,7 +158,7 @@ class ConcurrencyRuntime:
             dispatcher = Dispatcher(
                 self.scheduler,
                 platform=platform,
-                shards=self.shards_per_platform.get(platform, self.default_shards),
+                shards=self.default_shards,
                 queue_depth=self.queue_depth,
                 observability=self.observability,
                 admission=self.admission,
@@ -175,7 +168,6 @@ class ConcurrencyRuntime:
                 self._autoscalers[platform] = ShardAutoscaler(
                     dispatcher,
                     self.admission.autoscaler,
-                    sampler=self.observability.sampler,
                     observability=self.observability,
                 )
                 # Control ticks visit platforms in name order: fix it here,
@@ -283,7 +275,8 @@ class ConcurrencyRuntime:
         fresh: bool = False,
         tenant: Optional[str] = None,
     ) -> Future:
-        """A location fix, reusing one younger than the staleness window.
+        """A location fix, reusing one no older than
+        :data:`~repro.runtime.coalesce.STALENESS_MS`.
 
         ``fresh=True`` bypasses (but still refreshes) the cache.  Fix
         requests for the same proxy also coalesce in flight — ten agents
@@ -298,7 +291,6 @@ class ConcurrencyRuntime:
             else:
                 cache = LocationFixCache(
                     self.scheduler.clock,
-                    staleness_ms=self.location_staleness_ms,
                     metrics=self.observability.metrics,
                     label=location_proxy.binding.platform,
                 )
@@ -334,8 +326,8 @@ class ConcurrencyRuntime:
     def drain(self) -> int:
         """Advance virtual time until the runtime is quiescent.
 
-        Unlike ``Scheduler.drain`` this tolerates periodic substrate
-        timers (GPS polling etc.): it stops on *runtime* quiescence —
+        It tolerates periodic substrate timers (GPS polling etc.): it
+        stops on *runtime* quiescence —
         every task finished or parked on an externally-settled future
         (which only the caller can move), every dispatcher idle — not on
         an empty heap.  Each pass evaluates the autoscalers, sweeps the

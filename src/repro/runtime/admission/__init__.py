@@ -11,7 +11,7 @@ dispatcher consults at submission and drain time:
   retryable 1013 (``retry_after_ms`` honoured by the resilience
   plane's backoff);
 * **priority-aware shedding**
-  (:mod:`~repro.runtime.admission.priority`) — operations declare a
+  (:mod:`~repro.runtime.admission.priority`) — operations have a
   class (status polls < report POSTs < SMS alerts); a full queue
   evicts the lowest class first instead of rejecting at the door;
 * **queue-based load leveling**
@@ -19,9 +19,9 @@ dispatcher consults at submission and drain time:
   buffer between a platform's shards absorbs bursts and drains into
   whichever lane idles first;
 * **shard autoscaling** (:mod:`~repro.runtime.admission.autoscaler`)
-  — a controller reads the TimeSeriesSampler's queue-depth /
-  utilization series each drain tick and resizes the dispatcher
-  between bounds, with hysteresis and cooldown.
+  — a controller reads its dispatcher's queued and busy lanes each
+  drain tick and resizes the dispatcher between bounds, with
+  hysteresis and cooldown.
 
 Everything runs on the virtual clock and is seeded-deterministic; the
 whole plane is off by default (``ConcurrencyRuntime(admission=None)``),
@@ -31,9 +31,8 @@ See ``docs/ADMISSION.md`` for the operator view.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.runtime.admission.autoscaler import AutoscalerConfig, ShardAutoscaler
@@ -82,17 +81,9 @@ class AdmissionConfig:
     enables all four with conservative constants.
     """
 
-    #: Default per-tenant budget; ``None`` disables throttling.
+    #: Per-tenant budget; ``None`` disables throttling.
     bucket: Optional[TokenBucketConfig] = field(
         default_factory=TokenBucketConfig
-    )
-    #: Per-tenant overrides of :attr:`bucket`.
-    tenant_buckets: Mapping[str, TokenBucketConfig] = field(
-        default_factory=dict
-    )
-    #: Operation → priority class; unknown operations are NORMAL.
-    priority_map: Mapping[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_PRIORITY_MAP)
     )
     #: Shared overflow buffer bound per dispatcher (0 disables).
     overflow_capacity: int = 16
@@ -100,27 +91,11 @@ class AdmissionConfig:
     autoscaler: Optional[AutoscalerConfig] = field(
         default_factory=AutoscalerConfig
     )
-    #: Throttle/shed decisions within ``storm_window_ms`` that
-    #: constitute a storm (0 disables detection).
-    storm_window_ms: float = 1_000.0
-    storm_threshold: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("overflow_capacity", "storm_threshold"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ConfigurationError(f"{name} must be an int, got {value!r}")
-        if not math.isfinite(self.storm_window_ms):
+        if type(self.overflow_capacity) is not int:
             raise ConfigurationError(
-                f"storm_window_ms must be finite, got {self.storm_window_ms!r}"
+                f"overflow_capacity must be an int, got {self.overflow_capacity!r}"
             )
         if self.overflow_capacity < 0:
             raise ConfigurationError("overflow_capacity must be >= 0")
-        if self.storm_window_ms < 0:
-            raise ConfigurationError("storm_window_ms must be >= 0")
-        if self.storm_threshold < 0:
-            raise ConfigurationError("storm_threshold must be >= 0")
-
-    def classify(self, operation: str) -> int:
-        """The priority class for ``operation`` under this policy."""
-        return classify_operation(operation, self.priority_map)

@@ -1,18 +1,15 @@
 """The metrics-driven shard autoscaler.
 
-PR 5 built the loop's sensor half: the TimeSeriesSampler records
-per-shard ``runtime.queue_depth`` (and ``runtime.inflight``) series on
-every scheduling tick.  This module closes the loop — a
-:class:`ShardAutoscaler` reads those series at each drain tick and
-grows or shrinks its dispatcher's live shard count between configured
+A :class:`ShardAutoscaler` reads its dispatcher's lanes at each drain
+tick and grows or shrinks the live shard count between configured
 bounds, so a diurnal wave gets lanes when the queues build and gives
 them back when traffic ebbs.
 
 Control shape (the classic auto-scaling-group pattern, made
 deterministic):
 
-* **signal** — mean queued requests per lane (sampler series when one
-  is installed, live queue depths otherwise) plus lane utilization;
+* **signal** — mean queued requests per lane plus lane utilization,
+  both from one pass over the live lanes (``Dispatcher.lane_load``);
 * **hysteresis** — the signal must persist for ``hysteresis_ticks``
   consecutive evaluations before any resize, so one spiky tick never
   flaps the fleet;
@@ -21,7 +18,7 @@ deterministic):
   being judged.
 
 Determinism: evaluations happen at the runtime's drain ticks (virtual
-instants), every decision is pure arithmetic over sampled series, and
+instants), every decision is pure arithmetic over the lane counts, and
 the resize history is exported in decision order — identically-seeded
 runs resize identically.
 """
@@ -33,6 +30,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
+
+#: Lanes added or removed by one resize.
+RESIZE_STEP = 1
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,11 @@ class AutoscalerConfig:
     scale_down_utilization: float = 0.5
     hysteresis_ticks: int = 3
     cooldown_ms: float = 1_000.0
-    step: int = 1
 
     def __post_init__(self) -> None:
         # A fractional count reaches Dispatcher.resize's slices, and a NaN
         # compares false everywhere, silently disabling its branch.
-        for name in ("min_shards", "max_shards", "hysteresis_ticks", "step"):
+        for name in ("min_shards", "max_shards", "hysteresis_ticks"):
             value = getattr(self, name)
             if type(value) is not int:
                 raise ConfigurationError(f"{name} must be an int, got {value!r}")
@@ -83,8 +82,6 @@ class AutoscalerConfig:
             raise ConfigurationError("hysteresis_ticks must be >= 1")
         if self.cooldown_ms < 0:
             raise ConfigurationError("cooldown_ms must be >= 0")
-        if self.step < 1:
-            raise ConfigurationError("step must be >= 1")
 
 
 class ShardAutoscaler:
@@ -95,12 +92,10 @@ class ShardAutoscaler:
         dispatcher,
         config: AutoscalerConfig,
         *,
-        sampler=None,
         observability=None,
     ) -> None:
         self.dispatcher = dispatcher
         self.config = config
-        self._sampler = sampler
         self._obs = observability
         metrics = (
             observability.metrics
@@ -123,46 +118,20 @@ class ShardAutoscaler:
         #: mean_depth / utilization (exported by the admission bench).
         self.resizes: List[Dict[str, Any]] = []
 
-    # -- signal --------------------------------------------------------------
-
-    def _sampled_depths(self) -> Optional[List[float]]:
-        """Per-lane queue depth from the installed sampler's series
-        (last recorded value per live shard), or ``None`` when the
-        sampler has no matching series yet."""
-        live = self.dispatcher.shards
-        depths: Dict[int, float] = {}
-        for series in self._sampler.tracked_series():
-            if series.metric != "runtime.queue_depth":
-                continue
-            if series.labels.get("source") != self.dispatcher.platform:
-                continue
-            try:
-                shard = int(series.labels.get("shard", ""))
-            except ValueError:
-                continue
-            if shard >= live or not series.points:
-                continue
-            depths[shard] = series.points[-1][1]
-        if not depths:
-            return None
-        return [depths.get(index, 0.0) for index in range(live)]
-
     # -- control -------------------------------------------------------------
 
     def evaluate(self, now_ms: float) -> Optional[int]:
         """One control tick; returns the new shard count on a resize.
 
-        The signal is the mean queued requests per lane (the sampler's
-        series when one is installed and has them, the live queues
-        otherwise) and the share of lanes queued or mid-execution."""
+        The signal is the mean queued requests per lane and the share of
+        lanes queued or mid-execution."""
         config = self.config
         dispatcher = self.dispatcher
         lanes = dispatcher.shards
         queued, busy = dispatcher.lane_load()
-        depths = None if self._sampler is None else self._sampled_depths()
         # The queued total is an exact integer, so dividing it gives the
         # float that dividing the per-lane float sum gives.
-        mean_depth = (queued if depths is None else sum(depths)) / lanes
+        mean_depth = queued / lanes
         utilization = busy / lanes
         if mean_depth >= config.scale_up_depth:
             self._up_streak += 1
@@ -185,9 +154,9 @@ class ShardAutoscaler:
         current = lanes
         target = current
         if self._up_streak >= config.hysteresis_ticks:
-            target = min(config.max_shards, current + config.step)
+            target = min(config.max_shards, current + RESIZE_STEP)
         elif self._down_streak >= config.hysteresis_ticks:
-            target = max(config.min_shards, current - config.step)
+            target = max(config.min_shards, current - RESIZE_STEP)
         if target == current:
             return None
         self._up_streak = 0

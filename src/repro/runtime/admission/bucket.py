@@ -26,15 +26,13 @@ from repro.errors import ConfigurationError
 class TokenBucketConfig:
     """Immutable throttle budget for one tenant (or the default).
 
-    ``capacity`` bounds the burst a tenant may land in one instant;
-    ``rate_per_s`` bounds the sustained rate.  ``initial`` (default:
-    full) sets the starting balance — a cold-start-empty bucket models a
-    tenant that must earn its first burst.
+    ``capacity`` bounds the burst a tenant may land in one instant (and
+    is every bucket's starting balance); ``rate_per_s`` bounds the
+    sustained rate.
     """
 
     rate_per_s: float = 10.0
     capacity: float = 10.0
-    initial: Optional[float] = None
 
     def __post_init__(self) -> None:
         # A NaN rate refills every bucket to full; a NaN capacity rejects
@@ -51,10 +49,6 @@ class TokenBucketConfig:
             raise ConfigurationError(
                 f"capacity must be >= 1, got {self.capacity}"
             )
-        if self.initial is not None and not 0.0 <= self.initial <= self.capacity:
-            raise ConfigurationError(
-                f"initial must be in [0, capacity], got {self.initial}"
-            )
 
 
 class TokenBucket:
@@ -64,9 +58,7 @@ class TokenBucket:
 
     def __init__(self, config: TokenBucketConfig, *, now_ms: float = 0.0) -> None:
         self.config = config
-        self.tokens = (
-            config.capacity if config.initial is None else float(config.initial)
-        )
+        self.tokens = config.capacity
         self._last_ms = float(now_ms)
         #: Successful takes (admitted requests).
         self.taken = 0

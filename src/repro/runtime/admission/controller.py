@@ -6,12 +6,13 @@ the submission into :class:`~repro.errors.ProxyThrottledError` (bridge
 code 1013) carrying the exact ``retry_after_ms`` until the bucket can
 cover it — the resilience plane's backoff honours the hint.
 
-The controller also watches the *outcome stream* for storms: when
-throttle/shed decisions inside one sliding virtual-time window cross
-``storm_threshold``, it records a storm incident (surfaced by the
-workforce fleet as a ``[fleet-alert]`` line) and triggers a flight-
-recorder dump — sustained shedding is exactly the moment an operator
-wants the moments-before buffer captured.
+The controller also watches the *outcome stream* for storms: when the
+throttle/shed decisions inside one sliding virtual-time window of
+:data:`STORM_WINDOW_MS` reach :data:`STORM_THRESHOLD`, it records a
+storm incident (surfaced by the workforce fleet as a ``[fleet-alert]``
+line) and triggers a flight-recorder dump — sustained shedding is
+exactly the moment an operator wants the moments-before buffer
+captured.
 
 Determinism: buckets are pure functions of the submission sequence,
 the storm window is virtual time, and storms are recorded in decision
@@ -21,7 +22,7 @@ order.
 from __future__ import annotations
 
 import collections
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.errors import ProxyThrottledError
 from repro.runtime.admission.bucket import TokenBucket, TokenBucketConfig
@@ -30,6 +31,12 @@ from repro.runtime.admission.priority import priority_name
 #: The default tenant key for submissions that declare none.
 DEFAULT_TENANT = "default"
 
+#: The sliding virtual-time window of the storm count.
+STORM_WINDOW_MS = 1_000.0
+
+#: Throttle and shed decisions inside one window that make a storm.
+STORM_THRESHOLD = 8
+
 
 class AdmissionController:
     """Per-tenant token buckets plus storm bookkeeping for one platform.
@@ -37,14 +44,8 @@ class AdmissionController:
     Parameters
     ----------
     bucket:
-        Default budget applied to every tenant; ``None`` disables
-        throttling (priority shedding and leveling still apply).
-    tenant_buckets:
-        Per-tenant overrides (an SMS-alert tenant may get a bigger
-        burst allowance than a status-poll tenant).
-    storm_window_ms / storm_threshold:
-        Sliding window and count of throttle+shed decisions that
-        constitute a storm.  ``storm_threshold=0`` disables detection.
+        Budget applied to every tenant; ``None`` disables throttling
+        (priority shedding and leveling still apply).
     """
 
     def __init__(
@@ -54,19 +55,13 @@ class AdmissionController:
         clock,
         metrics,
         bucket: Optional[TokenBucketConfig],
-        tenant_buckets: Optional[Mapping[str, TokenBucketConfig]] = None,
-        storm_window_ms: float = 1_000.0,
-        storm_threshold: int = 8,
         observability=None,
     ) -> None:
         self.platform = platform
         self._clock = clock
         self._metrics = metrics
-        self._default_bucket = bucket
-        self._tenant_configs = dict(tenant_buckets or {})
+        self._bucket_config = bucket
         self._buckets: Dict[str, TokenBucket] = {}
-        self.storm_window_ms = float(storm_window_ms)
-        self.storm_threshold = int(storm_threshold)
         self._obs = observability
         self._window: Deque[float] = collections.deque()
         self._storm_open = False
@@ -77,7 +72,7 @@ class AdmissionController:
     # -- buckets -------------------------------------------------------------
 
     def bucket_for(self, tenant: str) -> Optional[TokenBucket]:
-        config = self._tenant_configs.get(tenant, self._default_bucket)
+        config = self._bucket_config
         if config is None:
             return None
         bucket = self._buckets.get(tenant)
@@ -132,15 +127,13 @@ class AdmissionController:
 
     def record_rejection(self, kind: str, **attributes: Any) -> None:
         """Feed one throttle/shed decision into the storm window."""
-        if self.storm_threshold <= 0:
-            return
         now = self._clock.now_ms
         window = self._window
         window.append(now)
-        floor = now - self.storm_window_ms
+        floor = now - STORM_WINDOW_MS
         while window and window[0] < floor:
             window.popleft()
-        if len(window) < self.storm_threshold:
+        if len(window) < STORM_THRESHOLD:
             self._storm_open = False
             return
         if self._storm_open:
@@ -153,7 +146,7 @@ class AdmissionController:
             "platform": self.platform,
             "kind": kind,
             "rejections": len(window),
-            "window_ms": round(self.storm_window_ms, 6),
+            "window_ms": round(STORM_WINDOW_MS, 6),
         }
         storm.update(attributes)
         self.storms.append(storm)

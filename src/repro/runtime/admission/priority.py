@@ -32,7 +32,7 @@ PRIORITY_NAMES: Mapping[int, str] = {
     PRIORITY_HIGH: "high",
 }
 
-#: Default operation → class mapping.  Keys are the operation strings
+#: Operation → class mapping.  Keys are the operation strings
 #: the runtime's conveniences and the workforce fleet actually submit;
 #: unknown operations fall back to ``PRIORITY_NORMAL`` (never silently
 #: the sheddable class).
@@ -54,8 +54,6 @@ def priority_name(priority: int) -> str:
     return PRIORITY_NAMES.get(priority, str(priority))
 
 
-def classify_operation(
-    operation: str, priority_map: Mapping[str, int] = DEFAULT_PRIORITY_MAP
-) -> int:
-    """The priority class for ``operation`` under ``priority_map``."""
-    return priority_map.get(operation, PRIORITY_NORMAL)
+def classify_operation(operation: str) -> int:
+    """The priority class for ``operation``."""
+    return DEFAULT_PRIORITY_MAP.get(operation, PRIORITY_NORMAL)

@@ -6,7 +6,7 @@ Two independent savings, both safe only for reads:
   keys (HTTP GETs to the same URL share one execution while one is
   queued or in service);
 * **location fix reuse** — :class:`LocationFixCache` serves the last fix
-  while it is younger than a staleness window on the virtual clock.
+  while it is no older than :data:`STALENESS_MS` on the virtual clock.
 
 Every hit and miss is a ``runtime.*`` counter so the benchmarks can
 report the saving.
@@ -18,26 +18,22 @@ from typing import Any
 
 from repro.util.clock import SimulatedClock
 
+#: How old (in virtual time) a reused fix may be.
+STALENESS_MS = 5_000.0
+
 
 class LocationFixCache:
-    """Serve a recent fix instead of touching the GPS again.
-
-    ``staleness_ms`` bounds how old (in virtual time) a reused fix may
-    be; with ``0`` a fix is reused only at the instant it was stored.
-    """
+    """Serve a fix no older than :data:`STALENESS_MS` instead of
+    touching the GPS again."""
 
     def __init__(
         self,
         clock: SimulatedClock,
         *,
-        staleness_ms: float = 5_000.0,
         metrics=None,
         label: str = "location",
     ) -> None:
-        if staleness_ms < 0:
-            raise ValueError(f"staleness_ms must be >= 0, got {staleness_ms}")
         self._clock = clock
-        self.staleness_ms = staleness_ms
         self._fix: Any = None
         self._fixed_at_ms = -1.0
         if metrics is None:
@@ -50,7 +46,7 @@ class LocationFixCache:
     def get(self) -> Any:
         """The cached fix if still fresh, else ``None`` (counted)."""
         age = self._clock.now_ms - self._fixed_at_ms
-        if self._fix is not None and age <= self.staleness_ms:
+        if self._fix is not None and age <= STALENESS_MS:
             self._hits.inc()
             return self._fix
         self._misses.inc()

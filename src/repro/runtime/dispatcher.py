@@ -62,6 +62,7 @@ from repro.runtime.admission import (
     DEFAULT_TENANT,
     OverflowBuffer,
     PRIORITY_NORMAL,
+    classify_operation,
     priority_name,
 )
 from repro.runtime.futures import Future
@@ -209,9 +210,6 @@ class Dispatcher:
                 clock=self._clock,
                 metrics=metrics,
                 bucket=admission.bucket,
-                tenant_buckets=admission.tenant_buckets,
-                storm_window_ms=admission.storm_window_ms,
-                storm_threshold=admission.storm_threshold,
                 observability=observability,
             )
             self._overflow: Optional[OverflowBuffer] = (
@@ -332,15 +330,15 @@ class Dispatcher:
         the least-loaded shard wins (lowest index breaks ties).
         ``coalesce_key`` marks the request as an idempotent read that may
         share an in-flight execution with identical keys.  ``priority``
-        is the request's admission class (defaults to the admission
-        policy's classification of ``operation``, NORMAL without one);
+        is the request's admission class (defaults to the class of
+        ``operation`` under admission, NORMAL without it);
         ``tenant`` names the token-bucket account to charge (the agent
         id, in the fleet).
         """
         self._submitted.inc()
         if priority is None:
             priority = (
-                self.admission_config.classify(operation)
+                classify_operation(operation)
                 if self.admission_config is not None
                 else PRIORITY_NORMAL
             )

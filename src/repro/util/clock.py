@@ -252,20 +252,3 @@ class Scheduler:
     def run_for(self, delta_ms: float) -> int:
         """Run all tasks due within the next ``delta_ms`` of virtual time."""
         return self.run_until(self.clock.now_ms + delta_ms)
-
-    def drain(self, *, max_tasks: int = 100_000) -> int:
-        """Run until no tasks remain (periodic tasks must be cancelled first).
-
-        ``max_tasks`` guards against runaway periodic series.
-        """
-        executed = 0
-        while True:
-            deadline = self.next_deadline_ms()
-            if deadline is None:
-                return executed
-            if executed >= max_tasks:
-                raise ClockError(
-                    f"drain exceeded {max_tasks} tasks; a periodic task is "
-                    "probably still armed"
-                )
-            executed += self.run_until(deadline)

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.apps.workforce.common import (
-    PATH_COMPLETE_ASSIGNMENT,
-    PATH_CREATE_ASSIGNMENT,
     PATH_LOG_EVENT,
     PATH_POLL_ASSIGNMENT,
     PATH_REPORT_LOCATION,
@@ -91,29 +89,6 @@ class TestAssignments:
         server.dispatch("a1", "site-7", "task")
         response = _post(network, PATH_POLL_ASSIGNMENT, {"agent": "a2"})
         assert json.loads(response.body)["assignment"] is None
-
-    def test_create_over_http(self, network, server):
-        import json
-
-        response = _post(
-            network,
-            PATH_CREATE_ASSIGNMENT,
-            {"agent": "a1", "site": "s", "description": "d"},
-        )
-        assignment_id = json.loads(response.body)["assignment"]
-        assert server.assignment(assignment_id).status == "pending"
-
-    def test_complete_assignment(self, network, server):
-        assignment = server.dispatch("a1", "s", "d")
-        response = _post(
-            network, PATH_COMPLETE_ASSIGNMENT, {"assignment": assignment.assignment_id}
-        )
-        assert response.ok
-        assert server.assignment(assignment.assignment_id).status == "completed"
-
-    def test_complete_unknown_404(self, network, server):
-        response = _post(network, PATH_COMPLETE_ASSIGNMENT, {"assignment": "ghost"})
-        assert response.status == 404
 
     def test_assignments_for_agent(self, server):
         server.dispatch("a1", "s1", "d1")

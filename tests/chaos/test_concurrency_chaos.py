@@ -22,7 +22,6 @@ from repro.core.resilience import BreakerState, chaos_policy
 from repro.errors import ProxyError, ProxyOverloadError
 from repro.faults import FaultPlan
 from repro.obs import Observability
-from repro.obs.report import chaos_summary
 from repro.runtime import ConcurrencyRuntime
 
 from tests.chaos.drivers import WARMUP_MS, transient_plan
@@ -91,7 +90,7 @@ class TestTransientFaultsCompose:
 
     def test_retries_happened_under_the_dispatcher(self, shaken):
         sc, logic, *_ = shaken
-        totals = chaos_summary(sc.device.faults, [logic.http])["resilience"]["total"]
+        totals = logic.http.resilience.stats.as_dict()
         assert totals["retries"] > 0
 
 
@@ -118,12 +117,10 @@ class TestBlackoutShedsNotStampedes:
 
     def test_breaker_opens_behind_the_queue(self, blackout):
         sc, logic, *_ = blackout
-        summary = chaos_summary(sc.device.faults, [logic.http])
-        flat = [
-            t for per_label in summary["breakers"].values() for t in per_label
-        ]
-        assert any(to == BreakerState.OPEN.value for _, _, _, to in flat)
-        assert summary["resilience"]["total"]["circuit_rejections"] > 0
+        runtime = logic.http.resilience
+        transitions = runtime.breaker_transitions()
+        assert any(to is BreakerState.OPEN for _, _, _, to in transitions)
+        assert runtime.stats.as_dict()["circuit_rejections"] > 0
 
     def test_no_retry_stampede(self, blackout):
         """The two backpressure layers multiply: shedding caps how many
@@ -131,7 +128,7 @@ class TestBlackoutShedsNotStampedes:
         caps how many attempts reach the substrate.  Without them a
         20-request burst could fire 80 substrate attempts."""
         sc, logic, *_ = blackout
-        totals = chaos_summary(sc.device.faults, [logic.http])["resilience"]["total"]
+        totals = logic.http.resilience.stats.as_dict()
         assert totals["attempts"] < self.BURST
         assert totals["attempts"] < 4 * self.DEPTH
 
@@ -152,7 +149,7 @@ class TestChaosDeterminism:
             transient_plan(0.3, seed=9), queue_depth=8, seed=9
         )
         dispatcher, futures = submit_report_burst(sc, logic, runtime, 12)
-        totals = chaos_summary(sc.device.faults, [logic.http])["resilience"]["total"]
+        totals = logic.http.resilience.stats.as_dict()
         return {
             "clock": sc.platform.clock.now_ms,
             "per_shard": dispatcher.executed_per_shard(),

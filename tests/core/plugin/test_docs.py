@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.plugin.docs import render_proxy_markdown, render_registry_markdown
+from repro.core.plugin.docs import (
+    instrumentation_points,
+    render_proxy_markdown,
+    render_registry_markdown,
+)
 from repro.core.proxies import standard_registry
 
 
@@ -37,6 +41,24 @@ class TestProxyPage:
             page = render_proxy_markdown(registry.descriptor(interface))
             assert page.startswith(f"# {interface} proxy")
             assert "Implementation:" in page
+
+
+class TestInstrumentationPoints:
+    def test_every_semantic_method_is_listed(self):
+        descriptor = standard_registry().descriptor("Location")
+        points = instrumentation_points(descriptor)
+        methods = {point["method"] for point in points}
+        assert "getLocation" in methods
+        assert "addProximityAlert" in methods
+
+    def test_span_names_follow_the_vocabulary(self):
+        descriptor = standard_registry().descriptor("Http")
+        for point in instrumentation_points(descriptor):
+            assert point["spans"][0] == f"dispatch:{point['method']}"
+            assert point["spans"][1] == f"resilience:{point['method']}"
+            assert point["spans"][2] == f"binding:{point['method']}"
+            assert point["spans"][3].startswith("substrate:")
+            assert point["metrics"]
 
 
 class TestCatalogue:

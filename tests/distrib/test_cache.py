@@ -3,6 +3,7 @@
 import pytest
 
 from repro.distrib import DistribConfig, DistribRuntime
+from repro.distrib.cache import L1_STALENESS_MS, WRITE_BEHIND_DELAY_MS
 from repro.obs import Observability
 from repro.util.clock import Scheduler, SimulatedClock
 
@@ -43,7 +44,7 @@ class TestWriteBehind:
         cache.put("k", "v")
         assert cache.l1_slot("k") == "v"
         assert cache.backing.get("k") is None
-        tier.scheduler.run_for(tier.config.write_behind_delay_ms)
+        tier.scheduler.run_for(WRITE_BEHIND_DELAY_MS)
         assert cache.backing.get("k") == "v"
 
     def test_rapid_rewrites_coalesce_into_one_flush(self, tier, hub):
@@ -51,7 +52,7 @@ class TestWriteBehind:
         cache.put("k", "v1")
         cache.put("k", "v2")
         cache.put("k", "v3")
-        tier.scheduler.run_for(tier.config.write_behind_delay_ms)
+        tier.scheduler.run_for(WRITE_BEHIND_DELAY_MS)
         assert cache.backing.get("k") == "v3"
         assert hub.metrics.total("distrib.cache_flushes") == 1
 
@@ -90,7 +91,7 @@ class TestInvalidation:
         cache.put("k", "v")
         cache.invalidate("k")
         assert cache.l1_slot("k") is None
-        tier.scheduler.run_for(tier.config.write_behind_delay_ms)
+        tier.scheduler.run_for(WRITE_BEHIND_DELAY_MS)
         assert cache.backing.get("k") is None  # buffered write cancelled
 
 
@@ -111,7 +112,7 @@ class TestStaleness:
         cache.put("k", "v1")
         cache.flush_pending()
         cache.backing.put("k", "v2")
-        tier.scheduler.clock.advance(tier.config.cache_staleness_ms + 1.0)
+        tier.scheduler.clock.advance(L1_STALENESS_MS + 1.0)
         assert cache.get("k") == "v2"
 
 

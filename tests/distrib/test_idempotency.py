@@ -45,16 +45,6 @@ class TestStore:
             store.execute("k", lambda: (_ for _ in ()).throw(ValueError()))
         assert not store.seen("k")  # a real retry may still apply it
 
-    def test_capacity_evicts_fifo(self):
-        metrics = MetricsRegistry()
-        store = IdempotencyStore(metrics, capacity=2)
-        for key in ("a", "b", "c"):
-            store.record(key, key.upper())
-        assert not store.seen("a")
-        assert store.seen("b") and store.seen("c")
-        assert len(store) == 2
-        assert metrics.total("distrib.dedup_evicted") == 1
-
     def test_snapshot_preserves_insertion_order(self):
         store = IdempotencyStore()
         store.record("b", 1)

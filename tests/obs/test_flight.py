@@ -3,14 +3,15 @@
 import pytest
 
 from repro.obs import FlightRecorder, Tracer, render_flight_text
+from repro.obs.flight import COOLDOWN_MS, DUMP_CAPACITY, RING_CAPACITY
 from repro.util.clock import SimulatedClock
 
 pytestmark = pytest.mark.obs
 
 
-def make_recorder(**kwargs):
+def make_recorder():
     clock = SimulatedClock()
-    recorder = FlightRecorder(clock=clock, **kwargs)
+    recorder = FlightRecorder(clock=clock)
     return clock, recorder
 
 
@@ -31,14 +32,16 @@ class TestRecording:
         assert event["source"] == "agent-1"
 
     def test_span_ring_is_bounded(self):
-        clock, recorder = make_recorder(span_capacity=2)
+        clock, recorder = make_recorder()
         tracer = Tracer(clock)
         recorder.attach(tracer)
-        for index in range(4):
+        for index in range(RING_CAPACITY + 2):
             with tracer.span(f"s{index}"):
                 pass
         dump = recorder.trigger("test")
-        assert [span["name"] for span in dump["spans"]] == ["s2", "s3"]
+        assert [span["name"] for span in dump["spans"]] == [
+            f"s{index}" for index in range(2, RING_CAPACITY + 2)
+        ]
 
     def test_note_records_standalone_event(self):
         clock, recorder = make_recorder()
@@ -70,38 +73,38 @@ class TestRecording:
 
 class TestTriggering:
     def test_cooldown_collapses_bursts(self):
-        clock, recorder = make_recorder(cooldown_ms=100.0)
+        clock, recorder = make_recorder()
         assert recorder.trigger("shed") is not None
         for _ in range(5):
             assert recorder.trigger("shed") is None  # same instant: suppressed
         assert recorder.triggered == 1
         assert recorder.last_dump["suppressed"] == 5
-        clock.advance(100.0)
+        clock.advance(COOLDOWN_MS - 1.0)
+        assert recorder.trigger("shed") is None  # still cooling down
+        clock.advance(1.0)
         assert recorder.trigger("shed") is not None
         assert recorder.triggered == 2
 
     def test_cooldown_is_per_reason(self):
-        _, recorder = make_recorder(cooldown_ms=100.0)
+        _, recorder = make_recorder()
         assert recorder.trigger("shed") is not None
         assert recorder.trigger("breaker.open") is not None
         assert recorder.triggered == 2
 
     def test_dump_eviction_keeps_sequence_monotonic(self):
-        clock, recorder = make_recorder(dump_capacity=2, cooldown_ms=0.0)
-        for _ in range(4):
+        clock, recorder = make_recorder()
+        for _ in range(DUMP_CAPACITY + 2):
             recorder.trigger("shed")
-            clock.advance(1.0)
-        assert [dump["sequence"] for dump in recorder.dumps] == [3, 4]
-        assert recorder.triggered == 4
+            clock.advance(COOLDOWN_MS)
+        assert [dump["sequence"] for dump in recorder.dumps] == list(
+            range(3, DUMP_CAPACITY + 3)
+        )
+        assert recorder.triggered == DUMP_CAPACITY + 2
 
     def test_trigger_attributes_are_cleaned(self):
         _, recorder = make_recorder()
         dump = recorder.trigger("shed", shard=0, operation="work")
         assert dump["attributes"] == {"operation": "work", "shard": 0}
-
-    def test_negative_cooldown_rejected(self):
-        with pytest.raises(ValueError):
-            make_recorder(cooldown_ms=-1.0)
 
 
 class TestSerialization:

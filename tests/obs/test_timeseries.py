@@ -3,15 +3,16 @@
 import pytest
 
 from repro.obs import MetricsRegistry, TimeSeriesSampler
+from repro.obs.timeseries import CAPACITY
 from repro.util.clock import SimulatedClock
 
 pytestmark = pytest.mark.obs
 
 
-def make_sampler(**kwargs):
+def make_sampler():
     clock = SimulatedClock()
     metrics = MetricsRegistry()
-    sampler = TimeSeriesSampler(metrics, clock=clock, **kwargs)
+    sampler = TimeSeriesSampler(metrics, clock=clock)
     return clock, metrics, sampler
 
 
@@ -41,32 +42,16 @@ class TestSampling:
         t, value, peak = series.points[0]
         assert (value, peak) == (12.0, 64.0)
 
-    def test_period_folds_subperiod_values_into_next_peak(self):
-        clock, metrics, sampler = make_sampler(period_ms=100.0)
-        gauge = metrics.gauge("g")
-        sampler.track("g")
-        gauge.set(1)
-        sampler.tick()
-        clock.advance(10.0)
-        gauge.set(9)
-        sampler.tick()  # inside the period: folded, not appended
-        clock.advance(100.0)
-        gauge.set(2)
-        sampler.tick()
-        series = sampler.series("g")
-        assert series.values() == [1.0, 2.0]
-        assert series.peaks() == [1.0, 9.0]  # the spike survives as peak
-
     def test_capacity_evicts_and_counts_dropped(self):
-        clock, metrics, sampler = make_sampler(capacity=3)
+        clock, metrics, sampler = make_sampler()
         counter = metrics.counter("c")
         sampler.track("c")
-        for _ in range(5):
+        for _ in range(CAPACITY + 2):
             counter.inc()
             clock.advance(1.0)
             sampler.tick()
         series = sampler.series("c")
-        assert series.values() == [3.0, 4.0, 5.0]
+        assert series.values() == [float(n) for n in range(3, CAPACITY + 3)]
         assert series.dropped == 2
 
     def test_label_subset_selector(self):
@@ -103,12 +88,6 @@ class TestSampling:
         gauge.set(9)
         sampler.tick()  # in-place update: no sink call
         assert seen == [("g", 2.0, 4.0)]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            make_sampler(period_ms=-1.0)
-        with pytest.raises(ValueError):
-            make_sampler(capacity=0)
 
 
 class TestExport:

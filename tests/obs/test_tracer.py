@@ -205,13 +205,14 @@ class TestReading:
 
 
 class TestStreaming:
-    """``retain=False``: spans reach the sinks and no read index.  A span
+    """``set_retention(False)``: spans reach the sinks and no read index.  A span
     is retained when the tracer was retaining as it opened; what was
     retained before a flip to streaming is cleared at the next trace
     completion."""
 
     def test_streaming_tracer_indexes_nothing(self, clock):
-        tracer = Tracer(clock, retain=False)
+        tracer = Tracer(clock)
+        tracer.set_retention(False)
         ended = []
         tracer.add_sink(lambda span: ended.append(span.name))
         with tracer.span("root") as root:

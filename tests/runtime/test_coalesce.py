@@ -6,6 +6,7 @@ import pytest
 from repro.apps.workforce import scenario
 from repro.apps.workforce.proxied import launch_on_android
 from repro.runtime import ConcurrencyRuntime, LocationFixCache
+from repro.runtime.coalesce import STALENESS_MS
 from repro.util.clock import Scheduler, SimulatedClock
 
 pytestmark = pytest.mark.concurrency
@@ -18,35 +19,26 @@ def world():
 
 class TestLocationFixCache:
     def test_fresh_fix_is_reused(self, world):
-        cache = LocationFixCache(world.clock, staleness_ms=5_000.0)
+        cache = LocationFixCache(world.clock)
         cache.put("fix-1")
-        world.clock.advance(4_999.0)
+        world.clock.advance(STALENESS_MS - 1.0)
         assert cache.get() == "fix-1"
-        assert cache.hits == 1
+        world.clock.advance(1.0)
+        assert cache.get() == "fix-1"  # exactly at the window's edge
+        assert cache.hits == 2
 
     def test_stale_fix_is_not_reused(self, world):
-        cache = LocationFixCache(world.clock, staleness_ms=5_000.0)
+        cache = LocationFixCache(world.clock)
         cache.put("fix-1")
-        world.clock.advance(5_001.0)
+        world.clock.advance(STALENESS_MS + 1.0)
         assert cache.get() is None
         assert cache.misses == 1
 
-    def test_zero_staleness_at_same_instant_still_serves(self, world):
-        cache = LocationFixCache(world.clock, staleness_ms=0.0)
-        cache.put("fix-1")
-        assert cache.get() == "fix-1"
-        world.clock.advance(0.001)
-        assert cache.get() is None
-
     def test_invalidate(self, world):
-        cache = LocationFixCache(world.clock, staleness_ms=5_000.0)
+        cache = LocationFixCache(world.clock)
         cache.put("fix-1")
         cache.invalidate()
         assert cache.get() is None
-
-    def test_negative_staleness_rejected(self, world):
-        with pytest.raises(ValueError):
-            LocationFixCache(world.clock, staleness_ms=-1.0)
 
 
 @pytest.fixture
@@ -60,9 +52,7 @@ def android():
 class TestRuntimeLocationHelper:
     def test_second_fix_within_window_is_cached(self, android):
         sc, logic = android
-        runtime = ConcurrencyRuntime(
-            sc.device.scheduler, shards=1, location_staleness_ms=5_000.0
-        )
+        runtime = ConcurrencyRuntime(sc.device.scheduler, shards=1)
         first = runtime.get_location(logic.location)
         runtime.drain()
         before = sc.platform.clock.now_ms
@@ -85,12 +75,10 @@ class TestRuntimeLocationHelper:
 
     def test_stale_fix_triggers_new_read(self, android):
         sc, logic = android
-        runtime = ConcurrencyRuntime(
-            sc.device.scheduler, shards=1, location_staleness_ms=1_000.0
-        )
+        runtime = ConcurrencyRuntime(sc.device.scheduler, shards=1)
         runtime.get_location(logic.location)
         runtime.drain()
-        sc.platform.run_for(2_000.0)
+        sc.platform.run_for(STALENESS_MS + 1_000.0)
         second = runtime.get_location(logic.location)
         assert not second.done()
         runtime.drain()

@@ -9,6 +9,7 @@ from repro.apps.workforce.fleet import (
     launch_fleet_on_runtime,
 )
 from repro.errors import ProxyTransientError
+from repro.runtime.admission.controller import STORM_THRESHOLD
 
 pytestmark = pytest.mark.concurrency
 
@@ -148,8 +149,6 @@ class TestAdmissionStorms:
                 bucket=None,
                 overflow_capacity=0,
                 autoscaler=None,
-                storm_window_ms=1_000.0,
-                storm_threshold=3,
             ),
         )
 
@@ -157,7 +156,7 @@ class TestAdmissionStorms:
         fleet = self._stormy_fleet()
         launch_fleet(fleet)
         dispatcher = fleet.runtime.dispatcher("android")
-        for _ in range(8):
+        for _ in range(STORM_THRESHOLD + 6):
             dispatcher.submit("burst", lambda: None)
         fleet.run_for(1_000.0)
         storms = [a for a in fleet.alerts if "admission storm" in a]
@@ -169,7 +168,7 @@ class TestAdmissionStorms:
         fleet = self._stormy_fleet()
         launch_fleet(fleet)
         dispatcher = fleet.runtime.dispatcher("android")
-        for _ in range(8):
+        for _ in range(STORM_THRESHOLD + 6):
             dispatcher.submit("burst", lambda: None)
         fleet.run_for(1_000.0)
         fleet.run_for(1_000.0)

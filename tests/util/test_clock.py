@@ -176,18 +176,6 @@ class TestScheduler:
         scheduler.call_later(42.0, lambda: None)
         assert scheduler.next_deadline_ms() == 42.0
 
-    def test_drain_runs_everything(self, scheduler):
-        fired = []
-        scheduler.call_later(5.0, lambda: fired.append(1))
-        scheduler.call_later(500.0, lambda: fired.append(2))
-        scheduler.drain()
-        assert fired == [1, 2]
-
-    def test_drain_guards_against_periodic_runaway(self, scheduler):
-        scheduler.call_every(1.0, lambda: None)
-        with pytest.raises(ClockError):
-            scheduler.drain(max_tasks=100)
-
     @given(st.lists(st.floats(min_value=0.1, max_value=1e5), min_size=1, max_size=30))
     def test_tasks_fire_in_nondecreasing_time_order(self, delays):
         scheduler = Scheduler()
