@@ -33,7 +33,7 @@ from repro.core.proxy.callbacks import ProximityListener
 from repro.core.resilience import chaos_policy
 from repro.errors import ConfigurationError, ProxyError
 from repro.obs import Observability
-from repro.runtime import AdmissionConfig, ConcurrencyRuntime, TokenBucketConfig
+from repro.runtime import ConcurrencyRuntime
 from repro.scenario.model import Scenario
 
 #: Span-tree layers below the middleware collapse to one opaque leaf.
@@ -130,30 +130,14 @@ def _attach_runtime(
     spec = scenario.env.runtime
     if spec is None:
         return None
-    admission = None
-    if spec.admission is not None:
-        knobs = dict(spec.admission)
-        overflow = int(knobs.pop("overflow_capacity", 0))
-        admission = AdmissionConfig(
-            bucket=TokenBucketConfig(**knobs) if knobs else TokenBucketConfig(),
-            overflow_capacity=overflow,
-            # Pinned shards: admission outcomes are part of the recorded
-            # contract and must not depend on autoscaler history.
-            autoscaler=None,
-        )
-    distrib = None
-    if spec.distrib is not None:
-        from repro.distrib.config import DistribConfig
-
-        distrib = DistribConfig(**spec.distrib)
     return ConcurrencyRuntime(
         bundle.device.scheduler,
         shards=spec.shards,
         queue_depth=spec.queue_depth,
         seed=scenario.seed,
         observability=hub,
-        admission=admission,
-        distrib=distrib,
+        admission=spec.admission_config(),
+        distrib=spec.distrib_config(),
     )
 
 
