@@ -13,7 +13,7 @@ guaranteeing that **every anomaly is captured**:
   ``slo.breach``, ``causal.violation``, or a duration above the op
   class's p99, read from its histogram's buckets);
 * :mod:`~repro.obs.pipeline.rollup` — streaming RED rollups
-  (rate/errors/duration) keyed by ``(op, platform, region, tenant)``
+  (rate/errors/duration) keyed by ``(op, platform, region)``
   with exemplar trace ids attached to histogram buckets, fed from
   **every** trace before sampling so rollup counts always equal the
   unsampled counts;

@@ -252,7 +252,7 @@ def render_health_text(report: HealthReport, *, top: int = 8) -> str:
         else:
             key = (
                 f"{labels.get('op')}@{labels.get('platform')}"
-                f"/{labels.get('region')}/{labels.get('tenant')}"
+                f"/{labels.get('region')}"
             )
         percentiles = entry.get("percentiles", {})
         lines.append(

@@ -12,7 +12,14 @@ import json
 
 import pytest
 
-from repro.apps.workforce.fleet import build_fleet, launch_fleet
+from repro.apps.workforce.fleet import (
+    build_fleet,
+    launch_fleet,
+    launch_fleet_on_runtime,
+)
+from repro.core.resilience import chaos_policy
+from repro.distrib import DistribConfig
+from repro.faults import FaultPlan, FaultRule
 from repro.obs import Observability
 from repro.obs.pipeline import HealthReport, PipelineConfig
 from tests.chaos.drivers import DRIVERS, PLATFORMS, transient_plan
@@ -78,3 +85,35 @@ class TestFleetHealthGate:
         report = fleet.health_report()
         assert not report.healthy
         assert any("cardinality" in failure for failure in report.failures)
+
+    def test_rollups_do_not_grow_with_the_agent_count(self):
+        """Thirty agents of the benchmark's distributed-fleet shape: each
+        agent is a tenant, and the RED rollups must not give every agent
+        series of its own."""
+        fleet = build_fleet(
+            30,
+            runtime=True,
+            observability=True,
+            queue_depth=128,
+            runtime_seed=1_000,
+            distrib=DistribConfig(
+                regions=("ap-south", "eu-west", "us-east"), seed=1_000
+            ),
+            fault_plan=FaultPlan(
+                seed=1_000,
+                rules=(FaultRule("network.request", "ack_lost", 0.01),),
+            ),
+            pipeline=PipelineConfig(default_rate=0.01, streaming=True, seed=1_000),
+        )
+        launch_fleet_on_runtime(
+            fleet,
+            reports=6,
+            period_ms=20_000.0,
+            resilience=chaos_policy("Http", seed=fleet.runtime.seed),
+        )
+        fleet.runtime.drain()
+        report = fleet.health_report()
+        assert report.healthy, report.failures
+        assert fleet.pipeline.rollups.collapsed_observations == 0
+        ops = {series.op for series in fleet.pipeline.rollups.series()}
+        assert {"post", "get"} <= ops

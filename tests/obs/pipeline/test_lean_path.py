@@ -7,9 +7,11 @@ the earlier live path as the reference: a ``(source, trace_id)``-keyed
 buffer dict fed by a keyword ``source=`` sink, and a completion step
 that searches for the root and reads it through shape-generic
 accessors, with its own copy of the anomaly scan.  Its slow rule is
-the shipped :class:`~repro.obs.pipeline.sampler.TailRules`.  Driven by
-the same live tracers, both must agree on accounting, rollups, retained
-bytes, slow-rule thresholds and what observers see.
+the shipped :class:`~repro.obs.pipeline.sampler.TailRules`, and its
+rollup key is the live ``(op, platform, region)``: it is the reference
+for the buffering, not for the key policy.  Driven by the same live
+tracers, both must agree on accounting, rollups, retained bytes,
+slow-rule thresholds and what observers see.
 """
 
 import functools
@@ -149,7 +151,6 @@ class ReferencePipeline(TelemetryPipeline):
                 op,
                 str(attributes.get("platform", UNKNOWN)),
                 str(attributes.get("region", UNKNOWN)),
-                str(attributes.get("tenant", UNKNOWN)),
             ),
             duration,
             error=error,
