@@ -34,6 +34,23 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             DistribConfig(regions=("a", "b"), write_quorum=3)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"gossip_interval_ms": float("nan")},  # anti-entropy never ran
+            {"gossip_interval_ms": float("inf")},
+            {"replication_delay_ms": float("nan")},
+            {"replication_delay_ms": float("inf")},
+            {"write_quorum": 1.5},
+            {"write_quorum": True},
+            {"seed": 1.0},
+        ],
+        ids=lambda settings: "-".join(f"{k}={v}" for k, v in settings.items()),
+    )
+    def test_rejects_values_it_cannot_run(self, settings):
+        with pytest.raises(ConfigurationError):
+            DistribConfig(regions=REGIONS, **settings)
+
     def test_home_region_is_first(self):
         assert DistribConfig(regions=REGIONS).home_region == "ap-south"
 
