@@ -92,6 +92,7 @@ class MobileDevice:
             trajectory,
             seed=gps_seed,
             injector=self.faults,
+            battery=self.battery,  # every fix costs receiver power
         )
         self.telephony = TelephonyUnit(self.scheduler, self.bus)
         self.contacts = ContactStore()
@@ -104,14 +105,6 @@ class MobileDevice:
         )
         self._inbox = []
         self.sms_center.attach(self.phone_number, self._inbox.append)
-        # Energy accounting: every GPS fix costs receiver power.
-        self.bus.subscribe("gps.fix", self._drain_for_fix)
-
-    #: Battery cost of producing one GPS fix.
-    GPS_FIX_DRAIN_MWH = 0.25
-
-    def _drain_for_fix(self, topic, fix) -> None:
-        self.battery.drain("gps.fix", self.GPS_FIX_DRAIN_MWH)
 
     @property
     def clock(self) -> SimulatedClock:

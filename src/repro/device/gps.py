@@ -1,11 +1,13 @@
 """GPS receiver simulation with trajectory playback.
 
 The receiver replays a :class:`Trajectory` (timed waypoints) against the
-device's virtual clock, emitting periodic :class:`GpsFix` events on the
-device event bus.  Fix acquisition latency and horizontal accuracy noise
-are modelled so the platform location stacks above see realistic
-behaviour: a cold receiver takes time to first fix, and reported positions
-wobble around ground truth.
+device's virtual clock and delivers a fix once per interval: to the
+battery, to the fences the platforms watch (:mod:`repro.device.geofence`)
+and to any ``gps.fix`` subscriber on the device event bus.  Fix
+acquisition latency and horizontal accuracy noise are modelled so the
+platform location stacks above see realistic behaviour: a cold receiver
+takes time to first fix, and reported positions wobble around ground
+truth.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
+from repro.device.geofence import Fix, Visit, run_fences
 from repro.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.device.battery import Battery
     from repro.faults.injector import FaultInjector
 from repro.util.clock import ScheduledTask, Scheduler
 from repro.util.events import EventBus
@@ -28,6 +32,8 @@ from repro.util.geo import GeoPoint
 TOPIC_FIX = "gps.fix"
 #: Topic for receiver power-state changes.
 TOPIC_STATE = "gps.state"
+#: Battery cost of producing one GPS fix.
+GPS_FIX_DRAIN_MWH = 0.25
 
 
 @dataclass(frozen=True)
@@ -147,14 +153,21 @@ class Trajectory:
 
 
 class GpsReceiver:
-    """A virtual GPS chip emitting fixes onto the device event bus.
+    """A virtual GPS chip delivering a fix once per interval.
+
+    Each fix goes to its consumers in a fixed order: the battery, each
+    watched fence list in the order it was first watched (:meth:`watch`),
+    then the bus subscribers of :data:`TOPIC_FIX`.  The fix object
+    (:class:`GpsFix`) is built only for a reader: :attr:`last_fix`, or a
+    bus subscriber.
 
     Parameters
     ----------
     scheduler:
         The device's shared scheduler.
     bus:
-        The device's event bus; fixes publish on :data:`TOPIC_FIX`.
+        The device's event bus; fixes publish on :data:`TOPIC_FIX` when it
+        has a subscriber there.
     trajectory:
         Ground-truth path.  Replaceable at runtime via :meth:`set_trajectory`.
     fix_interval_ms:
@@ -169,6 +182,9 @@ class GpsReceiver:
         The device's fault injector.  A fix consults it only when its plan
         has a ``gps.fix`` rule: a plan is frozen, and a site without a rule
         draws nothing and never faults.
+    battery:
+        The device's battery, drained :data:`GPS_FIX_DRAIN_MWH` per
+        delivered fix (a stale replay included).
     """
 
     def __init__(
@@ -182,6 +198,7 @@ class GpsReceiver:
         accuracy_m: float = 5.0,
         seed: Optional[int] = 0,
         injector: Optional["FaultInjector"] = None,
+        battery: Optional["Battery"] = None,
     ) -> None:
         if not (math.isfinite(fix_interval_ms) and fix_interval_ms > 0):
             raise ConfigurationError(
@@ -205,7 +222,13 @@ class GpsReceiver:
         self._rng = random.Random(seed)
         self._powered = False
         self._fix_task: Optional[ScheduledTask] = None
+        self._battery = battery
+        #: The latest fix as (latitude, longitude, altitude, timestamp_ms,
+        #: speed_mps), and its :class:`GpsFix` once something has read it.
+        self._fix: Optional[Fix] = None
         self._last_fix: Optional[GpsFix] = None
+        #: ``(fences, visit)`` pairs, in the order they were first watched.
+        self._watched: List[Tuple[List[Any], Visit]] = []
         #: The injector, kept only when a fix has a rule to consult.
         self._faults = (
             injector
@@ -223,11 +246,22 @@ class GpsReceiver:
     @property
     def last_fix(self) -> Optional[GpsFix]:
         """Most recent fix, or ``None`` before first lock."""
-        return self._last_fix
+        return self._fix_object()
 
     @property
     def fix_interval_ms(self) -> float:
         return self._fix_interval_ms
+
+    def watch(self, fences: List[Any], visit: Visit) -> None:
+        """Evaluate ``fences`` on every fix from now on.
+
+        ``fences`` is the caller's own list of fence records (see
+        :mod:`repro.device.geofence`), which it may change at any time.
+        Every delivered fix calls ``visit(fence, now_ms, fix)`` for each
+        fence of a snapshot of the list, in list order (see
+        :func:`~repro.device.geofence.run_fences`).
+        """
+        self._watched.append((fences, visit))
 
     def set_trajectory(self, trajectory: Trajectory) -> None:
         """Swap the ground-truth path (takes effect at the next fix)."""
@@ -266,15 +300,31 @@ class GpsReceiver:
             raise SimulationError("no trajectory configured")
         return self._trajectory.position_at(self._scheduler.clock.now_ms)
 
+    def _fix_object(self) -> Optional[GpsFix]:
+        """:attr:`last_fix`, built on its first read.  Internal readers
+        call this, never the property."""
+        fix = self._last_fix
+        if fix is None and self._fix is not None:
+            latitude, longitude, altitude, timestamp_ms, speed_mps = self._fix
+            fix = self._last_fix = GpsFix(
+                GeoPoint(latitude, longitude, altitude),
+                timestamp_ms,
+                self._accuracy_m,
+                speed_mps,
+            )
+        return fix
+
     def _emit_fix(self) -> None:
         if self._faults is not None:
             fault = self._faults.decide("gps.fix")
             if fault is not None:
-                if fault.kind == "stale" and self._last_fix is not None:
+                if fault.kind == "stale" and self._fix is not None:
                     # Replay the previous fix unchanged: position and
                     # timestamp both lag reality, as a stuck receiver's do.
+                    # The replay is a delivery of its own, in a new tuple.
                     self.stale_fixes += 1
-                    self._bus.publish(TOPIC_FIX, self._last_fix)
+                    latitude, longitude, altitude, timestamp_ms, speed = self._fix
+                    self._deliver((latitude, longitude, altitude, timestamp_ms, speed))
                 else:  # "lost" — or stale with nothing to replay
                     self.lost_fixes += 1
                 return
@@ -284,15 +334,18 @@ class GpsReceiver:
         accuracy = self._accuracy_m
         # Noise in metres to degrees: 1 degree of latitude is ~111.2 km,
         # close enough for noise injection.  Latitude draws first.
-        fix = GpsFix(
-            GeoPoint(
-                latitude + gauss(0.0, accuracy) / 111_200.0,
-                longitude + gauss(0.0, accuracy) / 111_200.0,
-                altitude,
-            ),
-            now,
-            accuracy,
-            speed,
-        )
-        self._last_fix = fix
-        self._bus.publish(TOPIC_FIX, fix)
+        latitude += gauss(0.0, accuracy) / 111_200.0
+        longitude += gauss(0.0, accuracy) / 111_200.0
+        if not (-90.0 <= latitude <= 90.0 and -180.0 <= longitude <= 180.0):
+            GeoPoint(latitude, longitude, altitude)  # raises its range error
+        self._fix = fix = (latitude, longitude, altitude, now, speed)
+        self._last_fix = None
+        self._deliver(fix)
+
+    def _deliver(self, fix: Fix) -> None:
+        if self._battery is not None:
+            self._battery.drain("gps.fix", GPS_FIX_DRAIN_MWH)
+        if self._watched:
+            run_fences(self._watched, fix, self._scheduler.clock)
+        if self._bus.has_subscribers(TOPIC_FIX):
+            self._bus.publish(TOPIC_FIX, self._fix_object())

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union, TYPE_CHECKING
 
-from repro.device.gps import GpsFix, TOPIC_FIX
+from repro.device.geofence import Box, Fix, contains
+from repro.device.gps import GpsFix
 from repro.platforms.android.context import Context
 from repro.platforms.android.exceptions import (
     IllegalArgumentException,
@@ -113,7 +114,8 @@ class Location:
 
 @dataclass
 class _ProximityAlert:
-    """Book-keeping for one registered proximity alert."""
+    """Book-keeping for one registered proximity alert (a fence record of
+    :mod:`repro.device.geofence`)."""
 
     latitude: float
     longitude: float
@@ -123,6 +125,8 @@ class _ProximityAlert:
     inside: bool = False
     primed: bool = False  # becomes True after the first fix evaluation
     fired: List[str] = field(default_factory=list)
+    #: Set by the fence pass; not part of the alert's value.
+    box: Optional[Box] = field(default=None, compare=False, repr=False)
 
 
 class LocationManager:
@@ -234,15 +238,16 @@ class LocationServiceState:
     """Platform-wide location state: the alert table and GPS lifecycle.
 
     The platform owns exactly one of these; every LocationManager facade
-    shares it.  Subscribes to device GPS fixes and converts region-boundary
-    crossings into intent broadcasts.
+    shares it.  The device's GPS receiver watches the alert table and
+    hands each alert to :meth:`_on_fence` on every fix; this class turns
+    region-boundary crossings into intent broadcasts.
     """
 
     def __init__(self, platform: "AndroidPlatform") -> None:
         self._platform = platform
         self._alerts: List[_ProximityAlert] = []
         self._alert_contexts: Dict[int, Context] = {}
-        self._gps_subscribed = False
+        self._watching = False
 
     @property
     def active_alert_count(self) -> int:
@@ -252,9 +257,9 @@ class LocationServiceState:
         gps = self._platform.device.gps
         if not gps.powered:
             gps.power_on()
-        if not self._gps_subscribed:
-            self._platform.device.bus.subscribe(TOPIC_FIX, self._on_fix)
-            self._gps_subscribed = True
+        if not self._watching:
+            gps.watch(self._alerts, self._on_fence)
+            self._watching = True
 
     def add_alert(self, alert: _ProximityAlert, context: Context) -> None:
         self._alerts.append(alert)
@@ -271,28 +276,22 @@ class LocationServiceState:
             self._alerts.remove(alert)
         self._alert_contexts.pop(id(alert), None)
 
-    def _on_fix(self, topic: str, fix: GpsFix) -> None:
-        now = self._platform.clock.now_ms
-        for alert in list(self._alerts):
-            if alert.expires_at_ms is not None and now >= alert.expires_at_ms:
-                self._drop(alert)
-                continue
-            distance = haversine_m(
-                fix.point.latitude,
-                fix.point.longitude,
-                alert.latitude,
-                alert.longitude,
-            )
-            inside = distance <= alert.radius_m
-            if not alert.primed:
-                alert.primed = True
-                alert.inside = inside
-                if inside:
-                    self._fire(alert, entering=True)
-                continue
-            if inside != alert.inside:
-                alert.inside = inside
-                self._fire(alert, entering=inside)
+    def _on_fence(self, alert: _ProximityAlert, now_ms: float, fix: Fix) -> None:
+        """One alert on one fix: expiry first, then the first evaluation
+        primes it (an enter if inside), then every crossing fires."""
+        if alert.expires_at_ms is not None and now_ms >= alert.expires_at_ms:
+            self._drop(alert)
+            return
+        inside = contains(alert, fix)
+        if not alert.primed:
+            alert.primed = True
+            alert.inside = inside
+            if inside:
+                self._fire(alert, entering=True)
+            return
+        if inside != alert.inside:
+            alert.inside = inside
+            self._fire(alert, entering=inside)
 
     def _fire(self, alert: _ProximityAlert, *, entering: bool) -> None:
         alert.fired.append("enter" if entering else "exit")

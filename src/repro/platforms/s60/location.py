@@ -20,10 +20,11 @@ Java mapping: ``proximityEvent`` → :meth:`ProximityListener.proximity_event`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.device.gps import GpsFix, TOPIC_FIX
+from repro.device.geofence import Box, Fix, contains
+from repro.device.gps import GpsFix
 from repro.platforms.s60.exceptions import (
     IllegalArgumentException,
     LocationException,
@@ -192,10 +193,24 @@ class LocationListener:
 
 @dataclass
 class _ProximityRegistration:
+    """One registered proximity listener (a fence record of
+    :mod:`repro.device.geofence`)."""
+
     listener: ProximityListener
     coordinates: Coordinates
     radius_m: float
     fired: bool = False
+    #: Set by the fence pass; not part of the registration's value.
+    box: Optional[Box] = field(default=None, compare=False, repr=False)
+
+    # The centre, read only for the box and for a fix inside it.
+    @property
+    def latitude(self) -> float:
+        return self.coordinates.get_latitude()
+
+    @property
+    def longitude(self) -> float:
+        return self.coordinates.get_longitude()
 
 
 @dataclass
@@ -299,14 +314,19 @@ class LocationProviderStatics:
 
     Accessed as ``platform.location_provider`` (Python has no class statics
     bound to a platform instance).  Holds the platform-wide proximity
-    registration table.
+    registration table, which the device's GPS receiver watches: every
+    fix hands each registration to :meth:`_on_fence`.
     """
 
     def __init__(self, platform: "S60Platform") -> None:
         self.platform = platform
         self.out_of_service = False
         self._proximity: List[_ProximityRegistration] = []
-        self._gps_subscribed = False
+        self._watching = False
+        #: The delivered fix the last entry fired on, and the Location built
+        #: from it, which every registration entering on that fix shares.
+        self._entry_fix: Optional[Fix] = None
+        self._entry_location: Optional[S60Location] = None
         self._suite_name: Optional[str] = None
 
     def bind_suite(self, suite_name: str) -> None:
@@ -368,7 +388,7 @@ class LocationProviderStatics:
     def remove_proximity_listener(self, listener: ProximityListener) -> None:
         """Remove every registration of ``listener``."""
         removed = [r for r in self._proximity if r.listener is listener]
-        self._proximity = [r for r in self._proximity if r.listener is not listener]
+        self._proximity[:] = [r for r in self._proximity if r.listener is not listener]
         for registration in removed:
             registration.listener.monitoring_state_changed(False)
 
@@ -382,26 +402,26 @@ class LocationProviderStatics:
         gps = self.platform.device.gps
         if not gps.powered:
             gps.power_on()
-        if not self._gps_subscribed:
-            self.platform.device.bus.subscribe(TOPIC_FIX, self._on_fix)
-            self._gps_subscribed = True
+        if not self._watching:
+            gps.watch(self._proximity, self._on_fence)
+            self._watching = True
 
-    def _on_fix(self, topic: str, fix: GpsFix) -> None:
-        # Built on the first entry only: most fixes fire no registration.
-        location: Optional[S60Location] = None
-        for registration in list(self._proximity):
-            distance = haversine_m(
-                fix.point.latitude,
-                fix.point.longitude,
-                registration.coordinates.get_latitude(),
-                registration.coordinates.get_longitude(),
-            )
-            if distance <= registration.radius_m and not registration.fired:
-                registration.fired = True
-                # JSR-179: one-shot — remove before delivering.
-                self._proximity.remove(registration)
-                if location is None:
-                    location = S60Location.from_fix(fix)
-                registration.listener.proximity_event(
-                    registration.coordinates, location
+    def _on_fence(
+        self, registration: _ProximityRegistration, now_ms: float, fix: Fix
+    ) -> None:
+        if contains(registration, fix) and not registration.fired:
+            registration.fired = True
+            # JSR-179: one-shot — remove before delivering.
+            self._proximity.remove(registration)
+            if self._entry_fix is not fix:
+                # Built on an entry only: most fixes fire no registration.
+                latitude, longitude, altitude, timestamp_ms, speed_mps = fix
+                self._entry_fix = fix
+                self._entry_location = S60Location(
+                    Coordinates(latitude, longitude, altitude),
+                    timestamp_ms=timestamp_ms,
+                    speed_mps=speed_mps,
                 )
+            registration.listener.proximity_event(
+                registration.coordinates, self._entry_location
+            )

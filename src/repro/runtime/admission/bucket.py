@@ -75,11 +75,6 @@ class TokenBucket:
             )
             self._last_ms = now_ms
 
-    def peek(self, now_ms: float) -> float:
-        """The balance at ``now_ms`` (refills as a side effect)."""
-        self._refill(now_ms)
-        return self.tokens
-
     def try_take(self, now_ms: float, amount: float = 1.0) -> Optional[float]:
         """Take ``amount`` tokens at virtual instant ``now_ms``.
 

@@ -168,22 +168,10 @@ class CooperativeScheduler:
         """
         self._drain_hooks.append(hook)
 
-    # -- driving -------------------------------------------------------------
-
-    def run_for(self, delta_ms: float) -> int:
-        """Advance the shared world; returns callbacks executed."""
-        return self._base.run_for(delta_ms)
-
-    def run_until(self, until_ms: float) -> int:
-        return self._base.run_until(until_ms)
-
     # -- introspection -------------------------------------------------------
 
     def failed_tasks(self) -> List[AgentTask]:
         return [task for task in self.tasks if task.state == FAILED]
-
-    def unfinished_tasks(self) -> List[AgentTask]:
-        return [task for task in self.tasks if not task.finished]
 
     @property
     def all_finished(self) -> bool:

@@ -92,6 +92,16 @@ class EventBus:
         """Number of active subscribers that would receive ``topic``."""
         return sum(1 for sub in self._subs if sub.active and sub.matches(topic))
 
+    def has_subscribers(self, topic: str) -> bool:
+        """Whether a publish of ``topic`` now would reach any handler.
+
+        A publisher asks this before building a payload nobody may read.
+        """
+        for sub in self._subs:
+            if sub.active and sub.matches(topic):
+                return True
+        return False
+
 
 class TypedSignal:
     """A single-topic variant of :class:`EventBus` with positional payloads.

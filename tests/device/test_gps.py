@@ -293,19 +293,27 @@ class ReferenceTickReceiver(GpsReceiver):
     """The tick :meth:`GpsReceiver._emit_fix` replaced, kept as the
     reference: a ground-truth :class:`GeoPoint` from the linear scan,
     noise converted by ``m / 111_200.0``, the scanned speed, and
-    ``decide("gps.fix")`` on every tick whether or not a rule exists."""
+    ``decide("gps.fix")`` on every tick whether or not a rule exists.
+    Every fix is built at the tick and published on the bus, its only
+    consumer: the battery and the platforms subscribed there before the
+    fence pass (see ``tests/device/test_fix_path.py``)."""
 
     def __init__(self, *args, injector=None, **kwargs):
         super().__init__(*args, injector=injector, **kwargs)
         self.every_tick_injector = injector
+        self._reference_fix = None
+
+    @property
+    def last_fix(self):
+        return self._reference_fix
 
     def _emit_fix(self):
         if self.every_tick_injector is not None:
             fault = self.every_tick_injector.decide("gps.fix")
             if fault is not None:
-                if fault.kind == "stale" and self._last_fix is not None:
+                if fault.kind == "stale" and self._reference_fix is not None:
                     self.stale_fixes += 1
-                    self._bus.publish(TOPIC_FIX, self._last_fix)
+                    self._bus.publish(TOPIC_FIX, self._reference_fix)
                 else:
                     self.lost_fixes += 1
                 return
@@ -324,7 +332,7 @@ class ReferenceTickReceiver(GpsReceiver):
             accuracy_m=self._accuracy_m,
             speed_mps=_reference_speed(self._trajectory, now),
         )
-        self._last_fix = fix
+        self._reference_fix = fix
         self._bus.publish(TOPIC_FIX, fix)
 
 
