@@ -197,15 +197,17 @@ def test_concurrency_scaling_summary():
     print(f"\nwrote {path}")
 
     # Companion artifacts for the CI bench smoke: the 8-shard run's
-    # timeline and critical-path documents, next to the BENCH json.
+    # trace and the timeline and critical-path documents folded from it,
+    # next to the BENCH json.
     out_dir = bench_output_dir()
     widest = results[SHARD_COUNTS[-1]]
-    timeline_path = out_dir / "TIMELINE_concurrency.json"
-    timeline_path.write_text(widest["timelines"].to_json(), encoding="utf-8")
-    cpath_path = out_dir / "CRITICAL_PATH_concurrency.json"
-    cpath_path.write_text(widest["path"].to_json(), encoding="utf-8")
-    print(f"wrote {timeline_path}")
-    print(f"wrote {cpath_path}")
+    for name, text in (
+        ("TRACE_concurrency.jsonl", widest["trace"]),
+        ("TIMELINE_concurrency.json", widest["timelines"].to_json()),
+        ("CRITICAL_PATH_concurrency.json", widest["path"].to_json()),
+    ):
+        (out_dir / name).write_text(text, encoding="utf-8")
+        print(f"wrote {out_dir / name}")
 
 
 def test_concurrency_observability_determinism():

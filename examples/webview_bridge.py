@@ -13,7 +13,8 @@ Run:  python examples/webview_bridge.py
 """
 
 from repro.apps.workforce import scenario
-from repro.core.proxies.sms.webview import SmsProxyJs, install_sms_wrapper
+from repro.core.plugin.packaging import WebViewPlatformExtension
+from repro.core.proxies.sms.webview import SmsProxyJs
 from repro.errors import ProxyPermissionError
 from repro.platforms.webview.exceptions import BridgeMarshalError, JsBridgeError
 
@@ -24,7 +25,8 @@ def main():
     webview = sc.platform.new_webview()
 
     # The plugin's platform extension injects the Java side.
-    wrapper = install_sms_wrapper(webview, sc.platform, context)
+    extension = WebViewPlatformExtension()
+    extension.install_wrappers(webview, sc.platform, context, ["Sms"])
     print("Injected Java objects:", webview.bridge.names())
 
     def page(window):
@@ -66,7 +68,9 @@ def main():
     print("\n== 4. Proxies turn Java exceptions into stable error codes ==")
     sc.platform.android.install("noperm", set())
     webview2 = sc.platform.new_webview()
-    install_sms_wrapper(webview2, sc.platform, sc.platform.android.new_context("noperm"))
+    extension.install_wrappers(
+        webview2, sc.platform, sc.platform.android.new_context("noperm"), ["Sms"]
+    )
 
     def page2(window):
         proxy = SmsProxyJs.in_page(window)

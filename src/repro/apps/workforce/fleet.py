@@ -22,7 +22,12 @@ from repro.apps.workforce.common import (
     encode,
 )
 from repro.apps.workforce.proxied import WorkforceLogic, launch_on_android
-from repro.apps.workforce.scenario import ANDROID_PERMISSIONS, PACKAGE
+from repro.apps.workforce.scenario import (
+    ANDROID_PERMISSIONS,
+    AWAY_DISTANCE_M,
+    LEG_MS,
+    PACKAGE,
+)
 from repro.apps.workforce.server import WorkforceServer
 from repro.device.device import MobileDevice
 from repro.device.gps import Trajectory, Waypoint
@@ -281,7 +286,6 @@ def build_fleet(
     *,
     base_latitude: float = 28.6,
     base_longitude: float = 77.2,
-    leg_ms: float = 60_000.0,
     observability: bool = False,
     runtime: bool = False,
     flight_recorder: bool = False,
@@ -296,7 +300,7 @@ def build_fleet(
     """Deploy ``agent_count`` Android agents on shared infrastructure.
 
     Agent *k* gets its own work site 5 km apart from the others and a
-    staggered commute (each starts ``k × leg/4`` later), so proximity
+    staggered commute (each starts ``k × LEG_MS/4`` later), so proximity
     events interleave realistically on the shared clock.
 
     ``observability=True`` gives every agent handset a recording tracer
@@ -412,9 +416,9 @@ def build_fleet(
             phone_number=f"+91555100{index + 1}",
             supervisor_number=SUPERVISOR_NUMBER,
         )
-        start_offset = index * leg_ms / 4.0
+        start_offset = index * LEG_MS / 4.0
         away = destination_point(
-            site.latitude, site.longitude, bearing=90.0, distance_m=2_000.0
+            site.latitude, site.longitude, bearing=90.0, distance_m=AWAY_DISTANCE_M
         )
         home = GeoPoint(site.latitude, site.longitude)
         device = MobileDevice(
@@ -426,8 +430,8 @@ def build_fleet(
             trajectory=Trajectory(
                 [
                     Waypoint(0.0, away),
-                    Waypoint(start_offset + leg_ms, home),
-                    Waypoint(start_offset + 2 * leg_ms, away),
+                    Waypoint(start_offset + LEG_MS, home),
+                    Waypoint(start_offset + 2 * LEG_MS, away),
                 ]
             ),
             gps_seed=index,

@@ -52,24 +52,29 @@ ANDROID_PERMISSIONS = {ACCESS_FINE_LOCATION, SEND_SMS, CALL_PHONE, INTERNET}
 S60_PERMISSIONS = [PERMISSION_LOCATION, PERMISSION_SMS_SEND, PERMISSION_HTTP]
 
 
-def standard_config(alert_timer_s: float = -1.0) -> WorkforceConfig:
-    return WorkforceConfig(agent=AGENT, site=SITE, alert_timer_s=alert_timer_s)
+#: Proximity alert expiration of every standard scenario (-1: never).
+ALERT_TIMER_S = -1.0
+
+#: The commute: each leg's duration, and how far east of the site the
+#: agent starts.
+LEG_MS = 60_000.0
+AWAY_DISTANCE_M = 2_000.0
 
 
-def commute_trajectory(
-    *,
-    leg_ms: float = 60_000.0,
-    away_distance_m: float = 2_000.0,
-) -> Trajectory:
+def standard_config() -> WorkforceConfig:
+    return WorkforceConfig(agent=AGENT, site=SITE, alert_timer_s=ALERT_TIMER_S)
+
+
+def commute_trajectory() -> Trajectory:
     """away → site → away → site: two visits, exercising enter and exit."""
     home = GeoPoint(SITE.latitude, SITE.longitude)
-    away = destination_point(SITE.latitude, SITE.longitude, 90.0, away_distance_m)
+    away = destination_point(SITE.latitude, SITE.longitude, 90.0, AWAY_DISTANCE_M)
     return Trajectory(
         [
             Waypoint(0.0, away),
-            Waypoint(leg_ms, home),
-            Waypoint(2 * leg_ms, away),
-            Waypoint(3 * leg_ms, home),
+            Waypoint(LEG_MS, home),
+            Waypoint(2 * LEG_MS, away),
+            Waypoint(3 * LEG_MS, home),
         ]
     )
 
@@ -89,7 +94,6 @@ def build_android(
     *,
     sdk_version: SdkVersion = SdkVersion.M5_RC15,
     latency: Optional[LatencyModel] = None,
-    alert_timer_s: float = -1.0,
     fault_plan: Optional[FaultPlan] = None,
     observability: Optional[Observability] = None,
 ) -> AndroidScenario:
@@ -102,7 +106,7 @@ def build_android(
     platform = AndroidPlatform(device, sdk_version=sdk_version, latency=latency)
     platform.install(PACKAGE, ANDROID_PERMISSIONS)
     server = WorkforceServer(device.network)
-    return AndroidScenario(device, platform, server, standard_config(alert_timer_s))
+    return AndroidScenario(device, platform, server, standard_config())
 
 
 @dataclass
@@ -116,7 +120,6 @@ class S60Scenario:
 def build_s60(
     *,
     latency: Optional[LatencyModel] = None,
-    alert_timer_s: float = -1.0,
     fault_plan: Optional[FaultPlan] = None,
     observability: Optional[Observability] = None,
 ) -> S60Scenario:
@@ -135,7 +138,7 @@ def build_s60(
     platform.location_provider.bind_suite(PACKAGE)
     platform.connector.bind_suite(PACKAGE)
     server = WorkforceServer(device.network)
-    return S60Scenario(device, platform, server, standard_config(alert_timer_s))
+    return S60Scenario(device, platform, server, standard_config())
 
 
 @dataclass
@@ -153,7 +156,6 @@ def build_webview(
     *,
     latency: Optional[LatencyModel] = None,
     android_latency: Optional[LatencyModel] = None,
-    alert_timer_s: float = -1.0,
     fault_plan: Optional[FaultPlan] = None,
     observability: Optional[Observability] = None,
 ) -> WebViewScenario:
@@ -167,4 +169,4 @@ def build_webview(
     android.install(PACKAGE, ANDROID_PERMISSIONS)
     platform = WebViewPlatform(device, android=android, latency=latency)
     server = WorkforceServer(device.network)
-    return WebViewScenario(device, platform, server, standard_config(alert_timer_s))
+    return WebViewScenario(device, platform, server, standard_config())

@@ -19,6 +19,12 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.plugin.toolkit import CodeFile, Project
+from repro.core.proxies.webview_common import (
+    WrapperFactory,
+    java_wrapper_class,
+    js_file,
+    js_globals,
+)
 from repro.errors import ConfigurationError
 from repro.platforms.s60.packaging import Jar, JarEntry, JadDescriptor, MidletSuite
 
@@ -56,27 +62,6 @@ _S60_PERMISSIONS: Dict[str, List[str]] = {
         "javax.microedition.pim.EventList.write",
     ],
 }
-
-#: JS implementation files per interface for WebView projects.
-_WEBVIEW_JS_FILES: Dict[str, str] = {
-    "Location": "proxies/location_proxy.js",
-    "Sms": "proxies/sms_proxy.js",
-    "Call": "proxies/call_proxy.js",
-    "Http": "proxies/http_proxy.js",
-    "Contacts": "proxies/contacts_proxy.js",
-    "Calendar": "proxies/calendar_proxy.js",
-}
-
-#: JS global pairs (factory, wrapper) injected per interface.
-_WEBVIEW_WRAPPERS: Dict[str, tuple] = {
-    "Location": ("LocationWrapperFactory", "LocationWrapper"),
-    "Sms": ("SmsWrapperFactory", "SmsWrapper"),
-    "Call": ("CallWrapperFactory", "CallWrapper"),
-    "Http": ("HttpWrapperFactory", "HttpWrapper"),
-    "Contacts": ("ContactsWrapperFactory", "ContactsWrapper"),
-    "Calendar": ("CalendarWrapperFactory", "CalendarWrapper"),
-}
-
 
 def proxy_jar(platform: str, interface: str) -> Jar:
     """The implementation jar artifact for (platform, interface)."""
@@ -157,18 +142,17 @@ class WebViewPlatformExtension:
 
     def embed_proxy(self, project: Project, interface: str) -> None:
         """Inject the JS implementation file and wiring code."""
-        js_file = _WEBVIEW_JS_FILES.get(interface)
-        if js_file is None:
-            raise ConfigurationError(f"no WebView artifacts for {interface!r}")
-        if js_file not in project.files:
+        java_wrapper_class(interface)  # no WebView binding: ConfigurationError
+        js_name = js_file(interface)
+        if js_name not in project.files:
             project.add_file(
                 CodeFile(
-                    name=js_file,
+                    name=js_name,
                     content=f"// MobiVine {interface} JS proxy implementation\n",
                     language="javascript",
                 )
             )
-        project.add_resource(js_file)
+        project.add_resource(js_name)
         wiring_name = "WebViewWiring.java"
         if wiring_name not in project.files:
             project.add_file(
@@ -178,7 +162,7 @@ class WebViewPlatformExtension:
                     language="java",
                 )
             )
-        factory_name, wrapper_name = _WEBVIEW_WRAPPERS[interface]
+        factory_name, wrapper_name = js_globals(interface)
         wiring = project.file(wiring_name)
         line = (
             f"webView.addJavascriptInterface(new {wrapper_name}(context), "
@@ -188,27 +172,16 @@ class WebViewPlatformExtension:
             wiring.content += line
 
     def install_wrappers(self, webview, platform, context, interfaces: Iterable[str]) -> Dict[str, object]:
-        """Run-time half: inject live Java wrapper objects into a WebView."""
-        from repro.core.proxies.location.webview import install_location_wrapper
-        from repro.core.proxies.sms.webview import install_sms_wrapper
-        from repro.core.proxies.call.webview import install_call_wrapper
-        from repro.core.proxies.http.webview import install_http_wrapper
-        from repro.core.proxies.contacts.webview import install_contacts_wrapper
-        from repro.core.proxies.calendar.webview import install_calendar_wrapper
-
-        installers = {
-            "Location": install_location_wrapper,
-            "Sms": install_sms_wrapper,
-            "Call": install_call_wrapper,
-            "Http": install_http_wrapper,
-            "Contacts": install_contacts_wrapper,
-            "Calendar": install_calendar_wrapper,
-        }
+        """Run-time half: inject live Java wrapper objects into a WebView
+        (each interface's wrapper factory and wrapper, under the globals
+        its JS proxy looks up)."""
         installed = {}
         for interface in interfaces:
-            if interface not in installers:
-                raise ConfigurationError(f"no WebView wrapper for {interface!r}")
-            installed[interface] = installers[interface](webview, platform, context)
+            wrapper = java_wrapper_class(interface)(platform, context)
+            factory_name, wrapper_name = js_globals(interface)
+            webview.add_javascript_interface(WrapperFactory(wrapper), factory_name)
+            webview.add_javascript_interface(wrapper, wrapper_name)
+            installed[interface] = wrapper
         return installed
 
 

@@ -10,19 +10,10 @@ from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.webview_common import (
     JavaWrapper,
     JsProxy,
-    WrapperFactory,
+    bridge_entry,
     decode_or_raise,
-    encode_error,
-    encode_ok,
 )
 from repro.core.proxy.datatypes import CalendarEvent
-from repro.errors import ProxyError
-from repro.platforms.android.context import Context
-from repro.platforms.webview.platform import WebViewPlatform
-from repro.platforms.webview.webview import WebView
-
-FACTORY_JS_NAME = "CalendarWrapperFactory"
-WRAPPER_JS_NAME = "CalendarWrapper"
 
 
 def _event_payload(event: CalendarEvent) -> Dict:
@@ -45,67 +36,32 @@ def _event_from_payload(payload: Dict) -> CalendarEvent:
     )
 
 
-class CalendarWrapperFactory(WrapperFactory):
-    """Java side, step 1."""
-
-    def create_calendar_wrapper_instance(self) -> int:
-        return self._wrapper.create_instance()
-
-
 class CalendarWrapperJava(JavaWrapper):
     """Java side, step 2: the ``CalendarWrapper`` class behind the bridge."""
 
     ANDROID_BINDING = AndroidCalendarProxyImpl
 
-    def list_events(self, handle: int) -> str:
-        try:
-            events = self._backend.instance(handle).list_events()
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok({"events": [_event_payload(e) for e in events]})
+    @bridge_entry
+    def list_events(self, handle: int) -> Dict:
+        events = self._instance(handle).list_events()
+        return {"events": [_event_payload(e) for e in events]}
 
-    def events_between(self, handle: int, start_ms: float, end_ms: float) -> str:
-        try:
-            events = self._backend.instance(handle).events_between(start_ms, end_ms)
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok({"events": [_event_payload(e) for e in events]})
+    @bridge_entry
+    def events_between(self, handle: int, start_ms: float, end_ms: float) -> Dict:
+        events = self._instance(handle).events_between(start_ms, end_ms)
+        return {"events": [_event_payload(e) for e in events]}
 
-    def add_event(self, handle: int, summary: str, start_ms: float, end_ms: float) -> str:
-        try:
-            event_id = self._backend.instance(handle).add_event(
-                summary, start_ms, end_ms
-            )
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok({"eventId": event_id})
+    @bridge_entry
+    def add_event(self, handle: int, summary: str, start_ms: float, end_ms: float) -> Dict:
+        return {"eventId": self._instance(handle).add_event(summary, start_ms, end_ms)}
 
-    def remove_event(self, handle: int, event_id: str) -> str:
-        try:
-            self._backend.instance(handle).remove_event(event_id)
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok()
-
-
-def install_calendar_wrapper(
-    webview: WebView, platform: WebViewPlatform, context: Context
-) -> CalendarWrapperJava:
-    """Inject the Java side into a WebView (the plugin extension's job)."""
-    wrapper = CalendarWrapperJava(platform, context)
-    webview.add_javascript_interface(
-        CalendarWrapperFactory(wrapper), FACTORY_JS_NAME
-    )
-    webview.add_javascript_interface(wrapper, WRAPPER_JS_NAME)
-    return wrapper
+    @bridge_entry
+    def remove_event(self, handle: int, event_id: str) -> None:
+        self._instance(handle).remove_event(event_id)
 
 
 class CalendarProxyJs(JsProxy, CalendarProxy):
     """JS side: ``com.ibm.proxies.webview.calendar.CalendarProxyJs``."""
-
-    FACTORY_JS_NAME = FACTORY_JS_NAME
-    WRAPPER_JS_NAME = WRAPPER_JS_NAME
-    CREATE_INSTANCE = "create_calendar_wrapper_instance"
 
     @staticmethod
     def _events(envelope_json: str) -> List[CalendarEvent]:

@@ -14,19 +14,10 @@ from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.webview_common import (
     JavaWrapper,
     JsProxy,
-    WrapperFactory,
+    bridge_entry,
     decode_or_raise,
-    encode_error,
-    encode_ok,
 )
 from repro.core.proxy.datatypes import Contact
-from repro.errors import ProxyError
-from repro.platforms.android.context import Context
-from repro.platforms.webview.platform import WebViewPlatform
-from repro.platforms.webview.webview import WebView
-
-FACTORY_JS_NAME = "ContactsWrapperFactory"
-WRAPPER_JS_NAME = "ContactsWrapper"
 
 
 def _contact_payload(contact: Contact) -> Dict:
@@ -47,65 +38,32 @@ def _contact_from_payload(payload: Dict) -> Contact:
     )
 
 
-class ContactsWrapperFactory(WrapperFactory):
-    """Java side, step 1."""
-
-    def create_contacts_wrapper_instance(self) -> int:
-        return self._wrapper.create_instance()
-
-
 class ContactsWrapperJava(JavaWrapper):
     """Java side, step 2: the ``ContactsWrapper`` class behind the bridge."""
 
     ANDROID_BINDING = AndroidContactsProxyImpl
 
-    def list_contacts(self, handle: int) -> str:
-        try:
-            contacts = self._backend.instance(handle).list_contacts()
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok({"contacts": [_contact_payload(c) for c in contacts]})
+    @bridge_entry
+    def list_contacts(self, handle: int) -> Dict:
+        contacts = self._instance(handle).list_contacts()
+        return {"contacts": [_contact_payload(c) for c in contacts]}
 
-    def find_by_name(self, handle: int, name: str) -> str:
-        try:
-            contacts = self._backend.instance(handle).find_by_name(name)
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok({"contacts": [_contact_payload(c) for c in contacts]})
+    @bridge_entry
+    def find_by_name(self, handle: int, name: str) -> Dict:
+        contacts = self._instance(handle).find_by_name(name)
+        return {"contacts": [_contact_payload(c) for c in contacts]}
 
-    def add_contact(self, handle: int, name: str, phone_number: str) -> str:
-        try:
-            contact_id = self._backend.instance(handle).add_contact(name, phone_number)
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok({"contactId": contact_id})
+    @bridge_entry
+    def add_contact(self, handle: int, name: str, phone_number: str) -> Dict:
+        return {"contactId": self._instance(handle).add_contact(name, phone_number)}
 
-    def remove_contact(self, handle: int, contact_id: str) -> str:
-        try:
-            self._backend.instance(handle).remove_contact(contact_id)
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok()
-
-
-def install_contacts_wrapper(
-    webview: WebView, platform: WebViewPlatform, context: Context
-) -> ContactsWrapperJava:
-    """Inject the Java side into a WebView (the plugin extension's job)."""
-    wrapper = ContactsWrapperJava(platform, context)
-    webview.add_javascript_interface(
-        ContactsWrapperFactory(wrapper), FACTORY_JS_NAME
-    )
-    webview.add_javascript_interface(wrapper, WRAPPER_JS_NAME)
-    return wrapper
+    @bridge_entry
+    def remove_contact(self, handle: int, contact_id: str) -> None:
+        self._instance(handle).remove_contact(contact_id)
 
 
 class ContactsProxyJs(JsProxy, ContactsProxy):
     """JS side: ``com.ibm.proxies.webview.contacts.ContactsProxyJs``."""
-
-    FACTORY_JS_NAME = FACTORY_JS_NAME
-    WRAPPER_JS_NAME = WRAPPER_JS_NAME
-    CREATE_INSTANCE = "create_contacts_wrapper_instance"
 
     @staticmethod
     def _contacts(envelope_json: str) -> List[Contact]:

@@ -8,6 +8,7 @@ builds proxies for a live platform object.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Type
 
 from repro.core.descriptor.registry import ProxyRegistry
@@ -77,6 +78,29 @@ def standard_registry() -> ProxyRegistry:
     return _STANDARD_REGISTRY
 
 
+@functools.cache
+def load_bindings() -> None:
+    """Import every binding module, so each has registered its classes
+    (once: the callers build proxies and WebView wrappers per world)."""
+    import repro.core.proxies.location.android  # noqa: F401
+    import repro.core.proxies.location.s60  # noqa: F401
+    import repro.core.proxies.location.webview  # noqa: F401
+    import repro.core.proxies.sms.android  # noqa: F401
+    import repro.core.proxies.sms.s60  # noqa: F401
+    import repro.core.proxies.sms.webview  # noqa: F401
+    import repro.core.proxies.call.android  # noqa: F401
+    import repro.core.proxies.call.webview  # noqa: F401
+    import repro.core.proxies.http.android  # noqa: F401
+    import repro.core.proxies.http.s60  # noqa: F401
+    import repro.core.proxies.http.webview  # noqa: F401
+    import repro.core.proxies.contacts.android  # noqa: F401
+    import repro.core.proxies.contacts.s60  # noqa: F401
+    import repro.core.proxies.contacts.webview  # noqa: F401
+    import repro.core.proxies.calendar.android  # noqa: F401
+    import repro.core.proxies.calendar.s60  # noqa: F401
+    import repro.core.proxies.calendar.webview  # noqa: F401
+
+
 def create_proxy(
     interface: str,
     platform_object,
@@ -107,25 +131,7 @@ def create_proxy(
     proxy and its resilience runtime, so enabling tracing on the device
     instruments every proxied invocation with no per-binding wiring.
     """
-    # Ensure binding modules have registered their classes.
-    import repro.core.proxies.location.android  # noqa: F401
-    import repro.core.proxies.location.s60  # noqa: F401
-    import repro.core.proxies.location.webview  # noqa: F401
-    import repro.core.proxies.sms.android  # noqa: F401
-    import repro.core.proxies.sms.s60  # noqa: F401
-    import repro.core.proxies.sms.webview  # noqa: F401
-    import repro.core.proxies.call.android  # noqa: F401
-    import repro.core.proxies.call.webview  # noqa: F401
-    import repro.core.proxies.http.android  # noqa: F401
-    import repro.core.proxies.http.s60  # noqa: F401
-    import repro.core.proxies.http.webview  # noqa: F401
-    import repro.core.proxies.contacts.android  # noqa: F401
-    import repro.core.proxies.contacts.s60  # noqa: F401
-    import repro.core.proxies.contacts.webview  # noqa: F401
-    import repro.core.proxies.calendar.android  # noqa: F401
-    import repro.core.proxies.calendar.s60  # noqa: F401
-    import repro.core.proxies.calendar.webview  # noqa: F401
-
+    load_bindings()
     registry = registry or standard_registry()
     platform_name = platform_object.platform_name
     try:

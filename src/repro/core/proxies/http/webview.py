@@ -9,7 +9,7 @@ polls it back.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.http.android import AndroidHttpProxyImpl
@@ -22,28 +22,14 @@ from repro.core.proxies.http.api import (
 from repro.core.proxies.webview_common import (
     JavaWrapper,
     JsProxy,
-    NotificationHandler,
-    WrapperFactory,
+    bridge_entry,
     decode_or_raise,
-    encode_error,
-    encode_ok,
 )
-from repro.core.proxy.callbacks import HttpResponseListener
 from repro.core.proxy.datatypes import HttpResult
-from repro.errors import ProxyError
-from repro.platforms.android.context import Context
-from repro.platforms.webview.platform import WebViewPlatform
-from repro.platforms.webview.webview import WebView
-
-FACTORY_JS_NAME = "HttpWrapperFactory"
-WRAPPER_JS_NAME = "HttpWrapper"
 
 
-class HttpWrapperFactory(WrapperFactory):
-    """Java side, step 1."""
-
-    def create_http_wrapper_instance(self) -> int:
-        return self._wrapper.create_instance()
+def _result_payload(result: HttpResult) -> Dict:
+    return {"status": result.status, "body": result.body}
 
 
 class HttpWrapperJava(JavaWrapper):
@@ -51,66 +37,28 @@ class HttpWrapperJava(JavaWrapper):
 
     ANDROID_BINDING = AndroidHttpProxyImpl
 
-    def get(self, handle: int, url: str) -> str:
-        try:
-            result = self._backend.instance(handle).get(url)
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok({"status": result.status, "body": result.body})
+    @bridge_entry
+    def get(self, handle: int, url: str) -> Dict:
+        return _result_payload(self._instance(handle).get(url))
 
-    def post(self, handle: int, url: str, body: str) -> str:
-        try:
-            result = self._backend.instance(handle).post(url, body)
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok({"status": result.status, "body": result.body})
+    @bridge_entry
+    def post(self, handle: int, url: str, body: str) -> Dict:
+        return _result_payload(self._instance(handle).post(url, body))
 
-    def get_async(self, handle: int, url: str) -> str:
+    @bridge_entry
+    def get_async(self, handle: int, url: str) -> Dict[str, str]:
         """Start an async fetch; results arrive via the notification table."""
-        backend = self._backend
-        platform = self._platform
-        notification_id = backend.notifications.new_id()
+        notification_id, post = self._poster("httpResponse")
 
-        class _TablePostingHttpListener(HttpResponseListener):
-            def on_response(self, result: HttpResult) -> None:
-                backend.notifications.post(
-                    notification_id,
-                    "httpResponse",
-                    {"status": result.status, "body": result.body},
-                    now_ms=platform.clock.now_ms,
-                )
+        def respond(result: Optional[HttpResult], reason: Optional[str]) -> None:
+            post({"error": reason} if result is None else _result_payload(result))
 
-            def on_error(self, reason: str) -> None:
-                backend.notifications.post(
-                    notification_id,
-                    "httpResponse",
-                    {"error": reason},
-                    now_ms=platform.clock.now_ms,
-                )
-
-        try:
-            backend.instance(handle).get_async(url, _TablePostingHttpListener())
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok({"notificationId": notification_id})
-
-
-def install_http_wrapper(
-    webview: WebView, platform: WebViewPlatform, context: Context
-) -> HttpWrapperJava:
-    """Inject the Java side into a WebView (the plugin extension's job)."""
-    wrapper = HttpWrapperJava(platform, context)
-    webview.add_javascript_interface(HttpWrapperFactory(wrapper), FACTORY_JS_NAME)
-    webview.add_javascript_interface(wrapper, WRAPPER_JS_NAME)
-    return wrapper
+        self._instance(handle).get_async(url, respond)
+        return {"notificationId": notification_id}
 
 
 class HttpProxyJs(JsProxy, HttpProxy):
     """JS side: ``com.ibm.proxies.webview.http.HttpProxyJs``."""
-
-    FACTORY_JS_NAME = FACTORY_JS_NAME
-    WRAPPER_JS_NAME = WRAPPER_JS_NAME
-    CREATE_INSTANCE = "create_http_wrapper_instance"
 
     def get(self, url: str) -> HttpResult:
         def attempt() -> HttpResult:
@@ -140,8 +88,6 @@ class HttpProxyJs(JsProxy, HttpProxy):
             lambda: decode_or_raise(self._wrapper.get_async(self._swi, url)),
             url=url,
         )
-        notification_id = payload["notificationId"]
-        holder: Dict[str, NotificationHandler] = {}
 
         def dispatch(notification: Dict) -> None:
             body = notification["payload"]
@@ -151,17 +97,11 @@ class HttpProxyJs(JsProxy, HttpProxy):
                 listener.on_response(
                     HttpResult(status=body["status"], body=body["body"])
                 )
-            holder["handler"].stop_polling()  # one-shot
+            handler.stop_polling()  # one-shot
 
-        handler = NotificationHandler(
-            self._window,
-            self._wrapper,
-            notification_id,
-            dispatch,
-            poll_interval_ms=self.ASYNC_POLL_INTERVAL_MS,
+        handler = self._poll(
+            payload["notificationId"], dispatch, self.ASYNC_POLL_INTERVAL_MS
         )
-        holder["handler"] = handler
-        handler.start_polling()
 
 
 register_implementation("com.ibm.proxies.webview.http.HttpProxyJs", HttpProxyJs)

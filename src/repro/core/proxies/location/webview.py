@@ -1,29 +1,16 @@
 """WebView binding of the Location proxy (paper Figure 6, applied to
 Location instead of SMS).
 
-Three pieces, matching the figure's three steps:
-
-1. **Wrapper factory** (``LocationWrapperFactory``) — injected into the
-   page; ``create_location_wrapper_instance`` builds a Java-side proxy
-   (reusing the Android binding) and returns an integer handle, the
-   figure's ``swi``.
-2. **Wrapper** (``LocationWrapper``) — injected alongside; exposes the
-   proxy methods with the handle as first argument.  Results and errors
-   travel as JSON envelopes because neither objects nor exceptions cross
-   the bridge.
-3. **Notification support** — ``add_proximity_alert`` returns a
-   notification id; a Java-side callback object posts every proximity
-   event into the platform's Notification Table, and the JS proxy's
-   ``notifHandler`` polls it with ``window.set_interval``.
-
-Use :func:`install_location_wrapper` (normally called by the M-Plugin's
-WebView platform extension) to inject the Java side, then construct
-:class:`LocationProxyJs` in page code.
+The Java side (``LocationWrapperJava``) reuses the Android binding behind
+the bridge; ``add_proximity_alert`` returns a notification id and posts
+every proximity event into the platform's Notification Table, which the
+JS proxy's ``notifHandler`` polls with ``window.set_interval``.  The
+shape every binding shares is in :mod:`repro.core.proxies.webview_common`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Union
 
 from repro.core.proxies.factory import register_implementation
 from repro.core.proxies.location.android import AndroidLocationProxyImpl
@@ -31,24 +18,14 @@ from repro.core.proxies.location.api import LocationProxy
 from repro.core.proxies.webview_common import (
     JavaWrapper,
     JsProxy,
-    NotificationHandler,
-    WrapperBackend,
-    WrapperFactory,
+    bridge_entry,
     decode_or_raise,
-    encode_error,
-    encode_ok,
 )
 from repro.core.proxy.callbacks import FunctionProximityListener, ProximityListener
 from repro.core.proxy.datatypes import Location
 from repro.core.resilience import LAST_RESULT
-from repro.errors import ProxyError
 from repro.platforms.android.context import Context
 from repro.platforms.webview.platform import WebViewPlatform
-from repro.platforms.webview.webview import WebView
-
-#: JS global names the plugin injects the Java side under.
-FACTORY_JS_NAME = "LocationWrapperFactory"
-WRAPPER_JS_NAME = "LocationWrapper"
 
 
 def _location_payload(location: Location) -> Dict[str, float]:
@@ -73,44 +50,6 @@ def _location_from_payload(payload: Dict[str, float]) -> Location:
     )
 
 
-class _TablePostingListener(ProximityListener):
-    """The figure's Java 'Callback object': posts events into the table."""
-
-    def __init__(self, backend: WrapperBackend, notification_id: str, platform: WebViewPlatform) -> None:
-        self._backend = backend
-        self._notification_id = notification_id
-        self._platform = platform
-
-    def proximity_event(
-        self,
-        ref_latitude: float,
-        ref_longitude: float,
-        ref_altitude: float,
-        current_location: Location,
-        entering: bool,
-    ) -> None:
-        self._backend.notifications.post(
-            self._notification_id,
-            "proximity",
-            {
-                "refLatitude": ref_latitude,
-                "refLongitude": ref_longitude,
-                "refAltitude": ref_altitude,
-                "entering": entering,
-                "location": _location_payload(current_location),
-            },
-            now_ms=self._platform.clock.now_ms,
-        )
-
-
-class LocationWrapperFactory(WrapperFactory):
-    """Java side, step 1: mints wrapper instances for the JS domain."""
-
-    def create_location_wrapper_instance(self) -> int:
-        """Bridge entry: returns the new instance handle (``swi``)."""
-        return self._wrapper.create_instance()
-
-
 class LocationWrapperJava(JavaWrapper):
     """Java side, step 2: the ``LocationWrapper`` class behind the bridge."""
 
@@ -118,9 +57,10 @@ class LocationWrapperJava(JavaWrapper):
 
     def __init__(self, platform: WebViewPlatform, context: Context) -> None:
         super().__init__(platform, context)
-        #: notification id → (instance handle, internal listener).
-        self._alerts: Dict[str, Tuple[int, ProximityListener]] = {}
+        #: notification id → the listener registered for it.
+        self._alerts: Dict[str, ProximityListener] = {}
 
+    @bridge_entry
     def add_proximity_alert(
         self,
         handle: int,
@@ -129,50 +69,42 @@ class LocationWrapperJava(JavaWrapper):
         altitude: float,
         radius: float,
         timer: float,
-    ) -> str:
-        try:
-            proxy = self._backend.instance(handle)
-            notification_id = self._backend.notifications.new_id()
-            listener = _TablePostingListener(
-                self._backend, notification_id, self._platform
+    ) -> Dict[str, str]:
+        proxy = self._instance(handle)
+        notification_id, post = self._poster("proximity")
+
+        def proximity_event(
+            ref_latitude: float,
+            ref_longitude: float,
+            ref_altitude: float,
+            current_location: Location,
+            entering: bool,
+        ) -> None:
+            post(
+                {
+                    "refLatitude": ref_latitude,
+                    "refLongitude": ref_longitude,
+                    "refAltitude": ref_altitude,
+                    "entering": entering,
+                    "location": _location_payload(current_location),
+                }
             )
-            proxy.add_proximity_alert(
-                latitude, longitude, altitude, radius, timer, listener
-            )
-        except ProxyError as exc:
-            return encode_error(exc)
-        self._alerts[notification_id] = (handle, listener)
-        return encode_ok({"notificationId": notification_id})
 
-    def remove_proximity_alert(self, handle: int, notification_id: str) -> str:
-        entry = self._alerts.pop(notification_id, None)
-        if entry is None:
-            return encode_ok()
-        try:
-            proxy = self._backend.instance(handle)
-            proxy.remove_proximity_alert(entry[1])
-            self._backend.notifications.close(notification_id)
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok()
+        listener = FunctionProximityListener(proximity_event)
+        proxy.add_proximity_alert(latitude, longitude, altitude, radius, timer, listener)
+        self._alerts[notification_id] = listener
+        return {"notificationId": notification_id}
 
-    def get_location(self, handle: int) -> str:
-        try:
-            proxy = self._backend.instance(handle)
-            location = proxy.get_location()
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok(_location_payload(location))
+    @bridge_entry
+    def remove_proximity_alert(self, handle: int, notification_id: str) -> None:
+        listener = self._alerts.pop(notification_id, None)
+        if listener is not None:
+            self._instance(handle).remove_proximity_alert(listener)
+            self._notifications.close(notification_id)
 
-
-def install_location_wrapper(
-    webview: WebView, platform: WebViewPlatform, context: Context
-) -> LocationWrapperJava:
-    """Inject the Java side into a WebView (the plugin extension's job)."""
-    wrapper = LocationWrapperJava(platform, context)
-    webview.add_javascript_interface(LocationWrapperFactory(wrapper), FACTORY_JS_NAME)
-    webview.add_javascript_interface(wrapper, WRAPPER_JS_NAME)
-    return wrapper
+    @bridge_entry
+    def get_location(self, handle: int) -> Dict[str, float]:
+        return _location_payload(self._instance(handle).get_location())
 
 
 UniformCallback = Union[
@@ -189,10 +121,6 @@ class LocationProxyJs(JsProxy, LocationProxy):
     ``add_proximity_alert`` accepts a bare function as well as a listener
     object.
     """
-
-    FACTORY_JS_NAME = FACTORY_JS_NAME
-    WRAPPER_JS_NAME = WRAPPER_JS_NAME
-    CREATE_INSTANCE = "create_location_wrapper_instance"
 
     # -- uniform API -----------------------------------------------------------------
 
@@ -236,14 +164,7 @@ class LocationProxyJs(JsProxy, LocationProxy):
                 body["entering"],
             )
 
-        handler = NotificationHandler(
-            self._window,
-            self._wrapper,
-            notification_id,
-            dispatch,
-            poll_interval_ms=float(self.get_property("pollInterval")),
-        )
-        handler.start_polling()
+        handler = self._poll(notification_id, dispatch)
         self._handlers[id(proximity_listener)] = (notification_id, handler)
 
     def remove_proximity_alert(self, proximity_listener: UniformCallback) -> None:

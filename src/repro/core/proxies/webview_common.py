@@ -1,37 +1,79 @@
-"""Shared plumbing for WebView (JavaScript) proxy bindings.
+"""The WebView (JavaScript) binding shape, written once for all six proxies.
 
-The paper's Figure 6 pattern, factored once for all six proxies:
+The paper's Figure 6 pattern, and every name it needs, derived from the
+interface name (``Sms`` below):
 
-* a **Java wrapper** (:class:`JavaWrapper`, minted through a
-  :class:`WrapperFactory`) holding Android proxy instances keyed by
+* a **Java wrapper** (a :class:`JavaWrapper` subclass, injected as the JS
+  global ``SmsWrapper``) holding Android proxy instances keyed by
   integer handles (the ``swi`` handle in the figure) — bridge calls
   carry the handle because object references cannot cross;
+* a **wrapper factory** (:class:`WrapperFactory`, injected as
+  ``SmsWrapperFactory``) whose one bridge entry,
+  ``create_sms_wrapper_instance``, mints those handles;
 * JSON envelopes for results and errors (exceptions cannot cross the
-  bridge either, so uniform errors travel as ``{"error": code}``);
-* a JS-side **notification handler** (the figure's ``notifHandler``) that
-  polls the Java notification table and dispatches to local JS callbacks;
+  bridge either, so uniform errors travel as ``{"error": code}``):
+  :func:`bridge_entry` makes a wrapper method's payload an ok envelope
+  and its :class:`~repro.errors.ProxyError` an error envelope;
+* Java-side callbacks that post into the Notification Table
+  (:meth:`JavaWrapper._poster`), and a JS-side **notification handler**
+  (the figure's ``notifHandler``) that polls the table and dispatches to
+  local JS callbacks (:meth:`JsProxy._poll`);
 * :class:`JsProxy`, the JS-side proxy base: construction (by the factory
   or in page code), wrapper-instance minting and ``setProperty``
   forwarding.
+
+The M-Plugin's ``WebViewPlatformExtension`` installs any interface's
+Java side from these names (:func:`js_globals`,
+:func:`java_wrapper_class`) and ships its JS file (:func:`js_file`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any, Callable, Dict, Optional, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.core.descriptor.model import ProxyDescriptor
-from repro.core.proxies.factory import standard_registry
+from repro.core.proxies.factory import load_bindings, standard_registry
 from repro.core.proxy.base import MProxy
 from repro.core.proxy.exceptions import code_to_error_class
-from repro.errors import ProxyError
+from repro.errors import ConfigurationError, ProxyError
 from repro.platforms.webview.exceptions import JsBridgeError
-from repro.platforms.webview.notifications import NotificationTable
 from repro.platforms.webview.platform import WebViewPlatform
 from repro.platforms.webview.webview import JsWindow
 
-#: Default JS polling period for notification delivery (milliseconds).
-DEFAULT_POLL_INTERVAL_MS = 500.0
+# ---------------------------------------------------------------------------
+# Names, all derived from the interface name
+# ---------------------------------------------------------------------------
+
+def js_globals(interface: str) -> Tuple[str, str]:
+    """The JS globals ``interface``'s wrapper factory and wrapper are
+    injected under: ``("SmsWrapperFactory", "SmsWrapper")``."""
+    return f"{interface}WrapperFactory", f"{interface}Wrapper"
+
+
+def factory_entry(interface: str) -> str:
+    """The wrapper factory's one bridge entry:
+    ``create_sms_wrapper_instance`` (figure: ``createSmsWrapperInstance``)."""
+    return f"create_{interface.lower()}_wrapper_instance"
+
+
+def js_file(interface: str) -> str:
+    """The JS proxy implementation file a WebView project ships."""
+    return f"proxies/{interface.lower()}_proxy.js"
+
+
+def java_wrapper_class(interface: str) -> Type["JavaWrapper"]:
+    """The Java wrapper class of ``interface``'s WebView binding.
+
+    Raises :class:`~repro.errors.ConfigurationError` for an interface
+    with no WebView binding.
+    """
+    load_bindings()
+    for wrapper_class in JavaWrapper.__subclasses__():
+        if wrapper_class.ANDROID_BINDING.interface == interface:
+            return wrapper_class
+    raise ConfigurationError(f"no WebView binding for {interface!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -60,42 +102,37 @@ def decode_or_raise(envelope_json: str) -> Dict[str, Any]:
     raise error_class(envelope.get("message", "bridge call failed"))
 
 
+def bridge_entry(method: Callable[..., Optional[Dict[str, Any]]]) -> Callable[..., str]:
+    """Make a Java wrapper method a bridge entry returning an envelope.
+
+    The payload the method returns (``None`` for none) crosses as an ok
+    envelope, a :class:`~repro.errors.ProxyError` it raises as an error
+    envelope.  Any other exception escapes to the bridge, which hands it
+    to JS as an untyped :class:`JsBridgeError`.
+    """
+
+    @functools.wraps(method)
+    def entry(self: "JavaWrapper", *args: Any) -> str:
+        try:
+            payload = method(self, *args)
+        except ProxyError as exc:
+            return encode_error(exc)
+        return encode_ok(payload)
+
+    return entry
+
+
 # ---------------------------------------------------------------------------
 # Java side
 # ---------------------------------------------------------------------------
-
-class WrapperBackend:
-    """Java-side instance store shared by a wrapper-factory/wrapper pair.
-
-    Holds real proxy instances (the platform's Java M-Proxy bindings) under
-    integer handles and owns the notification table used for asynchronous
-    results.
-    """
-
-    def __init__(self, notification_table: NotificationTable) -> None:
-        self.notifications = notification_table
-        self._instances: Dict[int, MProxy] = {}
-        self._next_handle = 1
-
-    def add_instance(self, proxy: MProxy) -> int:
-        handle = self._next_handle
-        self._next_handle += 1
-        self._instances[handle] = proxy
-        return handle
-
-    def instance(self, handle: int) -> MProxy:
-        try:
-            return self._instances[handle]
-        except KeyError:
-            raise ProxyError(f"unknown wrapper instance handle {handle}") from None
-
 
 class JavaWrapper:
     """Java side, step 2: the wrapper class behind the bridge.
 
     Every public method is a bridge entry point: primitive arguments in,
-    JSON envelope strings out.  Each instance handle holds one
-    ``ANDROID_BINDING`` proxy bound to the wrapper's Android context.
+    strings out.  Each instance handle holds one ``ANDROID_BINDING`` proxy
+    bound to the wrapper's Android context; asynchronous results go into
+    the platform's notification table.
     """
 
     #: The Java M-Proxy binding each wrapper instance holds.
@@ -104,7 +141,8 @@ class JavaWrapper:
     def __init__(self, platform: WebViewPlatform, context: Any) -> None:
         self._platform = platform
         self._context = context
-        self._backend = WrapperBackend(platform.notification_table)
+        self._notifications = platform.notification_table
+        self._instances: Dict[int, MProxy] = {}
 
     def create_instance(self) -> int:
         binding = self.ANDROID_BINDING
@@ -112,30 +150,50 @@ class JavaWrapper:
             standard_registry().descriptor(binding.interface), self._platform.android
         )
         proxy.set_property("context", self._context)
-        return self._backend.add_instance(proxy)
+        handle = len(self._instances) + 1
+        self._instances[handle] = proxy
+        return handle
 
-    def set_property(self, handle: int, key: str, value_json: str) -> str:
+    @bridge_entry
+    def set_property(self, handle: int, key: str, value_json: str) -> None:
         """Bridge entry: ``setProperty`` with a JSON-encoded value."""
-        try:
-            self._backend.instance(handle).set_property(key, json.loads(value_json))
-        except ProxyError as exc:
-            return encode_error(exc)
-        return encode_ok()
+        self._instance(handle).set_property(key, json.loads(value_json))
 
     def get_notifications(self, notification_id: str) -> str:
-        return self._backend.notifications.drain_json(notification_id)
+        return self._notifications.drain_json(notification_id)
+
+    def _instance(self, handle: int) -> MProxy:
+        try:
+            return self._instances[handle]
+        except KeyError:
+            raise ProxyError(f"unknown wrapper instance handle {handle}") from None
+
+    def _poster(self, kind: str) -> Tuple[str, Callable[[Dict[str, Any]], None]]:
+        """The figure's Java 'Callback object': a fresh notification id
+        and a function posting one ``kind`` result under it."""
+        table = self._notifications
+        platform = self._platform
+        notification_id = table.new_id()
+
+        def post(payload: Dict[str, Any]) -> None:
+            table.post(notification_id, kind, payload, now_ms=platform.clock.now_ms)
+
+        return notification_id, post
 
 
 class WrapperFactory:
     """Java side, step 1: mints wrapper instances for the JS domain.
 
-    Subclasses add the figure's named bridge entry
-    (``create_<interface>_wrapper_instance``) returning
-    ``self._wrapper.create_instance()``.
+    Its one bridge entry, :func:`factory_entry` of the wrapper's
+    interface, returns a new instance handle (the figure's ``swi``).
     """
 
     def __init__(self, wrapper: JavaWrapper) -> None:
-        self._wrapper = wrapper
+        setattr(
+            self,
+            factory_entry(wrapper.ANDROID_BINDING.interface),
+            wrapper.create_instance,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +205,10 @@ class JsProxy(MProxy):
 
     Built by ``create_proxy(interface, webview_platform)`` once a page is
     loaded, or from page code with :meth:`in_page`.  Either way it mints
-    its Java wrapper instance (the figure's ``swi`` handle) and attaches
-    the device's observability hub, so in-page invocations trace too.
-    Subclasses name their injected Java objects and the factory method.
+    its Java wrapper instance (the figure's ``swi`` handle) through the
+    injected globals of its interface and attaches the device's
+    observability hub, so in-page invocations trace too.
     """
-
-    #: JS globals the plugin injects the wrapper factory and wrapper under.
-    FACTORY_JS_NAME = ""
-    WRAPPER_JS_NAME = ""
-    #: The wrapper factory's instance-minting bridge method.
-    CREATE_INSTANCE = ""
 
     def __init__(self, descriptor: ProxyDescriptor, platform: WebViewPlatform) -> None:
         super().__init__(descriptor, "webview")
@@ -186,9 +238,10 @@ class JsProxy(MProxy):
             obs = getattr(window.platform.device, "obs", None)
             if obs is not None:
                 self.attach_observability(obs)
-        factory = window.bridge_object(self.FACTORY_JS_NAME)
-        self._wrapper = window.bridge_object(self.WRAPPER_JS_NAME)
-        self._swi = getattr(factory, self.CREATE_INSTANCE)()
+        factory_name, wrapper_name = js_globals(self.interface)
+        factory = window.bridge_object(factory_name)
+        self._wrapper = window.bridge_object(wrapper_name)
+        self._swi = getattr(factory, factory_entry(self.interface))()
         #: Live notification handlers, keyed as each binding needs.
         self._handlers: Dict[Any, Any] = {}
 
@@ -198,6 +251,26 @@ class JsProxy(MProxy):
             decode_or_raise(
                 self._wrapper.set_property(self._swi, key, json.dumps(value))
             )
+
+    def _poll(
+        self,
+        notification_id: str,
+        dispatch: Callable[[Dict[str, Any]], None],
+        interval_ms: Optional[float] = None,
+    ) -> "NotificationHandler":
+        """Start polling ``notification_id`` (figure: ``nH.startPolling()``)
+        every ``interval_ms``, by default the ``pollInterval`` property."""
+        if interval_ms is None:
+            interval_ms = float(self.get_property("pollInterval"))
+        handler = NotificationHandler(
+            self._window,
+            self._wrapper,
+            notification_id,
+            dispatch,
+            poll_interval_ms=interval_ms,
+        )
+        handler.start_polling()
+        return handler
 
 
 class NotificationHandler:
@@ -214,7 +287,7 @@ class NotificationHandler:
         notification_id: str,
         dispatch: Callable[[Dict[str, Any]], None],
         *,
-        poll_interval_ms: float = DEFAULT_POLL_INTERVAL_MS,
+        poll_interval_ms: float,
     ) -> None:
         self._window = window
         self._wrapper = wrapper
@@ -222,23 +295,9 @@ class NotificationHandler:
         self._dispatch = dispatch
         self._poll_interval_ms = poll_interval_ms
         self._timer_id: Optional[int] = None
-        #: Polls whose bridge crossing was lost (fault plane); the next
-        #: interval retries naturally, so a dropped poll only delays
-        #: delivery rather than losing notifications.
-        self.dropped_polls = 0
-
-    @property
-    def polling(self) -> bool:
-        return self._timer_id is not None
-
-    @property
-    def notification_id(self) -> str:
-        return self._notification_id
 
     def start_polling(self) -> None:
         """Begin the periodic drain (figure: ``nH.startPolling()``)."""
-        if self._timer_id is not None:
-            return
         self._timer_id = self._window.set_interval(
             self._poll_once, self._poll_interval_ms
         )
@@ -252,9 +311,9 @@ class NotificationHandler:
         try:
             batch_json = self._wrapper.get_notifications(self._notification_id)
         except JsBridgeError:
-            # The polling crossing itself was lost.  Nothing was drained,
-            # so the queued notifications survive for the next interval.
-            self.dropped_polls += 1
+            # The polling crossing itself was lost (fault plane).  Nothing
+            # was drained, so the queued notifications survive for the
+            # next interval: a dropped poll only delays delivery.
             return
         if batch_json == "[]":  # most polls find nothing: skip the decoder
             return

@@ -17,6 +17,7 @@ Java mapping: ``addProximityAlert`` → :meth:`LocationManager.add_proximity_ale
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union, TYPE_CHECKING
 
@@ -194,6 +195,13 @@ class LocationManager:
         """
         self._context.enforce_permission(ACCESS_FINE_LOCATION, "addProximityAlert")
         self._check_intent_type(intent)
+        if not (
+            math.isfinite(latitude) and math.isfinite(longitude) and math.isfinite(radius)
+        ):
+            raise IllegalArgumentException(
+                f"centre and radius must be finite, got "
+                f"({latitude}, {longitude}) and {radius}"
+            )
         if radius <= 0:
             raise IllegalArgumentException(f"radius must be positive, got {radius}")
         self._platform.charge_native("android.addProximityAlert")

@@ -411,8 +411,11 @@ class LocationProviderStatics:
     ) -> None:
         if contains(registration, fix) and not registration.fired:
             registration.fired = True
-            # JSR-179: one-shot — remove before delivering.
-            self._proximity.remove(registration)
+            # JSR-179: one-shot — remove before delivering.  A callback
+            # earlier on this fix may have removed it already; it is
+            # still delivered, as the pass walks a snapshot.
+            if registration in self._proximity:
+                self._proximity.remove(registration)
             if self._entry_fix is not fix:
                 # Built on an entry only: most fixes fire no registration.
                 latitude, longitude, altitude, timestamp_ms, speed_mps = fix

@@ -98,14 +98,14 @@ class TestWebViewDegradation:
     def test_page_reload_stops_stale_polling(self):
         """Reloading the page must not leave orphan polls hammering the
         bridge for a dead callback."""
-        from repro.core.proxies.location.webview import (
-            LocationProxyJs,
-            install_location_wrapper,
-        )
+        from repro.core.plugin.packaging import WebViewPlatformExtension
+        from repro.core.proxies.location.webview import LocationProxyJs
 
         sc = scenario.build_webview()
         webview = sc.platform.new_webview()
-        install_location_wrapper(webview, sc.platform, sc.new_context())
+        WebViewPlatformExtension().install_wrappers(
+            webview, sc.platform, sc.new_context(), ["Location"]
+        )
         events = []
 
         def page_one(window):

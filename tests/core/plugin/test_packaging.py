@@ -13,6 +13,47 @@ from repro.core.plugin.toolkit import Project
 from repro.errors import ConfigurationError
 from repro.platforms.s60.packaging import Jar, JarEntry
 
+#: interface → (JS file, wrapper factory global, wrapper global, factory
+#: entry): every name a WebView project or page sees.
+WEBVIEW_NAMES = {
+    "Location": (
+        "proxies/location_proxy.js",
+        "LocationWrapperFactory",
+        "LocationWrapper",
+        "create_location_wrapper_instance",
+    ),
+    "Sms": (
+        "proxies/sms_proxy.js",
+        "SmsWrapperFactory",
+        "SmsWrapper",
+        "create_sms_wrapper_instance",
+    ),
+    "Call": (
+        "proxies/call_proxy.js",
+        "CallWrapperFactory",
+        "CallWrapper",
+        "create_call_wrapper_instance",
+    ),
+    "Http": (
+        "proxies/http_proxy.js",
+        "HttpWrapperFactory",
+        "HttpWrapper",
+        "create_http_wrapper_instance",
+    ),
+    "Contacts": (
+        "proxies/contacts_proxy.js",
+        "ContactsWrapperFactory",
+        "ContactsWrapper",
+        "create_contacts_wrapper_instance",
+    ),
+    "Calendar": (
+        "proxies/calendar_proxy.js",
+        "CalendarWrapperFactory",
+        "CalendarWrapper",
+        "create_calendar_wrapper_instance",
+    ),
+}
+
 
 class TestAndroidExtension:
     def test_embed_wires_classpath(self):
@@ -110,6 +151,49 @@ class TestWebViewExtension:
             WebViewPlatformExtension().install_wrappers(
                 webview, webview_scenario.platform, webview_scenario.new_context(), ["Camera"]
             )
+
+    @pytest.mark.parametrize("interface", list(WEBVIEW_NAMES))
+    def test_embed_writes_the_js_file_and_wiring_line(self, interface):
+        js_file, factory_name, wrapper_name, _ = WEBVIEW_NAMES[interface]
+        project = Project("web", "webview", language="javascript")
+        WebViewPlatformExtension().embed_proxy(project, interface)
+        assert set(project.files) == {js_file, "WebViewWiring.java"}
+        assert project.file(js_file).content == (
+            f"// MobiVine {interface} JS proxy implementation\n"
+        )
+        assert project.resources == [js_file]
+        assert project.file("WebViewWiring.java").content == (
+            "// generated addJavascriptInterface wiring\n"
+            f"webView.addJavascriptInterface(new {wrapper_name}(context), "
+            f'"{wrapper_name}"); // + {factory_name}\n'
+        )
+
+    def test_install_wrappers_injects_exactly_the_derived_globals(
+        self, webview_scenario
+    ):
+        webview = webview_scenario.platform.new_webview()
+        installed = WebViewPlatformExtension().install_wrappers(
+            webview,
+            webview_scenario.platform,
+            webview_scenario.new_context(),
+            list(WEBVIEW_NAMES),
+        )
+        assert list(installed) == list(WEBVIEW_NAMES)
+        assert webview.bridge.names() == sorted(
+            name
+            for _, factory_name, wrapper_name, _ in WEBVIEW_NAMES.values()
+            for name in (factory_name, wrapper_name)
+        )
+        window = webview.load_page(lambda w: None)
+        for _, factory_name, _, entry in WEBVIEW_NAMES.values():
+            factory = window.bridge_object(factory_name)
+            assert [getattr(factory, entry)() for _ in range(2)] == [1, 2]
+
+    def test_embed_rejects_an_interface_without_a_webview_binding(self):
+        project = Project("web", "webview", language="javascript")
+        with pytest.raises(ConfigurationError):
+            WebViewPlatformExtension().embed_proxy(project, "Camera")
+        assert project.files == {}
 
 
 class TestExtensionFactory:

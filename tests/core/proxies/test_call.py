@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.plugin.packaging import WebViewPlatformExtension
 from repro.core.proxies import create_proxy
-from repro.core.proxies.call.webview import CallProxyJs, install_call_wrapper
+from repro.core.proxies.call.webview import CallProxyJs
 from repro.core.proxy.callbacks import CallStateListener
 from repro.core.proxy.datatypes import CallOutcome
 from repro.device.telephony import TelephonyUnit
@@ -102,8 +103,8 @@ class TestWebViewBinding:
     @pytest.fixture
     def page(self, webview_scenario):
         webview = webview_scenario.platform.new_webview()
-        install_call_wrapper(
-            webview, webview_scenario.platform, webview_scenario.new_context()
+        WebViewPlatformExtension().install_wrappers(
+            webview, webview_scenario.platform, webview_scenario.new_context(), ["Call"]
         )
         return webview.load_page(lambda w: None)
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.apps.workforce import scenario
+from repro.core.plugin.packaging import WebViewPlatformExtension
 from repro.core.proxies import create_proxy
-from repro.core.proxies.http.webview import HttpProxyJs, install_http_wrapper
+from repro.core.proxies.http.webview import HttpProxyJs
 from repro.device.network import HttpResponse
 from repro.obs import Observability
 from repro.errors import (
@@ -96,8 +97,8 @@ class TestWebViewBinding:
     def page(self, webview_scenario):
         _add_routes(webview_scenario.device)
         webview = webview_scenario.platform.new_webview()
-        install_http_wrapper(
-            webview, webview_scenario.platform, webview_scenario.new_context()
+        WebViewPlatformExtension().install_wrappers(
+            webview, webview_scenario.platform, webview_scenario.new_context(), ["Http"]
         )
         return webview.load_page(lambda w: None)
 
@@ -121,7 +122,9 @@ class TestWebViewBinding:
         )
         _add_routes(sc.device)
         webview = sc.platform.new_webview()
-        install_http_wrapper(webview, sc.platform, sc.new_context())
+        WebViewPlatformExtension().install_wrappers(
+            webview, sc.platform, sc.new_context(), ["Http"]
+        )
         proxy = HttpProxyJs.in_page(webview.load_page(lambda w: None))
         proxy.get("http://api.test/ping")
         names = [span.name for span in sc.device.obs.tracer.spans]

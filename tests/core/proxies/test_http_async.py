@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.plugin.packaging import WebViewPlatformExtension
 from repro.core.proxies import create_proxy
-from repro.core.proxies.http.webview import install_http_wrapper
 from repro.core.proxy.callbacks import HttpResponseListener
 from repro.device.network import HttpResponse
 from repro.errors import ProxyInvalidArgumentError, ProxyPermissionError
@@ -102,8 +102,8 @@ class TestWebViewAsync:
     def proxy(self, webview_scenario):
         _add_routes(webview_scenario.device)
         webview = webview_scenario.platform.new_webview()
-        install_http_wrapper(
-            webview, webview_scenario.platform, webview_scenario.new_context()
+        WebViewPlatformExtension().install_wrappers(
+            webview, webview_scenario.platform, webview_scenario.new_context(), ["Http"]
         )
         webview.load_page(lambda w: None)
         return create_proxy("Http", webview_scenario.platform)

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.apps.workforce import scenario
+from repro.core.plugin.packaging import WebViewPlatformExtension
 from repro.core.proxies import create_proxy
-from repro.core.proxies.location.webview import (
-    LocationProxyJs,
-    install_location_wrapper,
-)
+from repro.core.proxies.location.webview import LocationProxyJs
 from repro.core.proxy.datatypes import Location
 from repro.errors import ProxyError, ProxyPermissionError, ProxyPropertyError
 
@@ -22,7 +20,9 @@ def sc(webview_scenario):
 @pytest.fixture
 def page(sc):
     webview = sc.platform.new_webview()
-    install_location_wrapper(webview, sc.platform, sc.new_context())
+    WebViewPlatformExtension().install_wrappers(
+        webview, sc.platform, sc.new_context(), ["Location"]
+    )
     return webview.load_page(lambda w: None)
 
 
@@ -33,7 +33,9 @@ class TestJsProxyConstruction:
 
     def test_factory_needs_loaded_page(self, sc):
         webview = sc.platform.new_webview()
-        install_location_wrapper(webview, sc.platform, sc.new_context())
+        WebViewPlatformExtension().install_wrappers(
+            webview, sc.platform, sc.new_context(), ["Location"]
+        )
         sc.platform.active_window = None
         with pytest.raises(ProxyError, match="page"):
             create_proxy("Location", sc.platform)
@@ -101,8 +103,9 @@ class TestBridgeSemantics:
         right uniform error class in the JS domain."""
         sc.platform.android.install("noperm", set())
         webview = sc.platform.new_webview()
-        install_location_wrapper(
-            webview, sc.platform, sc.platform.android.new_context("noperm")
+        WebViewPlatformExtension().install_wrappers(
+            webview, sc.platform, sc.platform.android.new_context("noperm"),
+            ["Location"],
         )
         window = webview.load_page(lambda w: None)
         proxy = LocationProxyJs.in_page(window)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.apps.workforce import scenario
+from repro.core.plugin.packaging import WebViewPlatformExtension
 from repro.core.proxies import create_proxy
-from repro.core.proxies.sms.webview import SmsProxyJs, install_sms_wrapper
+from repro.core.proxies.sms.webview import SmsProxyJs
 from repro.core.proxy.callbacks import SmsStatusListener
 from repro.core.resilience import chaos_policy
 from repro.errors import (
@@ -123,8 +124,8 @@ class TestWebViewBinding:
     @pytest.fixture
     def page(self, webview_scenario):
         webview = webview_scenario.platform.new_webview()
-        install_sms_wrapper(
-            webview, webview_scenario.platform, webview_scenario.new_context()
+        WebViewPlatformExtension().install_wrappers(
+            webview, webview_scenario.platform, webview_scenario.new_context(), ["Sms"]
         )
         return webview.load_page(lambda w: None)
 
@@ -147,10 +148,11 @@ class TestWebViewBinding:
     def test_error_code_over_bridge(self, webview_scenario):
         webview_scenario.platform.android.install("noperm", set())
         webview = webview_scenario.platform.new_webview()
-        install_sms_wrapper(
+        WebViewPlatformExtension().install_wrappers(
             webview,
             webview_scenario.platform,
             webview_scenario.platform.android.new_context("noperm"),
+            ["Sms"],
         )
         window = webview.load_page(lambda w: None)
         proxy = SmsProxyJs.in_page(window)

@@ -9,10 +9,8 @@ errors — even though the three native stacks disagree about everything.
 import pytest
 
 from repro.apps.workforce import scenario
+from repro.core.plugin.packaging import WebViewPlatformExtension
 from repro.core.proxies import create_proxy
-from repro.core.proxies.location.webview import install_location_wrapper
-from repro.core.proxies.sms.webview import install_sms_wrapper
-from repro.core.proxies.http.webview import install_http_wrapper
 from repro.core.proxy.callbacks import ProximityListener
 from repro.core.proxy.datatypes import Location
 from repro.device.network import HttpResponse
@@ -47,7 +45,9 @@ def _location_proxy_for(platform_name):
         return sc, create_proxy("Location", sc.platform)
     sc = scenario.build_webview()
     webview = sc.platform.new_webview()
-    install_location_wrapper(webview, sc.platform, sc.new_context())
+    WebViewPlatformExtension().install_wrappers(
+        webview, sc.platform, sc.new_context(), ["Location"]
+    )
     webview.load_page(lambda w: None)
     proxy = create_proxy("Location", sc.platform)
     proxy.set_property("pollInterval", 500)
@@ -117,7 +117,9 @@ class TestSmsUniformity:
             return sc, create_proxy("Sms", sc.platform)
         sc = scenario.build_webview()
         webview = sc.platform.new_webview()
-        install_sms_wrapper(webview, sc.platform, sc.new_context())
+        WebViewPlatformExtension().install_wrappers(
+            webview, sc.platform, sc.new_context(), ["Sms"]
+        )
         webview.load_page(lambda w: None)
         return sc, create_proxy("Sms", sc.platform)
 
@@ -150,7 +152,9 @@ class TestHttpUniformity:
         else:
             sc = scenario.build_webview()
             webview = sc.platform.new_webview()
-            install_http_wrapper(webview, sc.platform, sc.new_context())
+            WebViewPlatformExtension().install_wrappers(
+                webview, sc.platform, sc.new_context(), ["Http"]
+            )
             webview.load_page(lambda w: None)
             proxy = create_proxy("Http", sc.platform)
         server = sc.device.network.add_server("api.test")

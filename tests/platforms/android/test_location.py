@@ -1,5 +1,7 @@
 """Tests for the Android location stack (proximity alerts, SDK switch)."""
 
+import math
+
 import pytest
 
 from repro.device.device import MobileDevice
@@ -114,6 +116,32 @@ class TestProximityAlerts:
     def test_invalid_radius_rejected(self, manager):
         with pytest.raises(IllegalArgumentException):
             manager.add_proximity_alert(*SITE, 0.0, NO_EXPIRATION, Intent("PROX"))
+
+    @pytest.mark.parametrize(
+        "latitude, longitude, radius",
+        [
+            (math.nan, SITE[1], 500.0),
+            (math.inf, SITE[1], 500.0),
+            (SITE[0], math.nan, 500.0),
+            (SITE[0], -math.inf, 500.0),
+            (*SITE, math.nan),
+            (*SITE, math.inf),
+        ],
+    )
+    def test_non_finite_centre_or_radius_rejected(
+        self, platform, context, manager, latitude, longitude, radius
+    ):
+        events = []
+        _register(context, events)
+        before = platform.clock.now_ms
+        with pytest.raises(IllegalArgumentException, match="finite"):
+            manager.add_proximity_alert(
+                latitude, longitude, radius, NO_EXPIRATION, Intent("PROX")
+            )
+        assert platform.clock.now_ms == before  # refused before the native charge
+        # An accepted infinite centre made every later fix raise.
+        platform.run_for(200_000.0)
+        assert events == []
 
     def test_requires_permission(self, platform):
         platform.install("noperm", set())
