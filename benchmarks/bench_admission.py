@@ -28,6 +28,13 @@ identical proxied workloads with the plane absent vs installed-but-idle.
 CI diffs them with the ProfileDiff ``--gate``: the admission fast path
 must add zero *virtual* cost to the invocation path when it has nothing
 to do.
+
+Two seeded traces land next to them for the CI bench smoke's trace
+analytics: ``TRACE_admission.jsonl``, the flash crowd with admission on
+(its autoscaler resizes, so ``python -m repro.obs admission`` has
+decisions to fold), and ``TRACE_admission_invocations.jsonl``, the
+plane-absent proxied workload (five ``getLocation`` invocations for
+``profile`` and ``slo``).
 """
 
 import os
@@ -289,6 +296,15 @@ def test_admission_flash_crowd_summary():
         include_measured=not os.environ.get("REPRO_BENCH_DETERMINISTIC"),
     )
     print(f"\nwrote {path}")
+    _write_trace("TRACE_admission.jsonl", adaptive["trace"])
+
+
+def _write_trace(name, text):
+    """A smoke artifact next to the BENCH documents."""
+    path = bench_output_dir() / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
 
 
 def test_admission_determinism():
@@ -305,7 +321,7 @@ def test_admission_determinism():
 
 def _profiled_invocations(admission):
     """N proxied getLocation calls through the runtime; returns the
-    per-layer overhead profile of the resulting trace."""
+    per-layer overhead profile of the resulting trace and its export."""
     from repro.apps.workforce import scenario
     from repro.core.proxies import create_proxy
 
@@ -326,7 +342,7 @@ def _profiled_invocations(admission):
     for _ in range(5):
         runtime.submit_invocation(proxy, "getLocation", proxy.get_location)
         runtime.drain()
-    return OverheadProfile.from_spans(hub.tracer.finished_spans())
+    return OverheadProfile.from_spans(hub.tracer.finished_spans()), hub.export_jsonl()
 
 
 def test_admission_fast_path_profile_gate():
@@ -334,8 +350,8 @@ def test_admission_fast_path_profile_gate():
     workload profiles identically with the plane absent vs installed but
     idle.  CI re-checks this with ``python -m repro.obs diff --gate``
     over the two BENCH documents written here."""
-    base = _profiled_invocations(None)
-    idle_plane = _profiled_invocations(
+    base, base_trace = _profiled_invocations(None)
+    idle_plane, _ = _profiled_invocations(
         AdmissionConfig(
             bucket=TokenBucketConfig(rate_per_s=10_000.0, capacity=10_000.0),
             overflow_capacity=64,
@@ -352,3 +368,4 @@ def test_admission_fast_path_profile_gate():
         path = write_bench_result(doc, include_measured=False)
         print(f"\nwrote {path}")
     assert (bench_output_dir() / "BENCH_admission_profile_base.json").exists()
+    _write_trace("TRACE_admission_invocations.jsonl", base_trace)

@@ -15,7 +15,7 @@ byte-comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Span status values.
 STATUS_OK = "ok"
@@ -62,20 +62,75 @@ class SpanEvent:
         }
 
 
-@dataclass
-class Span:
-    """One node of a trace tree."""
+#: The ``events`` of a span that has none: one shared empty tuple, which
+#: :meth:`Span.add_event` replaces with the span's own list.
+_NO_EVENTS: Tuple[SpanEvent, ...] = ()
 
-    name: str
-    trace_id: int
-    span_id: int
-    parent_id: Optional[int]
-    start_virtual_ms: float
-    end_virtual_ms: Optional[float] = None
-    status: str = STATUS_OK
-    error: Optional[str] = None
-    attributes: Dict[str, Any] = field(default_factory=dict)
-    events: List[SpanEvent] = field(default_factory=list)
+
+class Span:
+    """One node of a trace tree.
+
+    A slotted class with a dataclass's constructor, fields, ``==`` and
+    ``repr``, and no hash (``requires-python`` is 3.9, so
+    ``dataclass(slots=True)`` is not available).  Most spans never get
+    an event, so ``events`` is the shared empty tuple until
+    :meth:`add_event`, its only writer, makes the list; a span without
+    events equals one built with ``events=[]``.
+    """
+
+    __slots__ = (
+        "name", "trace_id", "span_id", "parent_id", "start_virtual_ms",
+        "end_virtual_ms", "status", "error", "attributes", "events",
+    )
+
+    __hash__ = None  # mutable, like an ``eq=True`` dataclass
+
+    def __init__(
+        self,
+        name: str,
+        trace_id: int,
+        span_id: int,
+        parent_id: Optional[int],
+        start_virtual_ms: float,
+        end_virtual_ms: Optional[float] = None,
+        status: str = STATUS_OK,
+        error: Optional[str] = None,
+        attributes: Optional[Dict[str, Any]] = None,
+        events: Optional[List[SpanEvent]] = None,
+    ) -> None:
+        self.name = name
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.start_virtual_ms = start_virtual_ms
+        self.end_virtual_ms = end_virtual_ms
+        self.status = status
+        self.error = error
+        self.attributes = {} if attributes is None else attributes
+        self.events = _NO_EVENTS if events is None else events
+
+    def _fields(self) -> tuple:
+        return (
+            self.name, self.trace_id, self.span_id, self.parent_id,
+            self.start_virtual_ms, self.end_virtual_ms, self.status,
+            self.error, self.attributes, self.events or [],
+        )
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(name={self.name!r}, "
+            f"trace_id={self.trace_id!r}, span_id={self.span_id!r}, "
+            f"parent_id={self.parent_id!r}, "
+            f"start_virtual_ms={self.start_virtual_ms!r}, "
+            f"end_virtual_ms={self.end_virtual_ms!r}, status={self.status!r}, "
+            f"error={self.error!r}, attributes={self.attributes!r}, "
+            f"events={self.events or []!r})"
+        )
 
     # -- recording -----------------------------------------------------------
 
@@ -84,7 +139,10 @@ class Span:
 
     def add_event(self, name: str, t_virtual_ms: float, **attributes: Any) -> SpanEvent:
         event = SpanEvent(name, t_virtual_ms, _clean_attributes(attributes))
-        self.events.append(event)
+        if self.events is _NO_EVENTS:
+            self.events = [event]
+        else:
+            self.events.append(event)
         return event
 
     def mark_error(self, error: BaseException) -> None:

@@ -159,7 +159,11 @@ class Tracer:
             self._spans.append(span)
             self._spans_cache = None
             if parent is not None:
-                self._children.setdefault(parent.span_id, []).append(span)
+                siblings = self._children.get(parent.span_id)
+                if siblings is None:
+                    self._children[parent.span_id] = [span]
+                else:
+                    siblings.append(span)
             else:
                 self._roots.append(span)
         return span
@@ -174,11 +178,20 @@ class Tracer:
         self._sinks.append(sink)
 
     def end_span(self, span: Span) -> None:
-        """Close ``span`` (and anything left open beneath it)."""
+        """Close ``span`` (and anything left open beneath it).
+
+        Raises ``ValueError``, and closes nothing, when ``span`` is not
+        open on this tracer.
+        """
         stack = self._stack
-        while stack:
+        if not stack or stack[-1] is not span:
+            # Checked by identity before anything is popped, so a stray
+            # end leaves every open span open and unseen by the sinks.
+            if not any(open_span is span for open_span in stack):
+                raise ValueError(f"span {span.name!r} is not open on this tracer")
+        clock = self._clock
+        while True:
             top = stack.pop()
-            clock = self._clock
             top.end_virtual_ms = clock.now_ms if clock is not None else 0.0
             if self._spans:
                 # Only a retained span can change the finished-span
@@ -195,7 +208,6 @@ class Tracer:
                 self._clear_indices()
             if top is span:
                 return
-        raise ValueError(f"span {span.name!r} is not open on this tracer")
 
     def span(self, name: str, **attributes: Any) -> "_SpanScope":
         """Open a child span for the duration of the ``with`` block.

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.device.device import MobileDevice
+from repro.obs.metrics import OVERFLOW_LABELS, Histogram, MetricsRegistry
 from repro.util.latency import LatencyModel
 
 
@@ -38,6 +39,11 @@ class PlatformBase:
         self.device = device
         self.native_latency = latency or LatencyModel(default_ms=1.0)
         self._charge_log: Dict[str, int] = {}
+        #: Traced charges: ``substrate:<op>`` span names by operation, and
+        #: the ``substrate.latency_ms`` histograms of ``_latency_registry``.
+        self._span_names: Dict[str, str] = {}
+        self._latency_registry: Optional[MetricsRegistry] = None
+        self._latency_histograms: Dict[str, Histogram] = {}
 
     @property
     def scheduler(self):
@@ -63,18 +69,39 @@ class PlatformBase:
         span whose virtual duration is exactly the charged latency, plus
         a latency histogram sample; the latency *draw* happens before the
         span so observability can never perturb the latency RNG stream.
+        The span name and the histogram are looked up once per operation
+        (the histograms again whenever the hub's registry is replaced).
         """
         latency = self.native_latency.draw(operation)
         obs = self.device.obs
-        if obs.tracer.enabled:
-            with obs.tracer.span(
-                f"substrate:{operation}", platform=self.platform_name
-            ) as span:
-                span.set_attribute("latency_ms", round(latency, 6))
+        tracer = obs.tracer
+        if tracer.enabled:
+            span_name = self._span_names.get(operation)
+            if span_name is None:
+                span_name = self._span_names[operation] = f"substrate:{operation}"
+            span = tracer.start_span(
+                span_name, platform=self.platform_name, latency_ms=round(latency, 6)
+            )
+            try:
                 self.clock.advance(latency)
-            obs.metrics.histogram(
-                "substrate.latency_ms", operation=operation
-            ).observe(latency)
+            except BaseException as exc:
+                span.mark_error(exc)
+                raise
+            finally:
+                tracer.end_span(span)
+            metrics = obs.metrics
+            if metrics is not self._latency_registry:
+                self._latency_registry = metrics
+                self._latency_histograms = {}
+            histogram = self._latency_histograms.get(operation)
+            if histogram is None:
+                histogram = metrics.histogram("substrate.latency_ms", operation=operation)
+                if histogram.labels != OVERFLOW_LABELS:
+                    # The collapsed series is never cached: each lookup
+                    # of an over-limit label set counts one
+                    # ``obs.cardinality_overflow``.
+                    self._latency_histograms[operation] = histogram
+            histogram.observe(latency)
         else:
             self.clock.advance(latency)
         self.device.battery.drain(operation, latency * self.DRAIN_MWH_PER_MS)

@@ -15,6 +15,7 @@ trusting implementers to remember.
 
 from __future__ import annotations
 
+from types import MethodType
 from typing import Any, Dict, TYPE_CHECKING
 
 from repro.platforms.webview.exceptions import BridgeMarshalError, JsBridgeError
@@ -24,6 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Types allowed to cross the bridge in either direction.
 _BRIDGE_PRIMITIVES = (str, int, float, bool, type(None))
+#: The same types matched exactly, for the common case; a subclass such
+#: as an ``IntEnum`` takes the ``isinstance`` check.
+_PRIMITIVE_TYPES = frozenset(_BRIDGE_PRIMITIVES)
 
 
 def _check_crossing(value: Any, direction: str, method: str) -> None:
@@ -47,27 +51,42 @@ class _BridgeMethod:
         self._java_object = java_object
         self._method_name = method_name
         self._span_name = f"bridge:{method_name}"
+        self._operation = f"webview.bridge.{method_name}"
+        # Plans are frozen, and a consult of a site without a rule draws
+        # nothing and never faults: keep the injector only for a rule.
+        faults = getattr(platform.device, "faults", None)
+        self._faults = (
+            faults
+            if faults is not None and faults.plan.rules_for("webview.bridge")
+            else None
+        )
 
     def __call__(self, *args: Any) -> Any:
         tracer = self._platform.device.obs.tracer
         if not tracer.enabled:
             return self._cross(args)
-        with tracer.span(self._span_name, direction="js->java"):
+        span = tracer.start_span(self._span_name, direction="js->java")
+        try:
             return self._cross(args)
+        except BaseException as exc:
+            span.mark_error(exc)
+            raise
+        finally:
+            tracer.end_span(span)
 
     def _cross(self, args: tuple) -> Any:
         for arg in args:
-            _check_crossing(arg, "into", self._method_name)
-        self._platform.charge_bridge(self._method_name)
-        faults = getattr(self._platform.device, "faults", None)
-        if faults is not None and faults.active:
-            if faults.decide("webview.bridge") is not None:
-                # The crossing itself is lost: JS sees an untyped bridge
-                # error, exactly as a real WebView surfaces a dead bridge.
-                raise JsBridgeError(
-                    "BridgeFault",
-                    f"injected fault: bridge crossing {self._method_name!r} lost",
-                )
+            if type(arg) not in _PRIMITIVE_TYPES:
+                _check_crossing(arg, "into", self._method_name)
+        self._platform.charge_native(self._operation)
+        faults = self._faults
+        if faults is not None and faults.decide("webview.bridge") is not None:
+            # The crossing itself is lost: JS sees an untyped bridge
+            # error, exactly as a real WebView surfaces a dead bridge.
+            raise JsBridgeError(
+                "BridgeFault",
+                f"injected fault: bridge crossing {self._method_name!r} lost",
+            )
         java_method = getattr(self._java_object, self._method_name)
         try:
             result = java_method(*args)
@@ -75,16 +94,18 @@ class _BridgeMethod:
             raise
         except Exception as exc:  # Java exception escaping to JS: untyped
             raise JsBridgeError(type(exc).__name__, str(exc)) from exc
-        _check_crossing(result, "out of", self._method_name)
+        if type(result) not in _PRIMITIVE_TYPES:
+            _check_crossing(result, "out of", self._method_name)
         return result
 
 
 class JsBridgeObject:
     """The JS-visible face of an injected Java object.
 
-    Attribute access yields bridge-method stubs; there is no property
-    access across the bridge (matching ``addJavascriptInterface``, which
-    exposes methods only).  A stub is kept as an instance attribute after
+    Attribute access yields bridge-method stubs for the object's methods
+    only (matching ``addJavascriptInterface``): a property, a class or
+    any other callable that is not a method is refused at lookup, before
+    anything is charged.  A stub is kept as an instance attribute after
     its first lookup, so later lookups are plain attribute reads; every
     call still goes through the full crossing.
     """
@@ -98,7 +119,7 @@ class JsBridgeObject:
         if name.startswith("_"):
             raise AttributeError(name)
         target = getattr(self._java_object, name, None)
-        if not callable(target):
+        if not isinstance(target, MethodType):
             raise BridgeMarshalError(
                 f"{self._js_name}.{name} is not a bridged method "
                 "(only public Java methods are exposed)"

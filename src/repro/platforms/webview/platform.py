@@ -56,10 +56,6 @@ class WebViewPlatform(PlatformBase):
         #: find their page context.
         self.active_window = None
 
-    def charge_bridge(self, method_name: str) -> float:
-        """Charge one JS→Java bridge crossing for ``method_name``."""
-        return self.charge_native(f"webview.bridge.{method_name}")
-
     def new_webview(self) -> WebView:
         """Create a browser surface on this platform."""
         return WebView(self)

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.core.plugin.packaging import WebViewPlatformExtension
-from repro.platforms.webview.exceptions import JsBridgeError
+from repro.platforms.webview.exceptions import BridgeMarshalError, JsBridgeError
 
 INTERFACES = ["Location", "Sms", "Call", "Http", "Contacts", "Calendar"]
 UNKNOWN_HANDLE = 99
@@ -80,6 +80,26 @@ def test_the_tables_name_every_envelope_entry(installed):
         ("SmsWrapper", "set_property")
     }
     assert len(listed) == 18
+
+
+def test_only_methods_cross(webview_scenario, installed):
+    """A public callable that is not a method (the wrapper's binding
+    class) is refused at lookup, before anything is charged."""
+    window, wrappers = installed
+    platform = webview_scenario.platform
+    refused = []
+    for interface, wrapper in wrappers.items():
+        js_wrapper = window.bridge_object(f"{interface}Wrapper")
+        for name in dir(wrapper):
+            value = getattr(wrapper, name)
+            if name.startswith("_") or not callable(value) or inspect.ismethod(value):
+                continue
+            before = (platform.clock.now_ms, platform.native_call_counts())
+            with pytest.raises(BridgeMarshalError, match="not a bridged method"):
+                getattr(js_wrapper, name)
+            assert (platform.clock.now_ms, platform.native_call_counts()) == before
+            refused.append((interface, name))
+    assert refused == [(interface, "ANDROID_BINDING") for interface in INTERFACES]
 
 
 @pytest.mark.parametrize("js_name, entry, args", LOOKUP_FIRST, ids=_ids(LOOKUP_FIRST))

@@ -76,6 +76,36 @@ class TestSpanLifecycle:
         with pytest.raises(ValueError):
             tracer.end_span(span)
 
+    def test_ending_a_span_twice_leaves_the_open_spans_alone(self, tracer, clock):
+        ended = []
+        tracer.add_sink(lambda span: ended.append(span.name))
+        with tracer.span("outer") as outer:
+            inner = tracer.start_span("inner")
+            tracer.end_span(inner)
+            clock.advance(1.0)
+            with pytest.raises(ValueError, match="'inner' is not open"):
+                tracer.end_span(inner)
+            assert tracer.current_span is outer
+            assert not outer.finished
+            assert ended == ["inner"]
+            clock.advance(2.0)
+        assert ended == ["inner", "outer"]
+        assert (inner.end_virtual_ms, outer.end_virtual_ms) == (0.0, 3.0)
+        assert outer.status == "ok"
+        assert tracer.current_span is None
+
+    def test_ending_a_span_of_another_tracer_closes_nothing(self, tracer, clock):
+        ended = []
+        tracer.add_sink(lambda span: ended.append(span.name))
+        stranger = Tracer(clock).start_span("stranger")
+        opened = tracer.start_span("opened")
+        with pytest.raises(ValueError, match="'stranger' is not open"):
+            tracer.end_span(stranger)
+        assert tracer.current_span is opened
+        assert ended == []
+        tracer.end_span(opened)
+        assert ended == ["opened"]
+
     def test_late_clock_binding(self):
         tracer = Tracer()
         clock = SimulatedClock()

@@ -103,6 +103,27 @@ class TestMarshalling:
         with pytest.raises(BridgeMarshalError, match="not a bridged method"):
             window.bridge_object("Java").not_a_method
 
+    @pytest.mark.parametrize("name", ["Nested", "helper", "hook"])
+    def test_callable_that_is_not_a_method_blocked(self, platform, webview, name):
+        class JavaWithCallables(JavaSide):
+            class Nested:
+                pass
+
+            helper = staticmethod(lambda: "static")
+
+            def __init__(self):
+                super().__init__()
+                self.hook = lambda: "instance attribute"
+
+        webview.add_javascript_interface(JavaWithCallables(), "Java")
+        window = webview.load_page(lambda w: None)
+        before = platform.clock.now_ms
+        with pytest.raises(BridgeMarshalError, match="not a bridged method"):
+            getattr(window.bridge_object("Java"), name)
+        assert platform.clock.now_ms == before
+        assert platform.native_call_counts() == {}
+        assert window.bridge_object("Java").add(1, 2) == 3  # methods still cross
+
     def test_each_crossing_charges_latency(self, platform, webview):
         java = JavaSide()
         webview.add_javascript_interface(java, "Java")
